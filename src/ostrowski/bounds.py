@@ -59,6 +59,48 @@ def _prep(iv: Interval, x: float) -> Tuple[float, float]:
     return _offsets(iv, x)
 
 
+# The arithmetic of five public bounds below, without validation. Every
+# argument may be a numpy array, so the special means and the composite
+# quadrature bounds evaluate these same formulas, elementwise.
+
+def _sconvex_abs_mid(width, s, da, db):
+    return width / ((s + 1.0) * (s + 2.0)) * (1.0 - 2.0 ** -(s + 1.0)) * (da + db)
+
+
+def _holder_hadamard(a, b, x, s, p, q, da, dx, db):
+    return (
+        1.0
+        / ((b - a) * (p + 1.0) ** (1.0 / p))
+        * (
+            (b - x) ** 2 * ((dx**q + db**q) / (s + 1.0)) ** (1.0 / q)
+            + (x - a) ** 2 * ((da**q + dx**q) / (s + 1.0)) ** (1.0 / q)
+        )
+    )
+
+
+def _e5(width, p, da, db):
+    return width / (p + 1.0) ** (1.0 / p) * (db + da) / 4.0
+
+
+def _holder_global(width, lam, mu, s, p, q, da, db):
+    return (
+        width
+        / (p + 1.0) ** (1.0 / p)
+        * (lam ** (p + 1.0) + mu ** (p + 1.0)) ** (1.0 / p)
+        * ((da**q + db**q) / (s + 1.0)) ** (1.0 / q)
+    )
+
+
+def _power_mean_mid(width, q, da, db):
+    daq, dbq = da**q, db**q
+    return (
+        width
+        / 8.0
+        * (1.0 / 3.0) ** (1.0 / q)
+        * ((daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q))
+    )
+
+
 def kernel_moment_bracket(r: float, s: float) -> float:
     """2(s+1) r^(s+2) - (s+2) r^(s+1) + 1 for r in [0, 1].
 
@@ -103,14 +145,8 @@ def midpoint_sconvex_abs(
     """
     iv.require_nonnegative()
     s_val = as_sparam(s).s
-    value = (
-        iv.width
-        / ((s_val + 1.0) * (s_val + 2.0))
-        * (1.0 - 2.0 ** -(s_val + 1.0))
-        * (ep.da + ep.db)
-    )
     return BoundResult(
-        value=value,
+        value=_sconvex_abs_mid(iv.width, s_val, ep.da, ep.db),
         theorem_id="t20-mid",
         inputs={"a": iv.a, "b": iv.b, "s": s_val, "da": ep.da, "db": ep.db},
     )
@@ -175,16 +211,8 @@ def bound_holder_hadamard(
     s_val = as_sparam(s).s
     dx = ep.require_dx()
     p, q = cp.p, cp.q
-    value = (
-        1.0
-        / (iv.width * (p + 1.0) ** (1.0 / p))
-        * (
-            (iv.b - x) ** 2 * ((dx**q + ep.db**q) / (s_val + 1.0)) ** (1.0 / q)
-            + (x - iv.a) ** 2 * ((ep.da**q + dx**q) / (s_val + 1.0)) ** (1.0 / q)
-        )
-    )
     return BoundResult(
-        value=value,
+        value=_holder_hadamard(iv.a, iv.b, x, s_val, p, q, ep.da, dx, ep.db),
         theorem_id="t21",
         inputs={
             "a": iv.a, "b": iv.b, "x": x, "s": s_val,
@@ -200,9 +228,8 @@ def midpoint_e5(iv: Interval, cp: ConjugatePair, ep: EndpointData) -> BoundResul
     baseline by exactly the factor 4^(-1/p).
     """
     iv.require_nonnegative()
-    value = iv.width / (cp.p + 1.0) ** (1.0 / cp.p) * (ep.db + ep.da) / 4.0
     return BoundResult(
-        value=value,
+        value=_e5(iv.width, cp.p, ep.da, ep.db),
         theorem_id="e5",
         inputs={"a": iv.a, "b": iv.b, "p": cp.p, "q": cp.q, "da": ep.da, "db": ep.db},
     )
@@ -223,14 +250,8 @@ def bound_holder_global(
     lam, mu = _prep(iv, x)
     s_val = as_sparam(s).s
     p, q = cp.p, cp.q
-    value = (
-        iv.width
-        / (p + 1.0) ** (1.0 / p)
-        * (lam ** (p + 1.0) + mu ** (p + 1.0)) ** (1.0 / p)
-        * ((ep.da**q + ep.db**q) / (s_val + 1.0)) ** (1.0 / q)
-    )
     return BoundResult(
-        value=value,
+        value=_holder_global(iv.width, lam, mu, s_val, p, q, ep.da, ep.db),
         theorem_id="z",
         inputs={
             "a": iv.a, "b": iv.b, "x": x, "s": s_val,
@@ -310,15 +331,8 @@ def midpoint_power_mean(iv: Interval, q: float, ep: EndpointData) -> BoundResult
     q = float(q)
     if q < 1.0:
         raise DomainError(f"power-mean exponent requires q >= 1, got {q!r}")
-    daq, dbq = ep.da**q, ep.db**q
-    value = (
-        iv.width
-        / 8.0
-        * (1.0 / 3.0) ** (1.0 / q)
-        * ((daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q))
-    )
     return BoundResult(
-        value=value,
+        value=_power_mean_mid(iv.width, q, ep.da, ep.db),
         theorem_id="t22-mid",
         inputs={"a": iv.a, "b": iv.b, "q": q, "da": ep.da, "db": ep.db},
     )

@@ -29,7 +29,6 @@ from .bounds import (
     bound_sconvex_abs,
 )
 from .core import (
-    BoundResult,
     ConvergenceError,
     DomainError,
     EndpointData,
@@ -43,7 +42,7 @@ from .kernel import (
     classic_ostrowski_bound,
     verify_montgomery_identity,
 )
-from .means import arithmetic_mean, means_gap, means_gap_bound
+from .means import _mean_powers, means_gap, means_gap_bound
 from .quadrature import certified_integrate
 from .toolkit import parse_function_spec, reference_integrate
 
@@ -51,21 +50,41 @@ __all__ = ["main", "entrypoint", "SweepConfig", "run_sweep", "DEFAULT_IDENTITY_P
 
 FORMATS = ("json", "csv", "human")
 
-THEOREM_CHOICES = ("t20", "teo1", "t21", "z", "t22", "eq11", "ee", "eq14", "eq15", "eq16")
 
-# numeric flags each theorem needs; a missing one is a usage error that
-# names the parameter
-_REQUIRED_FLAGS = {
-    "t20": ("a", "b", "x", "s", "da", "db"),
-    "teo1": ("a", "b", "x", "s", "p", "da", "db"),
-    "t21": ("a", "b", "x", "s", "p", "da", "db", "dx"),
-    "z": ("a", "b", "x", "s", "p", "da", "db"),
-    "t22": ("a", "b", "x", "s", "q", "da", "db"),
-    "eq11": ("a", "b", "x", "m"),
-    "ee": ("a", "b", "x", "s", "p", "m"),
-    "eq14": ("a", "b", "da", "db"),
-    "eq15": ("a", "b", "p", "da", "db"),
-    "eq16": ("a", "b", "p", "da", "db"),
+def _baseline(tag: str):
+    """Evaluator for a midpoint baseline; a given p is checked even for
+    eq14, which does not use it."""
+    return lambda iv, x, s, p, q, ep, m: baseline_midpoint_bound(
+        tag, iv, None if p is None else make_conjugate(p), ep.da, ep.db
+    )
+
+
+# tag -> (numeric flags `bound` requires, evaluator over
+# (iv, x, s, p, q, ep, m)); `bound` and `verify` both dispatch through it,
+# and a missing flag is a usage error that names the parameter. Evaluators
+# look each bound up by module-global name when called, so a wrapper
+# installed on that name sees every call.
+_THEOREMS = {
+    "t20": (("a", "b", "x", "s", "da", "db"),
+            lambda iv, x, s, p, q, ep, m: bound_sconvex_abs(iv, x, s, ep)),
+    "teo1": (("a", "b", "x", "s", "p", "da", "db"),
+             lambda iv, x, s, p, q, ep, m: bound_holder_split(
+                 iv, x, s, make_conjugate(p), ep)),
+    "t21": (("a", "b", "x", "s", "p", "da", "db", "dx"),
+            lambda iv, x, s, p, q, ep, m: bound_holder_hadamard(
+                iv, x, s, make_conjugate(p), ep)),
+    "z": (("a", "b", "x", "s", "p", "da", "db"),
+          lambda iv, x, s, p, q, ep, m: bound_holder_global(
+              iv, x, s, make_conjugate(p), ep)),
+    "t22": (("a", "b", "x", "s", "q", "da", "db"),
+            lambda iv, x, s, p, q, ep, m: bound_power_mean(iv, x, s, q, ep)),
+    "eq11": (("a", "b", "x", "m"),
+             lambda iv, x, s, p, q, ep, m: classic_ostrowski_bound(iv, x, m)),
+    "ee": (("a", "b", "x", "s", "p", "m"),
+           lambda iv, x, s, p, q, ep, m: alomari_bound(iv, x, s, make_conjugate(p), m)),
+    "eq14": (("a", "b", "da", "db"), _baseline("eq14")),
+    "eq15": (("a", "b", "p", "da", "db"), _baseline("eq15")),
+    "eq16": (("a", "b", "p", "da", "db"), _baseline("eq16")),
 }
 
 # identity sweep suite: polynomials of degree <= 4, mixed signs included
@@ -132,27 +151,12 @@ def _sweep_interval(spec: str, cfg: SweepConfig) -> Interval:
     return Interval(0.0, 1.0)
 
 
-def _sweep_bound(
-    theorem: str, iv: Interval, x: float, s: float, p: float, ep: EndpointData
-) -> float:
-    if theorem == "t20":
-        return bound_sconvex_abs(iv, x, s, ep).value
-    if theorem == "teo1":
-        return bound_holder_split(iv, x, s, make_conjugate(p), ep).value
-    if theorem == "t21":
-        return bound_holder_hadamard(iv, x, s, make_conjugate(p), ep).value
-    if theorem == "z":
-        return bound_holder_global(iv, x, s, make_conjugate(p), ep).value
-    if theorem == "t22":
-        return bound_power_mean(iv, x, s, make_conjugate(p).q, ep).value
-    raise DomainError(f"unknown sweep theorem {theorem!r}")
-
-
 def run_sweep(cfg: SweepConfig) -> list:
     """One VerificationRecord per (theorem, function, s, x, p) tuple.
 
-    The oracle average is computed once per function and interval; the
-    deviation at each grid point is checked against every bound.
+    The oracle average is computed once per function and interval, and the
+    deviation and derivative data once per function and grid point; each
+    deviation is checked against every bound.
     """
     records = []
     prepared = []
@@ -162,20 +166,22 @@ def run_sweep(cfg: SweepConfig) -> list:
         mean = reference_integrate(fn, iv, 1e-12 * iv.width) / iv.width
         prepared.append((fn, iv, mean))
 
+    grids = []
+    for fn, iv, mean in prepared:
+        da, db = abs(fn.deriv(iv.a)), abs(fn.deriv(iv.b))
+        grids.append([
+            (x, abs(fn.f(x) - mean), EndpointData(da=da, db=db, dx=abs(fn.deriv(x))))
+            for x in map(float, np.linspace(iv.a, iv.b, cfg.x_grid_points))
+        ])
+    # t22 takes the conjugate of each grid p as its q
+    pq = [(p, make_conjugate(p).q) for p in cfg.p_grid]
     for theorem in SWEEP_THEOREMS:
-        for fn, iv, mean in prepared:
-            xs = np.linspace(iv.a, iv.b, cfg.x_grid_points)
+        evaluate = _THEOREMS[theorem][1]
+        for (fn, iv, _), grid in zip(prepared, grids):
             for s in cfg.s_grid:
-                for x in xs:
-                    x = float(x)
-                    deviation = abs(fn.f(x) - mean)
-                    ep = EndpointData(
-                        da=abs(fn.deriv(iv.a)),
-                        db=abs(fn.deriv(iv.b)),
-                        dx=abs(fn.deriv(x)),
-                    )
-                    for p in cfg.p_grid:
-                        bound = _sweep_bound(theorem, iv, x, s, p, ep)
+                for x, deviation, ep in grid:
+                    for p, q in pq:
+                        bound = evaluate(iv, x, s, p, q, ep, None).value
                         records.append(
                             VerificationRecord.check(
                                 deviation,
@@ -281,40 +287,16 @@ def _emit_flat(payload: dict, fmt: str, out: Optional[str]) -> None:
 # subcommand handlers
 # ----------------------------------------------------------------------
 
-def _require_flags(args: argparse.Namespace, theorem: str) -> None:
-    for name in _REQUIRED_FLAGS[theorem]:
-        if getattr(args, name, None) is None:
-            raise DomainError(f"--theorem {theorem} requires --{name}")
-
-
-def _bound_result(args: argparse.Namespace) -> BoundResult:
-    theorem = args.theorem
-    _require_flags(args, theorem)
+def cmd_bound(args: argparse.Namespace) -> int:
+    flags, evaluate = _THEOREMS[args.theorem]
+    for name in flags:
+        if getattr(args, name) is None:
+            raise DomainError(f"--theorem {args.theorem} requires --{name}")
     iv = Interval(args.a, args.b)
     ep = None
-    if "da" in _REQUIRED_FLAGS[theorem]:
+    if "da" in flags:
         ep = EndpointData(da=args.da, db=args.db, dx=args.dx)
-    if theorem == "t20":
-        return bound_sconvex_abs(iv, args.x, args.s, ep)
-    if theorem == "teo1":
-        return bound_holder_split(iv, args.x, args.s, make_conjugate(args.p), ep)
-    if theorem == "t21":
-        return bound_holder_hadamard(iv, args.x, args.s, make_conjugate(args.p), ep)
-    if theorem == "z":
-        return bound_holder_global(iv, args.x, args.s, make_conjugate(args.p), ep)
-    if theorem == "t22":
-        return bound_power_mean(iv, args.x, args.s, args.q, ep)
-    if theorem == "eq11":
-        return classic_ostrowski_bound(iv, args.x, args.m)
-    if theorem == "ee":
-        return alomari_bound(iv, args.x, args.s, make_conjugate(args.p), args.m)
-    # midpoint baselines
-    cp = make_conjugate(args.p) if args.p is not None else None
-    return baseline_midpoint_bound(theorem, iv, cp, args.da, args.db)
-
-
-def cmd_bound(args: argparse.Namespace) -> int:
-    result = _bound_result(args)
+    result = evaluate(iv, args.x, args.s, args.p, args.q, ep, args.m)
     payload = {"theorem": result.theorem_id, "value": result.value}
     payload.update(result.inputs)
     if args.format == "human":
@@ -350,8 +332,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_means(args: argparse.Namespace) -> int:
     a, b, s = args.a, args.b, args.s
-    mean_pow = arithmetic_mean(a, b) ** s
-    avg_pow = (b ** (s + 1.0) - a ** (s + 1.0)) / ((s + 1.0) * (b - a))
+    gap = means_gap(a, b, s, oracle_tol=args.tol)
+    mean_pow, avg_pow, _ = _mean_powers(a, b, s)
     payload = {
         "a": a,
         "b": b,
@@ -360,7 +342,7 @@ def cmd_means(args: argparse.Namespace) -> int:
         "q": args.q,
         "A^s": mean_pow,
         "L_s^s": avg_pow,
-        "gap": means_gap(a, b, s, oracle_tol=args.tol),
+        "gap": gap,
         "p1": means_gap_bound(a, b, s, "p1").value,
         "p2": means_gap_bound(a, b, s, "p2", p=args.p).value,
         "p3": means_gap_bound(a, b, s, "p3", q=args.q).value,
@@ -448,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # defaults leak into the others
     p_bound = sub.add_parser("bound", parents=[_common_parser()],
                              help="evaluate one bound and echo its inputs")
-    p_bound.add_argument("--theorem", choices=THEOREM_CHOICES, required=True)
+    p_bound.add_argument("--theorem", choices=tuple(_THEOREMS), required=True)
     for flag in ("a", "b", "x", "s", "p", "q", "da", "db", "dx", "m"):
         p_bound.add_argument(f"--{flag}", type=float, default=None)
     p_bound.set_defaults(handler=cmd_bound)

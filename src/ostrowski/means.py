@@ -17,8 +17,9 @@ suite over the documented parameter grid.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
+from .bounds import _holder_hadamard, _power_mean_mid, _sconvex_abs_mid
 from .core import (
     BoundResult,
     ConvergenceError,
@@ -94,6 +95,36 @@ def _gap_sparam(s: "float | SParam") -> float:
     return s_val
 
 
+#: Below this u = (b-a)/(b+a) the gap is summed from its series: the closed
+#: form cancels to about eps/u^2 relative there, and the series needs at
+#: most eight terms, each under u^2 = 1e-2 times the one before.
+_SERIES_BELOW = 0.1
+
+
+def _mean_powers(a: float, b: float, s: float) -> Tuple[float, float, float]:
+    """(A^s, L_s^s, |A^s - L_s^s|) for 0 < a < b and s in (0, 1).
+
+    With m = (a+b)/2 and u = (b-a)/(b+a),
+    L_s^s - A^s = m^s * sum_{k>=1} C(s+1, 2k+1)/(s+1) * u^(2k), whose terms
+    all have the sign of s(s-1); for small u that sum replaces the
+    difference of the two closed forms.
+    """
+    m = (a + b) / 2.0
+    mean_power = m**s
+    u = (b - a) / (b + a)
+    if u >= _SERIES_BELOW:
+        avg_ts = (b ** (s + 1.0) - a ** (s + 1.0)) / ((s + 1.0) * (b - a))
+        return mean_power, avg_ts, abs(mean_power - avg_ts)
+    u2 = u * u
+    term, total, j = s * (s - 1.0) / 6.0 * u2, 0.0, 2.0  # the k = 1 term, j = 2k
+    while abs(term) > 1e-17 * abs(total):
+        total += term
+        term *= (s - j) * (s - j - 1.0) / ((j + 2.0) * (j + 3.0)) * u2
+        j += 2.0
+    excess = mean_power * total
+    return mean_power, mean_power + excess, abs(excess)
+
+
 def means_gap(
     a: float, b: float, s: "float | SParam", oracle_tol: Optional[float] = 1e-10
 ) -> float:
@@ -101,7 +132,9 @@ def means_gap(
 
     The second term is the s-th power of the s-logarithmic mean, i.e. the
     average of t^s over [a, b], so the gap equals the midpoint deviation of
-    t^s. When oracle_tol is given the closed form is cross-checked against
+    t^s. For near-equal endpoints the difference is summed from its series
+    instead, which keeps it accurate to a few ulps where the two terms
+    cancel. When oracle_tol is given the result is cross-checked against
     the reference integrator and a disagreement raises ConvergenceError.
     """
     a = _require_positive("a", a)
@@ -109,9 +142,7 @@ def means_gap(
     if not a < b:
         raise DomainError("gap requires 0 < a < b")
     s_val = _gap_sparam(s)
-    mean_power = ((a + b) / 2.0) ** s_val
-    avg_ts = (b ** (s_val + 1.0) - a ** (s_val + 1.0)) / ((s_val + 1.0) * (b - a))
-    gap = abs(mean_power - avg_ts)
+    gap = _mean_powers(a, b, s_val)[2]
     if oracle_tol is not None:
         oracle = true_deviation(
             make_breckner(0.0, 1.0, 0.0, s_val),
@@ -138,48 +169,29 @@ def means_gap_bound(
     p: Optional[float] = None,
     q: Optional[float] = None,
 ) -> BoundResult:
-    """Bound |A^s - L_s^s| by one of the three midpoint specializations.
+    """Bound |A^s - L_s^s| by a midpoint bound fed the slopes |f'| = s t^(s-1)
+    of f(t) = t^s at a, (a+b)/2 and b.
 
-    p1: (b-a) s/((s+1)(s+2)) (1 - 2^-(s+1)) [a^(s-1) + b^(s-1)]
-    p2: s (b-a)/4 (p+1)^(-1/p) [((A^e + b^e)/(s+1))^(1/q)
-                               + ((a^e + A^e)/(s+1))^(1/q)],  e = q(s-1)
-    p3: s (b-a)/8 (2/3)^(1/q) { A(a^e, 3 b^e)^(1/q) + A(3 a^e, b^e)^(1/q) }
-
-    p2 needs p > 1 (q is its conjugate); p3 needs q >= 1.
+    p1: t20-mid (|f'| s-convex)
+    p2: t21 at the midpoint (|f'|^q s-convex); needs p > 1, q its conjugate
+    p3: t22-mid (|f'|^q s-convex); needs q >= 1
     """
     a = _require_positive("a", a)
     b = _require_positive("b", b)
     if not a < b:
         raise DomainError("gap bounds require 0 < a < b")
     s_val = _gap_sparam(s)
-    width = b - a
     inputs = {"a": a, "b": b, "s": s_val}
+    da, dx, db = _slopes(a, b, s_val)
 
     if variant == "p1":
-        value = (
-            width
-            * s_val
-            / ((s_val + 1.0) * (s_val + 2.0))
-            * (1.0 - 2.0 ** -(s_val + 1.0))
-            * (a ** (s_val - 1.0) + b ** (s_val - 1.0))
-        )
+        value = _sconvex_abs_mid(b - a, s_val, da, db)
     elif variant == "p2":
         if p is None:
             raise DomainError("variant p2 requires the exponent p")
         cp = make_conjugate(p)
         inputs.update(p=cp.p, q=cp.q)
-        e = cp.q * (s_val - 1.0)
-        mean_pow = arithmetic_mean(a, b) ** e
-        value = (
-            s_val
-            * width
-            / 4.0
-            / (cp.p + 1.0) ** (1.0 / cp.p)
-            * (
-                ((mean_pow + b**e) / (s_val + 1.0)) ** (1.0 / cp.q)
-                + ((a**e + mean_pow) / (s_val + 1.0)) ** (1.0 / cp.q)
-            )
-        )
+        value = _holder_hadamard(a, b, (a + b) / 2.0, s_val, cp.p, cp.q, da, dx, db)
     elif variant == "p3":
         if q is None:
             raise DomainError("variant p3 requires the exponent q")
@@ -187,17 +199,7 @@ def means_gap_bound(
         if q < 1.0:
             raise DomainError(f"variant p3 requires q >= 1, got {q!r}")
         inputs.update(q=q)
-        e = q * (s_val - 1.0)
-        value = (
-            s_val
-            * width
-            / 8.0
-            * (2.0 / 3.0) ** (1.0 / q)
-            * (
-                arithmetic_mean(a**e, 3.0 * b**e) ** (1.0 / q)
-                + arithmetic_mean(3.0 * a**e, b**e) ** (1.0 / q)
-            )
-        )
+        value = _power_mean_mid(b - a, q, da, db)
     else:
         raise DomainError(
             f"unknown gap bound variant {variant!r}; expected one of {GAP_VARIANTS}"
@@ -215,9 +217,10 @@ def slope_endpoint_data(a: float, b: float, s: "float | SParam") -> EndpointData
     s_val = _gap_sparam(s)
     a = _require_positive("a", a)
     b = _require_positive("b", b)
-    mid = (a + b) / 2.0
-    return EndpointData(
-        da=s_val * a ** (s_val - 1.0),
-        db=s_val * b ** (s_val - 1.0),
-        dx=s_val * mid ** (s_val - 1.0),
-    )
+    da, dx, db = _slopes(a, b, s_val)
+    return EndpointData(da=da, db=db, dx=dx)
+
+
+def _slopes(a: float, b: float, s: float) -> Tuple[float, float, float]:
+    """s t^(s-1) at t = a, (a+b)/2, b."""
+    return s * a ** (s - 1.0), s * ((a + b) / 2.0) ** (s - 1.0), s * b ** (s - 1.0)

@@ -1,15 +1,25 @@
 """CLI contract: subcommands, exit codes, output formats, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+import ostrowski.cli as cli
 import ostrowski.quadrature as quadrature
 import ostrowski.toolkit as toolkit
+from ostrowski.bounds import (
+    bound_holder_global,
+    bound_holder_hadamard,
+    bound_holder_split,
+    bound_power_mean,
+    bound_sconvex_abs,
+)
 from ostrowski.cli import SweepConfig, main, run_sweep
-from ostrowski.core import DomainError
+from ostrowski.core import DomainError, EndpointData, Interval, make_conjugate
+from ostrowski.kernel import alomari_bound, baseline_midpoint_bound, classic_ostrowski_bound
 
 
 def run(capsys, *argv):
@@ -18,7 +28,65 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# every --theorem tag: exactly its required flags, with values that satisfy
+# each hypothesis, and the library call the command must reproduce
+V = {"a": 0.5, "b": 2.5, "x": 0.8, "s": 0.37, "p": 3.0, "q": 1.5,
+     "da": 0.3, "db": 2.0, "dx": 0.9, "m": 2.5}
+IV = Interval(V["a"], V["b"])
+EP = EndpointData(V["da"], V["db"])
+CP = make_conjugate(V["p"])
+BOUND_TAGS = {
+    "t20": (("a", "b", "x", "s", "da", "db"),
+            lambda: bound_sconvex_abs(IV, V["x"], V["s"], EP)),
+    "teo1": (("a", "b", "x", "s", "p", "da", "db"),
+             lambda: bound_holder_split(IV, V["x"], V["s"], CP, EP)),
+    "t21": (("a", "b", "x", "s", "p", "da", "db", "dx"),
+            lambda: bound_holder_hadamard(
+                IV, V["x"], V["s"], CP, EndpointData(V["da"], V["db"], V["dx"]))),
+    "z": (("a", "b", "x", "s", "p", "da", "db"),
+          lambda: bound_holder_global(IV, V["x"], V["s"], CP, EP)),
+    "t22": (("a", "b", "x", "s", "q", "da", "db"),
+            lambda: bound_power_mean(IV, V["x"], V["s"], V["q"], EP)),
+    "eq11": (("a", "b", "x", "m"),
+             lambda: classic_ostrowski_bound(IV, V["x"], V["m"])),
+    "ee": (("a", "b", "x", "s", "p", "m"),
+           lambda: alomari_bound(IV, V["x"], V["s"], CP, V["m"])),
+    "eq14": (("a", "b", "da", "db"),
+             lambda: baseline_midpoint_bound("eq14", IV, None, V["da"], V["db"])),
+    "eq15": (("a", "b", "p", "da", "db"),
+             lambda: baseline_midpoint_bound("eq15", IV, CP, V["da"], V["db"])),
+    "eq16": (("a", "b", "p", "da", "db"),
+             lambda: baseline_midpoint_bound("eq16", IV, CP, V["da"], V["db"])),
+}
+
+
+def bound_argv(tag, flags):
+    argv = ["bound", "--theorem", tag]
+    for name in flags:
+        argv += [f"--{name}", repr(V[name])]
+    return argv
+
+
 class TestBoundCommand:
+    @pytest.mark.parametrize("tag", sorted(BOUND_TAGS))
+    def test_value_is_the_library_value(self, capsys, tag):
+        flags, direct = BOUND_TAGS[tag]
+        code, out, _ = run(capsys, *bound_argv(tag, flags))
+        assert code == 0
+        payload = json.loads(out)
+        expected = direct()
+        assert payload["theorem"] == expected.theorem_id == tag
+        assert payload["value"] == expected.value
+
+    @pytest.mark.parametrize("tag", sorted(BOUND_TAGS))
+    def test_each_missing_flag_named(self, capsys, tag):
+        flags, _ = BOUND_TAGS[tag]
+        for name in flags:
+            code, out, err = run(capsys, *bound_argv(tag, [f for f in flags if f != name]))
+            assert code == 2, (tag, name)
+            assert out == ""
+            assert err.strip().endswith(f"requires --{name}"), (tag, name, err)
+
     def test_t20_json(self, capsys):
         code, out, _ = run(
             capsys, "bound", "--theorem", "t20", "--a", "0", "--b", "1",
@@ -176,6 +244,28 @@ class TestSweepConfig:
         records = run_sweep(cfg)
         assert len(records) == 5 * 3
         assert all(r.holds for r in records)
+
+    def test_run_sweep_evaluates_derivative_once_per_point(self, monkeypatch):
+        # |f'| at the endpoints and at each grid point is shared by every
+        # theorem, s and p rather than evaluated again for each of them
+        calls = []
+
+        def counting_spec(spec):
+            fn = toolkit.parse_function_spec(spec)
+
+            def df(t):
+                calls.append(t)
+                return fn.df(t)
+
+            return dataclasses.replace(fn, df=df)
+
+        monkeypatch.setattr(cli, "parse_function_spec", counting_spec)
+        cfg = SweepConfig(
+            s_grid=(0.5, 1.0), x_grid_points=4, p_grid=(2.0, 3.0),
+            function_specs=("poly:0,0,1", "poly:0,1,1"),
+        )
+        assert len(run_sweep(cfg)) == 5 * 2 * 2 * 4 * 2
+        assert len(calls) == 2 * (2 + 4)
 
 
 class TestMeansCommand:

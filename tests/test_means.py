@@ -1,5 +1,7 @@
 """Means of positive reals and the bounds on |A^s - L_s^s|."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,23 @@ class TestMeansGap:
                 make_breckner(0.0, 1.0, 0.0, s), Interval(a, b), (a + b) / 2, tol
             )
             assert abs(gap - oracle) <= 10 * tol
+
+    @pytest.mark.parametrize("rel_width", [1e-3, 1e-6, 3e-7, 1e-7])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_near_equal_endpoints_against_50_digits(self, rel_width, s):
+        # the gap is about (b-a)^2/a^2 relative to A^s here, so subtracting
+        # the two powers in double precision loses that many digits
+        for a in (0.5, 1.0, 3.0):
+            b = a * (1.0 + rel_width)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                da, db, ds = Decimal(a), Decimal(b), Decimal(s)
+                exact = abs(
+                    ((da + db) / 2) ** ds
+                    - (db ** (ds + 1) - da ** (ds + 1)) / ((ds + 1) * (db - da))
+                )
+            got = means_gap(a, b, s)
+            assert abs(Decimal(got) - exact) <= Decimal(1e-12) * exact, (a, b, s)
 
     def test_s_one_rejected(self):
         with pytest.raises(DomainError):

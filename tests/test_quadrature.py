@@ -13,7 +13,7 @@ from ostrowski.core import (
     Interval,
     make_conjugate,
 )
-from ostrowski.bounds import midpoint_e5
+from ostrowski.bounds import bound_holder_global, midpoint_e5, midpoint_power_mean
 from ostrowski.core import EndpointData
 from ostrowski.quadrature import (
     Partition,
@@ -135,14 +135,37 @@ class TestMidpointErrorBound:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 10.0])
     def test_single_panel_matches_scaled_midpoint_bound(self, p):
-        # one panel over [a, b]: the p4 sum equals (b-a) times the midpoint
-        # bound with the same endpoint data
-        for a, b, da, db in ((0.0, 1.0, 1.0, 1.0), (0.5, 2.5, 0.3, 2.0)):
-            iv = Interval(a, b)
-            d = Partition((a, b))
-            p4 = midpoint_error_bound(d, [da, db], "p4", p=p)
-            e5 = midpoint_e5(iv, make_conjugate(p), EndpointData(da, db)).value
-            assert p4 == pytest.approx(iv.width * e5, rel=1e-12)
+        # each panel [x_i, x_i+1] contributes its width times the midpoint
+        # bound on that panel with its own endpoint data: e5 for p4, z at
+        # the midpoint with s = 1 and p = 2 for p5, t22-mid for p6
+        cases = (
+            ((0.0, 1.0), (1.0, 1.0)),
+            ((0.5, 2.5), (0.3, 2.0)),
+            ((0.0, 0.1, 0.35, 0.4, 1.2, 3.0), (2.0, 0.0, 0.7, 1.3, 0.05, 4.5)),
+        )
+        for nodes, dvals in cases:
+            d = Partition(nodes)
+            panels = [
+                (Interval(lo, hi), EndpointData(dlo, dhi))
+                for lo, hi, dlo, dhi in zip(nodes, nodes[1:], dvals, dvals[1:])
+            ]
+            e5 = math.fsum(
+                iv.width * midpoint_e5(iv, make_conjugate(p), ep).value
+                for iv, ep in panels
+            )
+            z = math.fsum(
+                iv.width
+                * bound_holder_global(iv, iv.midpoint, 1.0, make_conjugate(2.0), ep).value
+                for iv, ep in panels
+            )
+            t22 = math.fsum(
+                iv.width * midpoint_power_mean(iv, p, ep).value for iv, ep in panels
+            )
+            assert midpoint_error_bound(d, dvals, "p4", p=p) == pytest.approx(e5, rel=1e-12)
+            assert midpoint_error_bound(d, dvals, "p5") == pytest.approx(z, rel=1e-12)
+            assert midpoint_error_bound(d, dvals, "p6", q=p) == pytest.approx(
+                t22, rel=1e-12
+            )
 
     def test_node_insertion_decreases_p4_for_monotone_slope(self):
         # splitting any panel of a t^2 grid lowers the bound; recorded as a
