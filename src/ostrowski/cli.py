@@ -164,20 +164,17 @@ def run_sweep(cfg: SweepConfig) -> list:
         fn = parse_function_spec(spec)
         iv = _sweep_interval(fn.label, cfg)
         mean = reference_integrate(fn, iv, 1e-12 * iv.width) / iv.width
-        prepared.append((fn, iv, mean))
-
-    grids = []
-    for fn, iv, mean in prepared:
+        xs = np.linspace(iv.a, iv.b, cfg.x_grid_points)
         da, db = abs(fn.deriv(iv.a)), abs(fn.deriv(iv.b))
-        grids.append([
-            (x, abs(fn.f(x) - mean), EndpointData(da=da, db=db, dx=abs(fn.deriv(x))))
-            for x in map(float, np.linspace(iv.a, iv.b, cfg.x_grid_points))
-        ])
+        prepared.append((fn, iv, [
+            (x, dev, EndpointData(da=da, db=db, dx=abs(fn.deriv(x))))
+            for x, dev in zip(xs.tolist(), np.abs(fn(xs) - mean).tolist())
+        ]))
     # t22 takes the conjugate of each grid p as its q
     pq = [(p, make_conjugate(p).q) for p in cfg.p_grid]
     for theorem in SWEEP_THEOREMS:
         evaluate = _THEOREMS[theorem][1]
-        for (fn, iv, _), grid in zip(prepared, grids):
+        for fn, iv, grid in prepared:
             for s in cfg.s_grid:
                 for x, deviation, ep in grid:
                     for p, q in pq:

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 __all__ = [
     "DomainError",
     "ConvergenceError",
@@ -167,21 +169,32 @@ class EndpointData:
 
 @dataclass(frozen=True)
 class Function1D:
-    """A scalar function with an optional exact first-derivative evaluator."""
+    """A real function with an optional exact first-derivative evaluator.
 
-    f: Callable[[float], float]
-    df: Optional[Callable[[float], float]] = None
+    ``f`` and ``df`` map a float or a float ndarray of any shape to values
+    of that shape, pointwise. Callers use ``fn(t)`` and ``fn.deriv(t)``, not
+    ``f`` or ``df``: they also broadcast a constant to the shape of t.
+    """
+
+    f: Callable
+    df: Optional[Callable] = None
     label: str = ""
 
-    def __call__(self, t: float) -> float:
-        return self.f(t)
+    def __call__(self, t):
+        return _shaped(self.f(t), t)
 
-    def deriv(self, t: float) -> float:
+    def deriv(self, t):
         if self.df is None:
             raise DomainError(
                 f"function {self.label or '<anonymous>'} has no derivative evaluator"
             )
-        return self.df(t)
+        return _shaped(self.df(t), t)
+
+
+def _shaped(value, t):
+    """value, broadcast to the shape of t when an evaluator returned a constant."""
+    shape = getattr(t, "shape", ())
+    return value if getattr(value, "shape", ()) == shape else np.full(shape, value, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,16 @@ def logarithmic_mean(a: float, b: float) -> float:
 
 
 def p_logarithmic_mean(a: float, b: float, r: float) -> float:
-    """[(b^(r+1) - a^(r+1)) / ((r+1)(b - a))]^(1/r), a when a == b.
+    """X^(1/r) with X = (b^(r+1) - a^(r+1)) / ((r+1)(b - a)), a when a == b.
 
     The orders r = -1 and r = 0 are conventionally the logarithmic and
     identric means; they are not evaluated through this formula and are
     rejected here (the identric mean is out of scope entirely).
+
+    With a < b and h = ln(b/a), X is formed without cancellation or a power
+    that overflows before X does: b^r (1 + q)/(1 + r), q = -a expm1(-rh)/(b - a),
+    for |r| < 1/2, else c^(r+1) m/(b - a) with m = -expm1(-|r+1| h)/|r+1| and
+    c = b for r > -1, c = a for r < -1.
     """
     a = _require_positive("a", a)
     b = _require_positive("b", b)
@@ -83,7 +88,17 @@ def p_logarithmic_mean(a: float, b: float, r: float) -> float:
         )
     if a == b:
         return a
-    return ((b ** (r + 1.0) - a ** (r + 1.0)) / ((r + 1.0) * (b - a))) ** (1.0 / r)
+    a, b = min(a, b), max(a, b)
+    # where b/a overflows, ln b - ln a > 709 has no cancellation to lose
+    h = math.log1p((b - a) / a) if b / a < math.inf else math.log(b) - math.log(a)
+    if abs(r) < 0.5:
+        # the cap only acts where |q| < e^-700 anyway
+        q = -a * math.expm1(min(-r * h, 700.0)) / (b - a)
+        return b * math.exp((math.log1p(q) - math.log1p(r)) / r)
+    m = -math.expm1(-abs(r + 1.0) * h) / abs(r + 1.0)
+    if r > -1.0:
+        return b * (b * m / (b - a)) ** (1.0 / r)
+    return a ** (1.0 + 1.0 / r) * (b - a) ** (-1.0 / r) * m ** (1.0 / r)
 
 
 def _gap_sparam(s: "float | SParam") -> float:

@@ -65,26 +65,27 @@ class BrecknerFunction:
     def is_known_member(self) -> bool:
         return self.v >= 0.0 and 0.0 <= self.w <= self.u
 
-    def value(self, t: float) -> float:
-        if t < 0.0:
-            raise DomainError(f"Breckner function is defined on [0, inf), got t={t!r}")
-        if t == 0.0:
-            return self.u
-        return self.v * t**self.s + self.w
+    def value(self, t):
+        at_zero = _nonnegative_min(t) == 0.0
+        out = self.v * t**self.s + self.w
+        return np.where(t == 0.0, self.u, out)[()] if at_zero else out
 
-    def slope(self, t: float) -> float:
-        if t < 0.0:
-            raise DomainError(f"Breckner function is defined on [0, inf), got t={t!r}")
-        if t == 0.0:
-            # v*s*t^(s-1) diverges at 0 for s < 1; only the linear case extends.
-            if self.s == 1.0:
-                return self.v
+    def slope(self, t):
+        # v*s*t^(s-1) diverges at 0 for s < 1; at s = 1, t^0 = 1 extends it
+        if _nonnegative_min(t) == 0.0 and self.s != 1.0:
             raise DomainError("Breckner derivative undefined at t=0 for s < 1")
         return self.v * self.s * t ** (self.s - 1.0)
 
     @property
     def label(self) -> str:
         return f"breckner:{self.u:g},{self.v:g},{self.w:g},{self.s:g}"
+
+
+def _nonnegative_min(t) -> float:
+    lo = np.fmin.reduce(t, axis=None)  # fmin skips NaN, so a NaN cannot hide a bad point
+    if lo < 0.0:
+        raise DomainError(f"Breckner function is defined on [0, inf), got t={float(lo)!r}")
+    return lo
 
 
 def make_breckner(u: float, v: float, w: float, s: "float | SParam") -> Function1D:
@@ -137,31 +138,30 @@ def check_sconvex(
     wy = (1.0 - alphas) ** s_val
     eps = np.finfo(float).eps
     try:
-        fvals = np.array([fn.f(float(t)) for t in pts], dtype=float)
+        fvals = fn(pts)
     except Exception as exc:
         raise DomainError(f"evaluator failed on the domain grid: {exc}") from exc
 
+    # one x at a time, broadcast over rows y and columns alpha: the
+    # temporaries stay grid_n^2 in size instead of grid_n^3
+    zy, wfy = (1.0 - alphas) * pts[:, None], wy * fvals[:, None]
     worst = -math.inf
     witness = (float(pts[0]), float(pts[0]), 0.0)
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            z = alphas * x + (1.0 - alphas) * y
-            try:
-                fz = np.array([fn.f(float(t)) for t in z], dtype=float)
-            except Exception as exc:
-                raise DomainError(
-                    f"evaluator failed at a combination point: {exc}"
-                ) from exc
-            rhs = wx * fvals[i] + wy * fvals[j]
-            raw = fz - rhs
-            noise = 8.0 * eps * np.maximum(
-                1.0, np.maximum(np.abs(fz), np.abs(wx * fvals[i]) + np.abs(wy * fvals[j]))
-            )
-            viol = np.where((raw > 0.0) & (raw <= noise), 0.0, raw)
-            k = int(np.argmax(viol))
-            if viol[k] > worst:
-                worst = float(viol[k])
-                witness = (float(x), float(y), float(alphas[k]))
+    for x, fx in zip(pts, fvals):
+        try:
+            fz = fn(alphas * x + zy)
+        except Exception as exc:
+            raise DomainError(f"evaluator failed at a combination point: {exc}") from exc
+        wfx = wx * fx
+        raw = fz - (wfx + wfy)
+        noise = 8.0 * eps * np.maximum(1.0, np.maximum(np.abs(fz), np.abs(wfx) + np.abs(wfy)))
+        # sub-rounding positives are equalities; a NaN point is skipped, as the
+        # scalar `>` below skips it, so argmax cannot return it and hide the plane
+        viol = np.where((raw > 0.0) & (raw <= noise), 0.0, np.where(np.isnan(raw), -math.inf, raw))
+        j, k = np.unravel_index(np.argmax(viol), viol.shape)
+        if viol[j, k] > worst:
+            worst = float(viol[j, k])
+            witness = (float(x), float(pts[j]), float(alphas[k]))
 
     return SConvexityReport(
         is_consistent=worst <= 0.0,
@@ -246,7 +246,7 @@ def _panel(fn: Function1D, lo: float, hi: float) -> Tuple[float, float]:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid + half * _NODES
-    fs = np.array([fn.f(float(t)) for t in xs], dtype=float)
+    fs = fn(xs)
     if not np.all(np.isfinite(fs)):
         raise ConvergenceError(
             f"integrand {fn.label or '<anonymous>'} returned a non-finite value "
@@ -320,7 +320,7 @@ def true_deviation(
     """
     x = validate_eval_point(iv, x)
     integral = reference_integrate(fn, iv, tol * iv.width)
-    return abs(fn.f(x) - integral / iv.width)
+    return abs(float(fn(x)) - integral / iv.width)
 
 
 # ----------------------------------------------------------------------
@@ -336,30 +336,22 @@ def _parse_floats(text: str, spec: str) -> list[float]:
 
 def _make_poly(coeffs: list[float]) -> Function1D:
     cs = np.asarray(coeffs, dtype=float)
-    ds = npoly.polyder(cs) if len(cs) > 1 else np.zeros(1)
-    label = "poly:" + ",".join(f"{c:g}" for c in coeffs)
-    return Function1D(
-        f=lambda t: float(npoly.polyval(t, cs)),
-        df=lambda t: float(npoly.polyval(t, ds)),
-        label=label,
-    )
+    ds = npoly.polyder(cs)
+    return Function1D(f=lambda t: npoly.polyval(t, cs), df=lambda t: npoly.polyval(t, ds),
+                      label="poly:" + ",".join(f"{c:g}" for c in coeffs))
 
 
 def _make_powabs(k: float) -> Function1D:
     if not k > 0.0:
         raise DomainError(f"powabs exponent must be positive, got {k!r}")
 
-    def f(t: float) -> float:
-        return abs(t) ** k
-
-    def df(t: float) -> float:
-        if t == 0.0:
-            if k > 1.0:
-                return 0.0
+    def df(t):
+        # for k > 1 the formula gives the derivative 0 at t = 0 as well
+        if k <= 1.0 and np.fmin.reduce(abs(t), axis=None) == 0.0:
             raise DomainError(f"|t|^{k:g} has no derivative at t=0")
-        return k * abs(t) ** (k - 1.0) * math.copysign(1.0, t)
+        return k * abs(t) ** (k - 1.0) * np.sign(t)
 
-    return Function1D(f=f, df=df, label=f"powabs:{k:g}")
+    return Function1D(f=lambda t: abs(t) ** k, df=df, label=f"powabs:{k:g}")
 
 
 def parse_function_spec(spec: str) -> Function1D:

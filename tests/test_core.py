@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -118,6 +119,13 @@ class TestFunction1D:
         fn = Function1D(f=lambda t: t * t, df=lambda t: 2 * t, label="sq")
         assert fn(3.0) == 9.0
         assert fn.deriv(3.0) == 6.0
+
+    def test_arrays_keep_their_shape_and_constants_broadcast(self):
+        fn = Function1D(f=lambda t: t * t, df=lambda t: 0.0)
+        t = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(fn(t), t * t)
+        assert np.array_equal(fn.deriv(t), np.zeros((2, 3)))
+        assert fn.deriv(3.0) == 0.0
 
     def test_missing_derivative(self):
         fn = Function1D(f=lambda t: t, label="plain")

@@ -99,6 +99,15 @@ class TestMontgomeryIdentity:
         with pytest.raises(DomainError, match="derivative"):
             verify_montgomery_identity(Function1D(f=lambda t: t), UNIT, 0.5)
 
+    def test_missing_derivative_raises_before_integrating_f(self):
+        from ostrowski.core import Function1D
+
+        points = []
+        fn = Function1D(f=lambda t: points.append(np.size(t)) or t, label="plain")
+        with pytest.raises(DomainError, match="derivative"):
+            verify_montgomery_identity(fn, UNIT, 0.5)
+        assert points == []
+
     def test_custom_integrator_is_used(self):
         calls = []
 

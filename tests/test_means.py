@@ -60,6 +60,56 @@ class TestElementaryMeans:
             1.4858425557811644, rel=1e-12
         )
 
+    @staticmethod
+    def _p_logarithmic_50_digits(a: float, b: float, r: float) -> Decimal:
+        with localcontext() as ctx:
+            ctx.prec = 50
+            da, db, dr = Decimal(a), Decimal(b), Decimal(r)
+            x = (db ** (dr + 1) - da ** (dr + 1)) / ((dr + 1) * (db - da))
+            return (x.ln() / dr).exp()
+
+    @pytest.mark.parametrize("r", [1e-4, -1e-4, 1e-6, -1e-6, 1e-8, -1e-8])
+    def test_power_logarithmic_small_order_against_50_digits(self, r):
+        # the closed form cancels in b^(r+1) - a^(r+1) and then raises to
+        # 1/r: at r = 1e-8 it was off by 1.2e-8 relative
+        exact = self._p_logarithmic_50_digits(1.0, 2.0, r)
+        got = p_logarithmic_mean(1.0, 2.0, r)
+        assert abs(Decimal(got) - exact) <= Decimal(1e-14) * exact
+
+    def test_power_logarithmic_against_50_digits(self):
+        # the grid has orders on both sides of |r| = 1/2, near -1 and near 0,
+        # where the closed form lost up to 6e-12 relative
+        rng = np.random.default_rng(11)
+        rows = [
+            (a, a * ratio, r)
+            for a in (1.01, 7.3, 50.0)
+            for ratio in (1.01, 2.0, 50.0)
+            for r in (-5.0, -1.001, -0.999, -0.5, -0.49, -1e-3, 1e-3, 0.49, 0.5, 5.0)
+        ]
+        for _ in range(300):
+            r = rng.uniform(-5.0, 5.0)
+            if abs(r + 1.0) >= 1e-3:
+                a = rng.uniform(1.01, 50.0)
+                rows.append((a, a * rng.uniform(1.01, 50.0), r))
+        for a, b, r in rows:
+            exact = self._p_logarithmic_50_digits(a, b, r)
+            got = p_logarithmic_mean(a, b, r)
+            assert abs(Decimal(got) - exact) <= Decimal(1e-13) * exact, (a, b, r)
+            assert p_logarithmic_mean(b, a, r) == pytest.approx(got, rel=1e-13)
+
+    @pytest.mark.parametrize("a, b, r", [
+        (1e-200, 1e-100, 1.0),  # a^2 underflows to 0
+        (1e-160, 1e-150, 1.0),  # a^2 is subnormal
+        (1e-4, 1e4, 50.0),  # expm1((r+1) ln(b/a)) overflows, b^51 does not
+        (1e-300, 1e300, -0.3),  # b/a overflows
+        (1e-10, 1e300, -5.0),  # b/a overflows, r < -1
+    ])
+    def test_power_logarithmic_far_apart_endpoints_against_50_digits(self, a, b, r):
+        exact = self._p_logarithmic_50_digits(a, b, r)
+        for x, y in ((a, b), (b, a)):
+            got = p_logarithmic_mean(x, y, r)
+            assert abs(Decimal(got) - exact) <= Decimal(1e-13) * exact, (x, y, r)
+
     def test_order_one_collapses_to_arithmetic(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -128,6 +128,58 @@ class TestCheckSconvex:
         )
         assert report.is_consistent
 
+    @staticmethod
+    def _brute_force(fn, s, a, b, n):
+        """The defining inequality at every (x, y, alpha), one point at a time."""
+        eps = np.finfo(float).eps
+        pts = [float(t) for t in np.linspace(a, b, n)]
+        alphas = [float(t) for t in np.linspace(0.0, 1.0, n)]
+        worst, witness = -math.inf, (pts[0], pts[0], 0.0)
+        for x in pts:
+            for y in pts:
+                for al in alphas:
+                    fz, fx, fy = fn(al * x + (1.0 - al) * y), fn(x), fn(y)
+                    wfx, wfy = al**s * fx, (1.0 - al) ** s * fy
+                    raw = fz - (wfx + wfy)
+                    noise = 8.0 * eps * max(1.0, abs(fz), abs(wfx) + abs(wfy))
+                    viol = 0.0 if 0.0 < raw <= noise else raw
+                    if viol > worst:
+                        worst, witness = viol, (x, y, al)
+        return worst, witness
+
+    @pytest.mark.parametrize("spec, s, b", [
+        ("breckner:2,1,1,0.5", 0.5, 2.0),  # member, jump at 0
+        ("poly:0,0,-1", 0.5, 1.0),  # non-member
+        ("poly:1,2", 1.0, 3.0),  # linear: equality, so every triple ties
+    ])
+    def test_matches_brute_force_triple_loop(self, spec, s, b):
+        fn = parse_function_spec(spec)
+        report = check_sconvex(fn, s, Interval(0.0, b), 7)
+        worst, witness = self._brute_force(fn, s, 0.0, b, 7)
+        # the scalar and array powers may round apart by an ulp
+        assert report.worst_violation == pytest.approx(worst, abs=1e-15)
+        assert report.witness == witness
+        assert report.is_consistent == (worst <= 0.0)
+
+    def test_nan_point_hides_no_violation_in_its_plane(self):
+        # f is NaN at t = 5/36 only, a combination point in the x = 0 plane
+        # ahead of that plane's largest violation
+        base = parse_function_spec("poly:0,0,-1")
+        fn = Function1D(f=lambda t: np.where(np.abs(t - 5.0 / 36.0) < 1e-12, np.nan, base(t)))
+        report = check_sconvex(fn, 0.5, Interval(0.0, 1.0), 7)
+        worst, witness = self._brute_force(fn, 0.5, 0.0, 1.0, 7)
+        assert worst > 0.0
+        assert report.worst_violation == pytest.approx(worst, abs=1e-15)
+        assert report.witness == witness
+        assert not report.is_consistent
+
+    def test_evaluates_grid_and_every_combination_point(self):
+        fn = make_breckner(1.0, 1.0, 0.5, 0.5)
+        points = []
+        counting = Function1D(f=lambda t: points.append(np.size(t)) or fn(t))
+        check_sconvex(counting, 0.5, Interval(0.0, 1.0), 7)
+        assert sum(points) == 7 + 7**3
+
 
 class TestReferenceIntegrate:
     def test_polynomials_against_antiderivative(self):
@@ -263,3 +315,73 @@ class TestFunctionRegistry:
     def test_bad_specs(self, spec):
         with pytest.raises(DomainError):
             parse_function_spec(spec)
+
+
+def _horner(cs, t):
+    total = 0.0
+    for c in reversed(cs):
+        total = total * t + c
+    return total
+
+
+def _scalar_reference(spec):
+    """(f, f') of a registry spec, written out for one Python float."""
+    kind, _, rest = spec.partition(":")
+    ps = [float(p) for p in rest.split(",")]
+    if kind == "breckner":
+        u, v, w, s = ps
+        return (lambda t: u if t == 0.0 else v * t**s + w,
+                lambda t: v if t == 0.0 else v * s * t ** (s - 1.0))
+    if kind == "poly":
+        ds = [k * c for k, c in enumerate(ps)][1:]
+        return lambda t: _horner(ps, t), lambda t: _horner(ds, t)
+    (k,) = ps
+    return (lambda t: abs(t) ** k,
+            lambda t: 0.0 if t == 0.0 else k * abs(t) ** (k - 1.0) * math.copysign(1.0, t))
+
+
+NONNEGATIVE = np.array([[0.0, 0.25, 1.0, 2.0], [0.5, 0.0, 3.7, 1e-3], [10.0, 0.1, 0.0, 7.0]])
+POSITIVE = NONNEGATIVE + 0.5
+REAL = np.array([[-2.0, -0.3, 0.0], [0.7, -1e-3, 5.5]])
+
+
+class TestArrayContract:
+    """Builders evaluate a whole array at once, pointwise."""
+
+    @pytest.mark.parametrize("spec, f_points, df_points", [
+        ("breckner:2,1,1,0.5", NONNEGATIVE, POSITIVE),  # u != w at t = 0
+        ("breckner:0,2,0,1", NONNEGATIVE, NONNEGATIVE),  # linear slope extends to 0
+        ("breckner:0.5,3,0.25,0.3", POSITIVE, POSITIVE),
+        ("poly:1,-2,0.5,3", REAL, REAL),
+        ("poly:4", REAL, REAL),
+        ("powabs:2.5", REAL, REAL),
+        ("powabs:0.5", REAL, REAL[REAL != 0.0]),
+    ])
+    def test_matches_scalar_formula_within_two_ulp(self, spec, f_points, df_points):
+        fn = parse_function_spec(spec)
+        for evaluate, reference, t in zip((fn, fn.deriv), _scalar_reference(spec),
+                                          (f_points, df_points)):
+            got = evaluate(t)
+            want = np.array([reference(float(x)) for x in t.flat]).reshape(t.shape)
+            assert got.shape == t.shape
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))), (spec, got, want)
+
+    @pytest.mark.parametrize("spec, deriv, bad, match", [
+        ("breckner:0,1,0,0.5", False, -0.5, "defined on"),
+        ("breckner:0,1,0,1", True, -0.5, "defined on"),
+        ("breckner:0,1,0,0.5", True, 0.0, "undefined at t=0"),
+        ("powabs:1", True, 0.0, "no derivative"),
+        ("powabs:0.5", True, 0.0, "no derivative"),
+    ])
+    def test_one_bad_point_anywhere_raises(self, spec, deriv, bad, match):
+        fn = parse_function_spec(spec)
+        evaluate = fn.deriv if deriv else fn
+        for index in np.ndindex(2, 3):
+            t = np.full((2, 3), 1.5)
+            t[index] = bad
+            with pytest.raises(DomainError, match=match):
+                evaluate(t)
+            # a NaN elsewhere in the array must not mask the bad point
+            t[(index[0] + 1) % 2, index[1]] = math.nan
+            with pytest.raises(DomainError, match=match):
+                evaluate(t)
