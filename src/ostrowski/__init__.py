@@ -22,7 +22,6 @@ from .core import (
 )
 from .kernel import (
     HadamardBounds,
-    KernelBreakpoint,
     alomari_bound,
     baseline_midpoint_bound,
     classic_ostrowski_bound,
@@ -78,7 +77,6 @@ __all__ = [
     "Function1D",
     "HadamardBounds",
     "Interval",
-    "KernelBreakpoint",
     "Partition",
     "QuadReport",
     "SConvexityReport",

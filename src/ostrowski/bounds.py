@@ -8,7 +8,7 @@ derivative data alone:
   bound_holder_split     |f'|^q s-convex; Hoelder applied per kernel branch
   bound_holder_hadamard  |f'|^q s-convex; average bracket applied on [x,b], [a,x]
   bound_holder_global    |f'|^q s-convex; Hoelder applied to the whole kernel
-  bound_power_mean       |f'|^q s-convex; power-mean refinement, q >= 1
+  bound_power_mean       |f'|^q s-convex; power-mean refinement, finite q >= 1
 
 plus their midpoint specializations. Position enters through the
 normalized offsets lam = (b-x)/(b-a) and mu = (x-a)/(b-a); every bound is
@@ -23,13 +23,15 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
 from .core import (
     BoundResult,
     ConjugatePair,
-    DomainError,
     EndpointData,
     Interval,
     SParam,
+    _require_exponent,
     as_sparam,
     validate_eval_point,
 )
@@ -47,8 +49,12 @@ __all__ = [
 ]
 
 
-def _offsets(iv: Interval, x: float) -> Tuple[float, float]:
-    """Normalized distances (lam, mu) = ((b-x)/(b-a), (x-a)/(b-a))."""
+def _offsets(iv: Interval, x):
+    """Normalized distances (lam, mu) = ((b-x)/(b-a), (x-a)/(b-a)).
+
+    lam is the kernel breakpoint. This is its one expression, shared by the
+    bounds, the sweep and the kernel; x may be a numpy array.
+    """
     width = iv.b - iv.a
     return (iv.b - x) / width, (x - iv.a) / width
 
@@ -59,12 +65,32 @@ def _prep(iv: Interval, x: float) -> Tuple[float, float]:
     return _offsets(iv, x)
 
 
-# The arithmetic of five public bounds below, without validation. Every
-# argument may be a numpy array, so the special means and the composite
-# quadrature bounds evaluate these same formulas, elementwise.
+# The arithmetic of the public bounds below, one formula per family,
+# without validation. Every argument may be a numpy array, so the sweep,
+# the special means and the composite quadrature bounds evaluate these
+# same formulas, elementwise and broadcast.
+
+def _sconvex_abs(width, lam, mu, s, da, db):
+    return (
+        width
+        / ((s + 1.0) * (s + 2.0))
+        * (kernel_moment_bracket(lam, s) * da + kernel_moment_bracket(mu, s) * db)
+    )
+
 
 def _sconvex_abs_mid(width, s, da, db):
     return width / ((s + 1.0) * (s + 2.0)) * (1.0 - 2.0 ** -(s + 1.0)) * (da + db)
+
+
+def _holder_split(width, lam, mu, s, p, q, da, db):
+    daq, dbq = da**q, db**q
+    term_low = lam ** (1.0 + 1.0 / p) * (
+        lam ** (s + 1.0) * daq + (1.0 - mu ** (s + 1.0)) * dbq
+    ) ** (1.0 / q)
+    term_high = mu ** (1.0 + 1.0 / p) * (
+        (1.0 - lam ** (s + 1.0)) * daq + mu ** (s + 1.0) * dbq
+    ) ** (1.0 / q)
+    return width / (p + 1.0) ** (1.0 / p) / (s + 1.0) ** (1.0 / q) * (term_low + term_high)
 
 
 def _holder_hadamard(a, b, x, s, p, q, da, dx, db):
@@ -89,6 +115,22 @@ def _holder_global(width, lam, mu, s, p, q, da, db):
         * (lam ** (p + 1.0) + mu ** (p + 1.0)) ** (1.0 / p)
         * ((da**q + db**q) / (s + 1.0)) ** (1.0 / q)
     )
+
+
+def _power_mean(width, lam, mu, s, q, da, db):
+    # C1(r) = r^(s+2)/(s+2) and C2(r) = C1(r) - r^(s+1)/(s+1) + 1/((s+1)(s+2))
+    # are the moments of t t^s and t (1-t)^s over one kernel branch. C2 is
+    # nonnegative but vanishes at r = 1, where rounding can leave a tiny
+    # negative residue that the fractional power must not see.
+    c1_lam, c1_mu = lam ** (s + 2.0) / (s + 2.0), mu ** (s + 2.0) / (s + 2.0)
+    tail = 1.0 / ((s + 1.0) * (s + 2.0))
+    c2_lam = np.maximum(0.0, c1_lam - lam ** (s + 1.0) / (s + 1.0) + tail)
+    c2_mu = np.maximum(0.0, c1_mu - mu ** (s + 1.0) / (s + 1.0) + tail)
+    daq, dbq = da**q, db**q
+    exp_out = 2.0 * (1.0 - 1.0 / q)
+    term_low = lam**exp_out * (c1_lam * daq + c2_mu * dbq) ** (1.0 / q)
+    term_high = mu**exp_out * (c1_mu * dbq + c2_lam * daq) ** (1.0 / q)
+    return width * 0.5 ** (1.0 - 1.0 / q) * (term_low + term_high)
 
 
 def _power_mean_mid(width, q, da, db):
@@ -120,16 +162,8 @@ def bound_sconvex_abs(
     """
     lam, mu = _prep(iv, x)
     s_val = as_sparam(s).s
-    value = (
-        iv.width
-        / ((s_val + 1.0) * (s_val + 2.0))
-        * (
-            kernel_moment_bracket(lam, s_val) * ep.da
-            + kernel_moment_bracket(mu, s_val) * ep.db
-        )
-    )
     return BoundResult(
-        value=value,
+        value=_sconvex_abs(iv.width, lam, mu, s_val, ep.da, ep.db),
         theorem_id="t20",
         inputs={"a": iv.a, "b": iv.b, "x": x, "s": s_val, "da": ep.da, "db": ep.db},
     )
@@ -168,21 +202,8 @@ def bound_holder_split(
     lam, mu = _prep(iv, x)
     s_val = as_sparam(s).s
     p, q = cp.p, cp.q
-    daq, dbq = ep.da**q, ep.db**q
-    term_low = lam ** (1.0 + 1.0 / p) * (
-        lam ** (s_val + 1.0) * daq + (1.0 - mu ** (s_val + 1.0)) * dbq
-    ) ** (1.0 / q)
-    term_high = mu ** (1.0 + 1.0 / p) * (
-        (1.0 - lam ** (s_val + 1.0)) * daq + mu ** (s_val + 1.0) * dbq
-    ) ** (1.0 / q)
-    value = (
-        iv.width
-        / (p + 1.0) ** (1.0 / p)
-        / (s_val + 1.0) ** (1.0 / q)
-        * (term_low + term_high)
-    )
     return BoundResult(
-        value=value,
+        value=_holder_split(iv.width, lam, mu, s_val, p, q, ep.da, ep.db),
         theorem_id="teo1",
         inputs={
             "a": iv.a, "b": iv.b, "x": x, "s": s_val,
@@ -260,26 +281,6 @@ def bound_holder_global(
     )
 
 
-def _c1(r: float, s: float) -> float:
-    """r^(s+2)/(s+2): moment of t * t^s over one kernel branch."""
-    return r ** (s + 2.0) / (s + 2.0)
-
-
-def _c2(r: float, s: float) -> float:
-    """r^(s+2)/(s+2) - r^(s+1)/(s+1) + 1/((s+1)(s+2)): the cross moment.
-
-    Nonnegative for r in [0, 1] (it is the integral of t(1-t)^s over one
-    kernel branch) but vanishes at r = 1, where rounding can leave a tiny
-    negative residue that a fractional power must not see.
-    """
-    value = (
-        r ** (s + 2.0) / (s + 2.0)
-        - r ** (s + 1.0) / (s + 1.0)
-        + 1.0 / ((s + 1.0) * (s + 2.0))
-    )
-    return max(0.0, value)
-
-
 def bound_power_mean(
     iv: Interval,
     x: float,
@@ -287,7 +288,7 @@ def bound_power_mean(
     q: float,
     ep: EndpointData,
 ) -> BoundResult:
-    """Power-mean refinement; accepts any q >= 1 (no conjugate needed).
+    """Power-mean refinement; accepts any finite q >= 1 (no conjugate needed).
 
     (b-a) (1/2)^(1-1/q) * { lam^(2(1-1/q)) [C1(lam) da^q + C2(mu) db^q]^(1/q)
                           + mu^(2(1-1/q)) [C1(mu) db^q + C2(lam) da^q]^(1/q) }
@@ -297,20 +298,9 @@ def bound_power_mean(
     """
     lam, mu = _prep(iv, x)
     s_val = as_sparam(s).s
-    q = float(q)
-    if q < 1.0:
-        raise DomainError(f"power-mean exponent requires q >= 1, got {q!r}")
-    daq, dbq = ep.da**q, ep.db**q
-    exp_out = 2.0 * (1.0 - 1.0 / q)
-    term_low = lam**exp_out * (_c1(lam, s_val) * daq + _c2(mu, s_val) * dbq) ** (
-        1.0 / q
-    )
-    term_high = mu**exp_out * (_c1(mu, s_val) * dbq + _c2(lam, s_val) * daq) ** (
-        1.0 / q
-    )
-    value = iv.width * 0.5 ** (1.0 - 1.0 / q) * (term_low + term_high)
+    q = _require_exponent(q, "the power-mean bound")
     return BoundResult(
-        value=value,
+        value=_power_mean(iv.width, lam, mu, s_val, q, ep.da, ep.db),
         theorem_id="t22",
         inputs={
             "a": iv.a, "b": iv.b, "x": x, "s": s_val,
@@ -328,9 +318,7 @@ def midpoint_power_mean(iv: Interval, q: float, ep: EndpointData) -> BoundResult
     here, so the two do not coincide; this form is the weaker of the two.
     """
     iv.require_nonnegative()
-    q = float(q)
-    if q < 1.0:
-        raise DomainError(f"power-mean exponent requires q >= 1, got {q!r}")
+    q = _require_exponent(q, "the power-mean bound")
     return BoundResult(
         value=_power_mean_mid(iv.width, q, ep.da, ep.db),
         theorem_id="t22-mid",

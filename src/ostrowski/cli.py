@@ -17,11 +17,18 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import (
+    _holder_global,
+    _holder_hadamard,
+    _holder_split,
+    _offsets,
+    _power_mean,
+    _sconvex_abs,
     bound_holder_global,
     bound_holder_hadamard,
     bound_holder_split,
@@ -34,6 +41,7 @@ from .core import (
     EndpointData,
     Interval,
     VerificationRecord,
+    as_sparam,
     make_conjugate,
 )
 from .kernel import (
@@ -42,7 +50,7 @@ from .kernel import (
     classic_ostrowski_bound,
     verify_montgomery_identity,
 )
-from .means import _mean_powers, means_gap, means_gap_bound
+from .means import GAP_VARIANTS, _mean_powers, means_gap, means_gap_bound
 from .quadrature import certified_integrate
 from .toolkit import parse_function_spec, reference_integrate
 
@@ -60,10 +68,10 @@ def _baseline(tag: str):
 
 
 # tag -> (numeric flags `bound` requires, evaluator over
-# (iv, x, s, p, q, ep, m)); `bound` and `verify` both dispatch through it,
-# and a missing flag is a usage error that names the parameter. Evaluators
-# look each bound up by module-global name when called, so a wrapper
-# installed on that name sees every call.
+# (iv, x, s, p, q, ep, m)); `bound` dispatches through it, and a missing
+# flag is a usage error that names the parameter. Evaluators look each
+# bound up by module-global name when called, so a wrapper installed on
+# that name sees every call.
 _THEOREMS = {
     "t20": (("a", "b", "x", "s", "da", "db"),
             lambda iv, x, s, p, q, ep, m: bound_sconvex_abs(iv, x, s, ep)),
@@ -118,14 +126,17 @@ SWEEP_THEOREMS = ("t20", "teo1", "t21", "z", "t22")
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grids and options for the domination sweep."""
+    """Grids and options for the domination sweep.
+
+    Construction checks every s (in (0, 1]) and every p (> 1), so a bad
+    grid is rejected before any oracle work.
+    """
 
     s_grid: tuple = (0.25, 0.5, 0.75, 1.0)
     x_grid_points: int = 11
     p_grid: tuple = (2.0,)
     function_specs: tuple = DEFAULT_SWEEP_FUNCTIONS
     tol: float = 1e-9
-    output_format: str = "json"
     interval_override: Optional[tuple] = None
 
     def __post_init__(self) -> None:
@@ -137,8 +148,8 @@ class SweepConfig:
             raise DomainError("sweep tol must be positive")
         if self.x_grid_points < 2:
             raise DomainError("sweep needs at least two x grid points")
-        if self.output_format not in FORMATS:
-            raise DomainError(f"unknown output format {self.output_format!r}")
+        object.__setattr__(self, "s_grid", tuple(as_sparam(s).s for s in self.s_grid))
+        object.__setattr__(self, "p_grid", tuple(make_conjugate(p).p for p in self.p_grid))
 
 
 def _sweep_interval(spec: str, cfg: SweepConfig) -> Interval:
@@ -152,44 +163,54 @@ def _sweep_interval(spec: str, cfg: SweepConfig) -> Interval:
 
 
 def run_sweep(cfg: SweepConfig) -> list:
-    """One VerificationRecord per (theorem, function, s, x, p) tuple.
+    """One VerificationRecord per (theorem, function, s, x, p) tuple, in
+    that order.
 
-    The oracle average is computed once per function and interval, and the
-    deviation and derivative data once per function and grid point; each
+    Per function, the oracle average is computed once, the deviation and
+    |f'| once over the whole x grid, and each theorem's bound with one
+    broadcast call of its formula over the whole (s, x, p) grid; each
     deviation is checked against every bound.
     """
-    records = []
+    s = np.array(cfg.s_grid)[:, None, None]
+    p = np.array(cfg.p_grid)
+    # t22 takes the conjugate of each grid p as its q
+    q = np.array([make_conjugate(v).q for v in cfg.p_grid])
+    shape = (len(cfg.s_grid), cfg.x_grid_points, len(cfg.p_grid))
     prepared = []
     for spec in cfg.function_specs:
         fn = parse_function_spec(spec)
         iv = _sweep_interval(fn.label, cfg)
+        iv.require_nonnegative()
         mean = reference_integrate(fn, iv, 1e-12 * iv.width) / iv.width
         xs = np.linspace(iv.a, iv.b, cfg.x_grid_points)
-        da, db = abs(fn.deriv(iv.a)), abs(fn.deriv(iv.b))
-        prepared.append((fn, iv, [
-            (x, dev, EndpointData(da=da, db=db, dx=abs(fn.deriv(x))))
-            for x, dev in zip(xs.tolist(), np.abs(fn(xs) - mean).tolist())
-        ]))
-    # t22 takes the conjugate of each grid p as its q
-    pq = [(p, make_conjugate(p).q) for p in cfg.p_grid]
+        ep = EndpointData(da=abs(fn.deriv(iv.a)), db=abs(fn.deriv(iv.b)))
+        dx = np.abs(fn.deriv(xs))[:, None]
+        if not np.all(np.isfinite(dx)):
+            raise DomainError(f"dx must be finite on the sweep grid of {fn.label}")
+        x = xs[:, None]
+        lam, mu = _offsets(iv, x)
+        w, da, db = iv.width, ep.da, ep.db
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            bounds = {
+                "t20": _sconvex_abs(w, lam, mu, s, da, db),
+                "teo1": _holder_split(w, lam, mu, s, p, q, da, db),
+                "t21": _holder_hadamard(iv.a, iv.b, x, s, p, q, da, dx, db),
+                "z": _holder_global(w, lam, mu, s, p, q, da, db),
+                "t22": _power_mean(w, lam, mu, s, q, da, db),
+            }
+        for theorem, values in bounds.items():
+            if not np.all((values >= 0.0) & (values < np.inf)):
+                raise DomainError(f"bound {theorem} produced invalid values for {fn.label}")
+        grid = list(zip(xs.tolist(), np.abs(fn(xs) - mean).tolist()))
+        prepared.append((fn.label, grid, bounds))
+    records = []
     for theorem in SWEEP_THEOREMS:
-        evaluate = _THEOREMS[theorem][1]
-        for fn, iv, grid in prepared:
-            for s in cfg.s_grid:
-                for x, deviation, ep in grid:
-                    for p, q in pq:
-                        bound = evaluate(iv, x, s, p, q, ep, None).value
-                        records.append(
-                            VerificationRecord.check(
-                                deviation,
-                                bound,
-                                cfg.tol,
-                                context=(
-                                    f"domination {theorem} fn={fn.label} "
-                                    f"s={s:g} x={x:.17g} p={p:g}"
-                                ),
-                            )
-                        )
+        for label, grid, bounds in prepared:
+            rhs = np.broadcast_to(bounds[theorem], shape).ravel().tolist()
+            cells = product(cfg.s_grid, grid, cfg.p_grid)
+            for (s_val, (x_val, dev), p_val), bound in zip(cells, rhs):
+                context = f"domination {theorem} fn={label} s={s_val:g} x={x_val:.17g} p={p_val:g}"
+                records.append(VerificationRecord.check(dev, bound, cfg.tol, context=context))
     return records
 
 
@@ -319,16 +340,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         p_grid=_parse_grid(args.p_grid, "p-grid"),
         function_specs=_parse_functions(args.functions),
         tol=args.tol,
-        output_format=args.format,
         interval_override=override,
     )
     records = run_sweep(cfg)
-    _emit_records(records, cfg.output_format, args.out, "domination sweep")
+    _emit_records(records, args.format, args.out, "domination sweep")
     return 0 if all(r.holds for r in records) else 1
 
 
 def cmd_means(args: argparse.Namespace) -> int:
     a, b, s = args.a, args.b, args.s
+    # the bounds first: they check p and q before the gap's oracle runs
+    bounds = {v: means_gap_bound(a, b, s, v, p=args.p, q=args.q).value for v in GAP_VARIANTS}
     gap = means_gap(a, b, s, oracle_tol=args.tol)
     mean_pow, avg_pow, _ = _mean_powers(a, b, s)
     payload = {
@@ -340,9 +362,7 @@ def cmd_means(args: argparse.Namespace) -> int:
         "A^s": mean_pow,
         "L_s^s": avg_pow,
         "gap": gap,
-        "p1": means_gap_bound(a, b, s, "p1").value,
-        "p2": means_gap_bound(a, b, s, "p2", p=args.p).value,
-        "p3": means_gap_bound(a, b, s, "p3", q=args.q).value,
+        **bounds,
     }
     _emit_flat(payload, args.format, args.out)
     return 0

@@ -57,22 +57,19 @@ def _require_finite(name: str, value: float) -> float:
 class Interval:
     """Closed interval [a, b] with a < b strictly.
 
-    With ``sconvex_domain=True`` construction additionally requires a >= 0,
-    the natural domain for s-convexity arguments. Degenerate intervals
-    (a == b) are rejected; every bound divides by the width.
+    Degenerate intervals (a == b) are rejected; every bound divides by the
+    width. Operations that need the s-convex domain a >= 0 call
+    :meth:`require_nonnegative`.
     """
 
     a: float
     b: float
-    sconvex_domain: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _require_finite("a", self.a))
         object.__setattr__(self, "b", _require_finite("b", self.b))
         if not self.a < self.b:
             raise DomainError("interval requires a < b")
-        if self.sconvex_domain and self.a < 0.0:
-            raise DomainError("s-convex domain requires a >= 0")
 
     @property
     def width(self) -> float:
@@ -134,6 +131,14 @@ def make_conjugate(p: float) -> ConjugatePair:
     if p <= 1.0:
         raise DomainError(f"conjugate exponent requires p > 1, got {p!r}")
     return ConjugatePair(p, p / (p - 1.0))
+
+
+def _require_exponent(q: float, what: str) -> float:
+    """The power-mean exponent q of t22 and its midpoint forms, checked finite and >= 1."""
+    q = float(q)
+    if not (math.isfinite(q) and q >= 1.0):
+        raise DomainError(f"{what} requires a finite q >= 1, got {q!r}")
+    return q
 
 
 @dataclass(frozen=True)

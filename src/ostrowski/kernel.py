@@ -28,10 +28,10 @@ from .core import (
     as_sparam,
     validate_eval_point,
 )
+from .bounds import _offsets
 from .toolkit import reference_integrate
 
 __all__ = [
-    "KernelBreakpoint",
     "montgomery_kernel",
     "verify_montgomery_identity",
     "classic_ostrowski_bound",
@@ -45,28 +45,12 @@ __all__ = [
 Integrator = Callable[[Function1D, Interval, float], float]
 
 
-@dataclass(frozen=True)
-class KernelBreakpoint:
-    """The kernel's sign-change location lambda = (b - x)/(b - a) in [0, 1]."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"kernel breakpoint must lie in [0, 1], got {self.lam!r}")
-
-    @classmethod
-    def from_point(cls, iv: Interval, x: float) -> "KernelBreakpoint":
-        x = validate_eval_point(iv, x)
-        # single canonical expression so branch selection is bit-stable
-        return cls((iv.b - x) / (iv.b - iv.a))
-
-
 def montgomery_kernel(t: float, iv: Interval, x: float) -> float:
-    """Piecewise kernel: t on [0, lambda], t - 1 on (lambda, 1]."""
+    """Piecewise kernel: t on [0, lambda], t - 1 on (lambda, 1], where
+    lambda = (b - x)/(b - a) is the breakpoint."""
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"kernel argument t must lie in [0, 1], got {t!r}")
-    lam = KernelBreakpoint.from_point(iv, x).lam
+    lam = _offsets(iv, validate_eval_point(iv, x))[0]
     return t if t <= lam else t - 1.0
 
 
@@ -87,7 +71,7 @@ def verify_montgomery_identity(
     x = validate_eval_point(iv, x)
     integrate = integrator if integrator is not None else reference_integrate
     a, b = iv.a, iv.b
-    lam = KernelBreakpoint.from_point(iv, x).lam
+    lam = _offsets(iv, x)[0]
 
     piece_tol = tol / (10.0 * iv.width)
 

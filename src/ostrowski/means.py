@@ -27,6 +27,7 @@ from .core import (
     EndpointData,
     Interval,
     SParam,
+    _require_exponent,
     as_sparam,
     make_conjugate,
 )
@@ -57,13 +58,20 @@ def arithmetic_mean(a: float, b: float) -> float:
     return (a + b) / 2.0
 
 
+def _log_ratio(a: float, b: float) -> float:
+    """ln(b/a) for 0 < a < b; log1p keeps its digits when b is close to a."""
+    # where b/a overflows, ln b - ln a > 709 has no cancellation to lose
+    return math.log1p((b - a) / a) if b / a < math.inf else math.log(b) - math.log(a)
+
+
 def logarithmic_mean(a: float, b: float) -> float:
-    """(b - a)/(ln b - ln a), with the a == b case returning a."""
+    """(b - a)/ln(b/a), with the a == b case returning a."""
     a = _require_positive("a", a)
     b = _require_positive("b", b)
     if a == b:
         return a
-    return (b - a) / (math.log(b) - math.log(a))
+    a, b = min(a, b), max(a, b)
+    return (b - a) / _log_ratio(a, b)
 
 
 def p_logarithmic_mean(a: float, b: float, r: float) -> float:
@@ -89,8 +97,7 @@ def p_logarithmic_mean(a: float, b: float, r: float) -> float:
     if a == b:
         return a
     a, b = min(a, b), max(a, b)
-    # where b/a overflows, ln b - ln a > 709 has no cancellation to lose
-    h = math.log1p((b - a) / a) if b / a < math.inf else math.log(b) - math.log(a)
+    h = _log_ratio(a, b)
     if abs(r) < 0.5:
         # the cap only acts where |q| < e^-700 anyway
         q = -a * math.expm1(min(-r * h, 700.0)) / (b - a)
@@ -210,9 +217,7 @@ def means_gap_bound(
     elif variant == "p3":
         if q is None:
             raise DomainError("variant p3 requires the exponent q")
-        q = float(q)
-        if q < 1.0:
-            raise DomainError(f"variant p3 requires q >= 1, got {q!r}")
+        q = _require_exponent(q, "variant p3")
         inputs.update(q=q)
         value = _power_mean_mid(b - a, q, da, db)
     else:

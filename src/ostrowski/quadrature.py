@@ -30,6 +30,8 @@ from .core import (
     DomainError,
     Function1D,
     Interval,
+    _require_exponent,
+    make_conjugate,
 )
 from .toolkit import reference_integrate
 
@@ -48,21 +50,23 @@ ERROR_BOUND_VARIANTS = ("p4", "p5", "p6")
 DEFAULT_PANEL_BUDGET = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Strictly increasing nodes x_0 < x_1 < ... < x_n, n >= 1."""
+    """Strictly increasing nodes x_0 < x_1 < ... < x_n, n >= 1, held as a
+    read-only float ndarray copy; equality is identity."""
 
-    nodes: tuple
+    nodes: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise DomainError("a partition needs at least two nodes")
         if not np.all(np.isfinite(nodes)):
             raise DomainError("partition nodes must be finite")
         if np.any(nodes[1:] <= nodes[:-1]):
             raise DomainError("partition nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", tuple(nodes.tolist()))
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def uniform(cls, iv: Interval, n: int) -> "Partition":
@@ -78,8 +82,7 @@ class Partition:
         return np.diff(self.nodes)
 
     def midpoints(self) -> np.ndarray:
-        arr = np.asarray(self.nodes)
-        return 0.5 * (arr[1:] + arr[:-1])
+        return 0.5 * (self.nodes[1:] + self.nodes[:-1])
 
 
 @dataclass(frozen=True)
@@ -140,19 +143,13 @@ def midpoint_error_bound(
     if variant == "p4":
         if p is None:
             raise DomainError("variant p4 requires the exponent p")
-        p = float(p)
-        if p <= 1.0:
-            raise DomainError(f"variant p4 requires p > 1, got {p!r}")
-        per_panel = _e5(w, p, lo, hi)
+        per_panel = _e5(w, make_conjugate(p).p, lo, hi)
     elif variant == "p5":
         per_panel = _holder_global(w, 0.5, 0.5, 1.0, 2.0, 2.0, lo, hi)
     else:  # p6
         if q is None:
             raise DomainError("variant p6 requires the exponent q")
-        q = float(q)
-        if q < 1.0:
-            raise DomainError(f"variant p6 requires q >= 1, got {q!r}")
-        per_panel = _power_mean_mid(w, q, lo, hi)
+        per_panel = _power_mean_mid(w, _require_exponent(q, "variant p6"), lo, hi)
 
     per_panel *= w  # in place: one panel-sized array fewer at the peak
     return math.fsum(per_panel.tolist())
@@ -186,7 +183,7 @@ def certified_integrate(
     n = 1
     while True:
         d = Partition.uniform(iv, n)
-        bound = midpoint_error_bound(d, np.abs(fn.deriv(np.asarray(d.nodes))), variant, p=p, q=q)
+        bound = midpoint_error_bound(d, np.abs(fn.deriv(d.nodes)), variant, p=p, q=q)
         if bound <= target:
             break
         if 2 * n > max_panels:

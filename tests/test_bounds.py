@@ -6,6 +6,8 @@ here; equality checks between algebraically identical forms run at relative
 1e-12.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -241,6 +243,15 @@ class TestPowerMean:
     def test_q_below_one_rejected(self):
         with pytest.raises(DomainError):
             bound_power_mean(UNIT, 0.5, 1.0, 0.9, ONES)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_non_finite_q_rejected(self, q):
+        # at q = inf the formula gave 0.29 at x = 0.3, against 0.579 at q = 300
+        ep = EndpointData(1.0, 2.0)
+        with pytest.raises(DomainError, match="finite q"):
+            bound_power_mean(UNIT, 0.3, 0.5, q, ep)
+        with pytest.raises(DomainError, match="finite q"):
+            midpoint_power_mean(UNIT, q, ep)
 
     def test_midpoint_weaker_companion_dominates(self):
         # the separately stated midpoint form carries weights (1, 3) and is

@@ -4,10 +4,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 
 import ostrowski.cli as cli
+import ostrowski.means as means
 import ostrowski.quadrature as quadrature
 import ostrowski.toolkit as toolkit
 from ostrowski.bounds import (
@@ -139,6 +142,17 @@ class TestBoundCommand:
         assert code == 2
         assert "--p" in err
 
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_t22_non_finite_q_usage_error(self, capsys, q):
+        # q = inf used to print "q": Infinity, which is not JSON
+        code, out, err = run(
+            capsys, "bound", "--theorem", "t22", "--a", "0", "--b", "1", "--x", "0.3",
+            "--s", "0.5", "--q", q, "--da", "1", "--db", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite q >= 1" in err
+
     def test_unknown_theorem(self, capsys):
         code, _, _ = run(capsys, "bound", "--theorem", "nope", "--a", "0", "--b", "1")
         assert code == 2
@@ -233,8 +247,6 @@ class TestSweepConfig:
             SweepConfig(tol=0.0)
         with pytest.raises(DomainError):
             SweepConfig(x_grid_points=1)
-        with pytest.raises(DomainError):
-            SweepConfig(output_format="xml")
 
     def test_run_sweep_record_count(self):
         cfg = SweepConfig(
@@ -248,13 +260,13 @@ class TestSweepConfig:
     def test_run_sweep_evaluates_derivative_once_per_point(self, monkeypatch):
         # |f'| at the endpoints and at each grid point is shared by every
         # theorem, s and p rather than evaluated again for each of them
-        calls = []
+        points = []
 
         def counting_spec(spec):
             fn = toolkit.parse_function_spec(spec)
 
             def df(t):
-                calls.append(t)
+                points.append(np.size(t))
                 return fn.df(t)
 
             return dataclasses.replace(fn, df=df)
@@ -265,7 +277,100 @@ class TestSweepConfig:
             function_specs=("poly:0,0,1", "poly:0,1,1"),
         )
         assert len(run_sweep(cfg)) == 5 * 2 * 2 * 4 * 2
-        assert len(calls) == 2 * (2 + 4)
+        assert sum(points) == 2 * (2 + 4)
+
+    def test_run_sweep_calls_each_formula_once_per_function(self, monkeypatch):
+        # one broadcast call per theorem and function, not one per record
+        forms = ("_sconvex_abs", "_holder_split", "_holder_hadamard", "_holder_global",
+                 "_power_mean")
+        calls = []
+        for name in forms:
+            form = getattr(cli, name)
+
+            def counted(*args, _form=form, _name=name):
+                calls.append(_name)
+                return _form(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        cfg = SweepConfig()
+        assert len(run_sweep(cfg)) == 1540
+        assert sorted(calls) == sorted(forms * len(cfg.function_specs))
+
+    @pytest.mark.parametrize("p_grid", [(2.0,), (1.5, 3.0)])
+    def test_run_sweep_matches_scalar_bounds(self, p_grid):
+        # the broadcast grid against the public wrappers, one call per record
+        cfg = SweepConfig(p_grid=p_grid)
+        records = run_sweep(cfg)
+        want, contexts = [], []
+        for theorem in cli.SWEEP_THEOREMS:
+            evaluate = cli._THEOREMS[theorem][1]
+            for spec in cfg.function_specs:
+                fn = toolkit.parse_function_spec(spec)
+                iv = cli._sweep_interval(fn.label, cfg)
+                da, db = abs(fn.deriv(iv.a)), abs(fn.deriv(iv.b))
+                for s in cfg.s_grid:
+                    for x in np.linspace(iv.a, iv.b, cfg.x_grid_points).tolist():
+                        ep = EndpointData(da, db, abs(fn.deriv(x)))
+                        for p in p_grid:
+                            q = make_conjugate(p).q
+                            want.append(evaluate(iv, x, s, p, q, ep, None).value)
+                            contexts.append(
+                                f"domination {theorem} fn={fn.label} "
+                                f"s={s:g} x={x:.17g} p={p:g} [tol=1e-09]"
+                            )
+        assert [r.context for r in records] == contexts
+        got = np.array([r.rhs for r in records])
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.array(want)))
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"s_grid": (0.5, 1.5)},
+            {"s_grid": (0.0,)},
+            {"s_grid": (math.nan,)},
+            {"p_grid": (2.0, 1.0)},
+            {"p_grid": (math.inf,)},
+        ],
+    )
+    def test_bad_grid_rejected_when_built(self, grids):
+        with pytest.raises(DomainError):
+            SweepConfig(**grids)
+
+    @pytest.mark.parametrize("flag,grid", [("--s-grid", "0.5,nan"), ("--p-grid", "2,inf")])
+    def test_bad_grid_exits_before_oracle(self, capsys, monkeypatch, flag, grid):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(cli, "reference_integrate", no_oracle)
+        code, out, err = run(capsys, "verify", flag, grid)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_overflowing_bound_exits_2(self, capsys):
+        # q = p/(p-1) = 1e7 overflows |f'(b)|^q = 2^q; the scalar loop died
+        # with an OverflowError traceback
+        code, out, err = run(
+            capsys, "verify", "--functions", "poly:0,0,1", "--p-grid", "1.0000001"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: bound teo1 produced invalid values for poly:0,0,1\n"
+
+    def test_non_finite_grid_derivative_exits_2(self, capsys, monkeypatch):
+        def nan_inside(spec):
+            fn = toolkit.parse_function_spec(spec)
+            return dataclasses.replace(
+                fn, df=lambda t: np.where(np.equal(t, 0.5), np.nan, fn.df(t))
+            )
+
+        monkeypatch.setattr(cli, "parse_function_spec", nan_inside)
+        code, out, err = run(
+            capsys, "verify", "--functions", "poly:0,0,1", "--x-points", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert "dx" in err and "finite" in err
 
 
 class TestMeansCommand:
@@ -288,6 +393,17 @@ class TestMeansCommand:
         assert code == 2
         code, _, err = run(capsys, "means", "--a", "1", "--b", "2", "--s", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--q", "nan"), ("--q", "inf"), ("--p", "nan")])
+    def test_non_finite_exponent_exits_before_oracle(self, capsys, monkeypatch, flag, value):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(means, "true_deviation", no_oracle)
+        code, out, err = run(capsys, "means", "--a", "1", "--b", "2", "--s", "0.5", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 class TestQuadCommand:
@@ -319,6 +435,34 @@ class TestQuadCommand:
         )
         assert code == 2
         assert "--q" in err
+
+    @pytest.mark.parametrize("variant,flag,value", [
+        ("p6", "--q", "nan"), ("p6", "--q", "inf"), ("p4", "--p", "nan"), ("p4", "--p", "inf"),
+    ])
+    def test_non_finite_exponent_exits_before_doubling(
+        self, capsys, monkeypatch, variant, flag, value
+    ):
+        # NaN used to double up to 2^20 panels and exit 3
+        points = []
+
+        def counting_spec(spec):
+            fn = toolkit.parse_function_spec(spec)
+
+            def df(t):
+                points.append(np.size(t))
+                return fn.df(t)
+
+            return dataclasses.replace(fn, df=df)
+
+        monkeypatch.setattr(cli, "parse_function_spec", counting_spec)
+        code, out, err = run(
+            capsys, "quad", "--fn", "poly:0,0,1", "--a", "0", "--b", "1",
+            "--target", "1e-3", "--variant", variant, flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+        assert points == [2]
 
     def test_bad_function_spec(self, capsys):
         code, _, err = run(

@@ -43,12 +43,10 @@ class TestInterval:
         with pytest.raises(DomainError):
             Interval(math.nan, 1.0)
 
-    def test_sconvex_domain_flag(self):
-        Interval(0.0, 1.0, sconvex_domain=True)
-        with pytest.raises(DomainError, match="a >= 0"):
-            Interval(-0.5, 1.0, sconvex_domain=True)
-        # unflagged negative intervals are fine (classical bounds allow them)
-        Interval(-0.5, 1.0).require_nonnegative  # attribute exists
+    def test_require_nonnegative(self):
+        # negative intervals are fine to build (classical bounds allow them);
+        # s-convex operations reject them
+        Interval(0.0, 1.0).require_nonnegative()
         with pytest.raises(DomainError):
             Interval(-0.5, 1.0).require_nonnegative()
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ostrowski.bounds import _offsets
 from ostrowski.core import DomainError, Interval, make_conjugate
 from ostrowski.kernel import (
-    KernelBreakpoint,
     alomari_bound,
     baseline_midpoint_bound,
     classic_ostrowski_bound,
@@ -24,21 +24,6 @@ from ostrowski.toolkit import (
 UNIT = Interval(0.0, 1.0)
 
 
-class TestKernelBreakpoint:
-    def test_value(self):
-        assert KernelBreakpoint.from_point(UNIT, 0.3).lam == pytest.approx(0.7)
-        assert KernelBreakpoint.from_point(UNIT, 0.0).lam == 1.0
-        assert KernelBreakpoint.from_point(UNIT, 1.0).lam == 0.0
-
-    def test_out_of_interval(self):
-        with pytest.raises(DomainError):
-            KernelBreakpoint.from_point(UNIT, 1.5)
-
-    def test_direct_range_check(self):
-        with pytest.raises(DomainError):
-            KernelBreakpoint(1.2)
-
-
 class TestMontgomeryKernel:
     def test_first_branch(self):
         assert montgomery_kernel(0.5, UNIT, 0.3) == 0.5  # breakpoint 0.7
@@ -53,6 +38,10 @@ class TestMontgomeryKernel:
         with pytest.raises(DomainError):
             montgomery_kernel(1.5, UNIT, 0.3)
 
+    def test_x_out_of_interval(self):
+        with pytest.raises(DomainError, match="outside"):
+            montgomery_kernel(0.5, UNIT, 1.5)
+
     @given(
         frac_x=st.floats(min_value=0.0, max_value=1.0),
         t=st.floats(min_value=0.0, max_value=1.0),
@@ -61,7 +50,7 @@ class TestMontgomeryKernel:
         # nonnegative up to the breakpoint, nonpositive beyond it
         iv = Interval(-1.0, 3.0)
         x = iv.a + frac_x * iv.width
-        lam = KernelBreakpoint.from_point(iv, x).lam
+        lam = _offsets(iv, x)[0]
         value = montgomery_kernel(t, iv, x)
         if t <= lam:
             assert value >= 0.0

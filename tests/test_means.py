@@ -1,5 +1,6 @@
 """Means of positive reals and the bounds on |A^s - L_s^s|."""
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -53,6 +54,21 @@ class TestElementaryMeans:
             a = rng.uniform(0.01, 10.0)
             b = a + rng.uniform(1e-6, 10.0)
             assert logarithmic_mean(a, b) <= arithmetic_mean(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        (7.3, 7.3 * (1.0 + 1e-12)),  # ln b - ln a lost all but 5 digits here
+        (7.3, 7.3 * (1.0 + 1e-6)),
+        (1e-5, 3e-5),
+        (0.3, 1e4),
+        (1e-300, 1e300),  # b/a overflows: a bare log1p would give 0
+    ])
+    def test_logarithmic_against_50_digits(self, a, b):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (Decimal(b) - Decimal(a)) / (Decimal(b).ln() - Decimal(a).ln())
+        for x, y in ((a, b), (b, a)):
+            got = logarithmic_mean(x, y)
+            assert abs(Decimal(got) - exact) <= Decimal(1e-15) * exact, (x, y)
 
     def test_power_logarithmic(self):
         assert p_logarithmic_mean(4.0, 4.0, 0.5) == 4.0
@@ -195,6 +211,11 @@ class TestMeansGapBound:
             means_gap_bound(1.0, 2.0, 0.5, "p2")
         with pytest.raises(DomainError, match="p3 requires"):
             means_gap_bound(1.0, 2.0, 0.5, "p3")
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 0.5])
+    def test_p3_exponent_must_be_finite_and_at_least_one(self, q):
+        with pytest.raises(DomainError, match="p3 requires a finite q >= 1"):
+            means_gap_bound(1.0, 2.0, 0.5, "p3", q=q)
 
     def test_unknown_variant(self):
         with pytest.raises(DomainError):

@@ -40,7 +40,7 @@ class TestPartition:
     def test_uniform(self):
         d = Partition.uniform(UNIT, 4)
         assert d.n_panels == 4
-        assert d.nodes == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert tuple(d.nodes) == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert np.allclose(d.widths(), 0.25)
         assert np.allclose(d.midpoints(), [0.125, 0.375, 0.625, 0.875])
 
@@ -113,6 +113,11 @@ class TestMidpointErrorBound:
             midpoint_error_bound(d, tsq_dvals(d), "p4", p=1.0)
         with pytest.raises(DomainError):
             midpoint_error_bound(d, tsq_dvals(d), "p6", q=0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                midpoint_error_bound(d, tsq_dvals(d), "p4", p=bad)
+            with pytest.raises(DomainError, match="finite"):
+                midpoint_error_bound(d, tsq_dvals(d), "p6", q=bad)
         with pytest.raises(DomainError):
             midpoint_error_bound(d, tsq_dvals(d), "p7")
 
@@ -176,7 +181,7 @@ class TestMidpointErrorBound:
             base = midpoint_error_bound(d, tsq_dvals(d), "p4", p=2.0)
             for k in range(n):
                 mid = 0.5 * (d.nodes[k] + d.nodes[k + 1])
-                refined = Partition(d.nodes[: k + 1] + (mid,) + d.nodes[k + 1 :])
+                refined = Partition(np.insert(d.nodes, k + 1, mid))
                 assert midpoint_error_bound(
                     refined, tsq_dvals(refined), "p4", p=2.0
                 ) <= base + 1e-15
@@ -247,6 +252,22 @@ class TestCertifiedIntegrate:
     def test_bad_target(self):
         with pytest.raises(DomainError):
             certified_integrate(TSQ, UNIT, 0.0, "p5")
+
+    @pytest.mark.parametrize("variant,kw", [
+        ("p4", {"p": math.nan}),
+        ("p4", {"p": math.inf}),
+        ("p6", {"q": math.nan}),
+        ("p6", {"q": math.inf}),
+    ])
+    def test_non_finite_exponent_rejected_at_first_level(self, variant, kw):
+        # NaN used to double the partition up to the panel budget, and q = inf
+        # certified 0.0625 for an error of 0.521
+        levels = []
+        fn = parse_function_spec("poly:0,0,100")
+        counted = Function1D(f=fn.f, df=lambda t: levels.append(np.size(t)) or fn.df(t))
+        with pytest.raises(DomainError, match="finite"):
+            certified_integrate(counted, UNIT, 0.1, variant, **kw)
+        assert levels == [2]
 
     def test_lying_derivative_triggers_warning(self):
         # a derivative evaluator that claims f' == 0 produces a zero bound;
