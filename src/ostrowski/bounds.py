@@ -82,24 +82,41 @@ def _sconvex_abs_mid(width, s, da, db):
     return width / ((s + 1.0) * (s + 2.0)) * (1.0 - 2.0 ** -(s + 1.0)) * (da + db)
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double, a Python float
+
+
+def _scaled_powers(u, v, q):
+    """(c, (u/c)^q, (v/c)^q), c = max(u, v) elementwise and at least _TINY: a bracket
+    (alpha u^q + beta v^q)^(1/q) = c (alpha U + beta V)^(1/q) then over- or underflows only
+    with its value. Floats skip numpy and builtin max, either dearer than the two powers."""
+    if isinstance(u, float) and isinstance(v, float):
+        c = u if u >= v and u >= _TINY else v if v >= _TINY else _TINY
+    else:
+        c = np.maximum(u, v)
+        np.maximum(c, _TINY, out=c)
+    return c, (u / c) ** q, (v / c) ** q
+
+
 def _holder_split(width, lam, mu, s, p, q, da, db):
-    daq, dbq = da**q, db**q
+    c, daq, dbq = _scaled_powers(da, db, q)
     term_low = lam ** (1.0 + 1.0 / p) * (
         lam ** (s + 1.0) * daq + (1.0 - mu ** (s + 1.0)) * dbq
     ) ** (1.0 / q)
     term_high = mu ** (1.0 + 1.0 / p) * (
         (1.0 - lam ** (s + 1.0)) * daq + mu ** (s + 1.0) * dbq
     ) ** (1.0 / q)
-    return width / (p + 1.0) ** (1.0 / p) / (s + 1.0) ** (1.0 / q) * (term_low + term_high)
+    return width * c / (p + 1.0) ** (1.0 / p) / (s + 1.0) ** (1.0 / q) * (term_low + term_high)
 
 
 def _holder_hadamard(a, b, x, s, p, q, da, dx, db):
+    c_high, dxq, dbq = _scaled_powers(dx, db, q)
+    c_low, daq, dxq_low = _scaled_powers(da, dx, q)
     return (
         1.0
         / ((b - a) * (p + 1.0) ** (1.0 / p))
         * (
-            (b - x) ** 2 * ((dx**q + db**q) / (s + 1.0)) ** (1.0 / q)
-            + (x - a) ** 2 * ((da**q + dx**q) / (s + 1.0)) ** (1.0 / q)
+            (b - x) ** 2 * c_high * ((dxq + dbq) / (s + 1.0)) ** (1.0 / q)
+            + (x - a) ** 2 * c_low * ((daq + dxq_low) / (s + 1.0)) ** (1.0 / q)
         )
     )
 
@@ -109,11 +126,12 @@ def _e5(width, p, da, db):
 
 
 def _holder_global(width, lam, mu, s, p, q, da, db):
+    c, daq, dbq = _scaled_powers(da, db, q)
     return (
         width
         / (p + 1.0) ** (1.0 / p)
         * (lam ** (p + 1.0) + mu ** (p + 1.0)) ** (1.0 / p)
-        * ((da**q + db**q) / (s + 1.0)) ** (1.0 / q)
+        * c * ((daq + dbq) / (s + 1.0)) ** (1.0 / q)
     )
 
 
@@ -126,19 +144,19 @@ def _power_mean(width, lam, mu, s, q, da, db):
     tail = 1.0 / ((s + 1.0) * (s + 2.0))
     c2_lam = np.maximum(0.0, c1_lam - lam ** (s + 1.0) / (s + 1.0) + tail)
     c2_mu = np.maximum(0.0, c1_mu - mu ** (s + 1.0) / (s + 1.0) + tail)
-    daq, dbq = da**q, db**q
+    c, daq, dbq = _scaled_powers(da, db, q)
     exp_out = 2.0 * (1.0 - 1.0 / q)
     term_low = lam**exp_out * (c1_lam * daq + c2_mu * dbq) ** (1.0 / q)
     term_high = mu**exp_out * (c1_mu * dbq + c2_lam * daq) ** (1.0 / q)
-    return width * 0.5 ** (1.0 - 1.0 / q) * (term_low + term_high)
+    return width * c * 0.5 ** (1.0 - 1.0 / q) * (term_low + term_high)
 
 
 def _power_mean_mid(width, q, da, db):
-    daq, dbq = da**q, db**q
+    c, daq, dbq = _scaled_powers(da, db, q)
     return (
         width
         / 8.0
-        * (1.0 / 3.0) ** (1.0 / q)
+        * (1.0 / 3.0) ** (1.0 / q) * c
         * ((daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q))
     )
 

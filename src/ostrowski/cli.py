@@ -1,11 +1,11 @@
 """Command-line surface: bound evaluation, verification sweeps, special
 means, certified quadrature, and the kernel identity check.
 
-Exit codes: 0 success, 1 at least one inequality failed, 2 usage or domain
-error, 3 oracle non-convergence. JSON is the canonical machine format and
-is byte-identical across runs with identical flags (fixed field order,
-shortest round-trip float printing); CSV is a flat projection; the human
-format rounds to 6 significant digits and never feeds back into
+Exit codes: 0 success, 1 at least one inequality failed, 2 usage, domain
+error or overflow, 3 oracle non-convergence. JSON is the canonical machine
+format and is byte-identical across runs with identical flags (fixed field
+order, shortest round-trip float printing); CSV is a flat projection; the
+human format rounds to 6 significant digits and never feeds back into
 computation.
 """
 
@@ -534,6 +534,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("error: a value overflowed double precision", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)

@@ -6,16 +6,13 @@ deviation f(x) - average(f). On top of it sit the classical position-
 dependent bound for bounded derivatives, the Hermite-Hadamard bracket for
 s-convex functions, and the midpoint baselines that the sharper bounds in
 :mod:`ostrowski.bounds` reduce to.
-
-Every integral here goes through an injected reference integrator; this
-module never hard-codes an integration scheme.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     BoundResult,
@@ -28,7 +25,7 @@ from .core import (
     as_sparam,
     validate_eval_point,
 )
-from .bounds import _offsets
+from .bounds import _offsets, _scaled_powers
 from .toolkit import reference_integrate
 
 __all__ = [
@@ -41,9 +38,6 @@ __all__ = [
     "baseline_midpoint_bound",
     "MIDPOINT_VARIANTS",
 ]
-
-Integrator = Callable[[Function1D, Interval, float], float]
-
 
 def montgomery_kernel(t: float, iv: Interval, x: float) -> float:
     """Piecewise kernel: t on [0, lambda], t - 1 on (lambda, 1], where
@@ -59,7 +53,6 @@ def verify_montgomery_identity(
     iv: Interval,
     x: float,
     tol: float = 1e-9,
-    integrator: Optional[Integrator] = None,
 ) -> VerificationRecord:
     """Check f(x) - average(f) == (a-b) * integral of p(t) f'(ta + (1-t)b).
 
@@ -69,7 +62,6 @@ def verify_montgomery_identity(
     values are kept in the context string.
     """
     x = validate_eval_point(iv, x)
-    integrate = integrator if integrator is not None else reference_integrate
     a, b = iv.a, iv.b
     lam = _offsets(iv, x)[0]
 
@@ -82,13 +74,13 @@ def verify_montgomery_identity(
     rhs_val = 0.0
     if lam > 0.0:
         low = Function1D(lambda t: t * dline(t), label="kernel-low")
-        rhs_val += integrate(low, Interval(0.0, lam), piece_tol)
+        rhs_val += reference_integrate(low, Interval(0.0, lam), piece_tol)
     if lam < 1.0:
         high = Function1D(lambda t: (t - 1.0) * dline(t), label="kernel-high")
-        rhs_val += integrate(high, Interval(lam, 1.0), piece_tol)
+        rhs_val += reference_integrate(high, Interval(lam, 1.0), piece_tol)
     rhs_val *= a - b
 
-    lhs_val = fn(x) - integrate(fn, iv, tol * iv.width / 10.0) / iv.width
+    lhs_val = fn(x) - reference_integrate(fn, iv, tol * iv.width / 10.0) / iv.width
     return VerificationRecord.check(
         lhs=abs(lhs_val - rhs_val),
         rhs=0.0,
@@ -142,13 +134,11 @@ def hadamard_sconvex_bounds(
     iv: Interval,
     s: "float | SParam",
     tol: float = 1e-9,
-    integrator: Optional[Integrator] = None,
 ) -> HadamardBounds:
     """Check 2^(s-1) f(mid) <= average(f) <= (f(a) + f(b))/(s+1)."""
     iv.require_nonnegative()
     s_val = as_sparam(s).s
-    integrate = integrator if integrator is not None else reference_integrate
-    mean = integrate(fn, iv, tol * iv.width / 10.0) / iv.width
+    mean = reference_integrate(fn, iv, tol * iv.width / 10.0) / iv.width
     lower = 2.0 ** (s_val - 1.0) * fn(iv.midpoint)
     upper = (fn(iv.a) + fn(iv.b)) / (s_val + 1.0)
     base = f"fn={fn.label or '<anonymous>'} iv=[{iv.a:g},{iv.b:g}] s={s_val:g}"
@@ -238,10 +228,9 @@ def baseline_midpoint_bound(
         holder = (4.0 / (cp.p + 1.0)) ** (1.0 / cp.p)
         if variant == "eq15":
             q = cp.q
-            inner = (da**q + 3.0 * db**q) ** (1.0 / q) + (
-                3.0 * da**q + db**q
-            ) ** (1.0 / q)
-            value = width / 16.0 * holder * inner
+            c, daq, dbq = _scaled_powers(da, db, q)
+            inner = (daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q)
+            value = width / 16.0 * holder * c * inner
         else:  # eq16
             value = width / 4.0 * holder * (da + db)
 

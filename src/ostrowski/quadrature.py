@@ -164,7 +164,6 @@ def certified_integrate(
     q: Optional[float] = None,
     max_panels: Optional[int] = None,
     verify: bool = False,
-    oracle_tol: float = 1e-12,
 ) -> QuadReport:
     """Refine a uniform partition until the selected bound meets target.
 
@@ -196,7 +195,7 @@ def certified_integrate(
     approx = composite_midpoint(fn, d)
     true_error = None
     if verify:
-        true_error = reference_integrate(fn, iv, oracle_tol * iv.width) - approx
+        true_error = reference_integrate(fn, iv, 1e-12 * iv.width) - approx
     report = QuadReport(
         approx=approx,
         error_bound=bound,

@@ -7,6 +7,7 @@ here; equality checks between algebraically identical forms run at relative
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ostrowski.core import (
     make_conjugate,
 )
 from ostrowski.kernel import alomari_bound, baseline_midpoint_bound
+from ostrowski.quadrature import Partition, midpoint_error_bound
 from ostrowski.toolkit import (
     check_sconvex,
     make_breckner,
@@ -429,3 +431,131 @@ class TestValidation:
         for tag in ALL_BOUNDS:
             value = evaluate_bound(tag, iv, x, s, p, ep)
             assert np.isfinite(value) and value >= 0.0
+
+
+# ----------------------------------------------------------------------
+# scaled brackets: (alpha u^q + beta v^q)^(1/q) at extreme magnitudes and q
+# ----------------------------------------------------------------------
+
+def _bracket_bounds(iv, x, s, cp, da, dx, db):
+    """Every bound with a Hoelder or power-mean bracket, by tag; t22 and
+    t22-mid take the conjugate q of cp as their exponent."""
+    ep, ep_dx = EndpointData(da, db), EndpointData(da, db, dx)
+    return {
+        "teo1": bound_holder_split(iv, x, s, cp, ep).value,
+        "t21": bound_holder_hadamard(iv, x, s, cp, ep_dx).value,
+        "z": bound_holder_global(iv, x, s, cp, ep).value,
+        "t22": bound_power_mean(iv, x, s, cp.q, ep).value,
+        "t22-mid": midpoint_power_mean(iv, cp.q, ep).value,
+        "eq15": baseline_midpoint_bound("eq15", iv, cp, da, db).value,
+    }
+
+
+def _magnitudes(rng, n, lo, hi):
+    """n magnitudes log-uniform in [lo, hi], about one in ten of them 0."""
+    mags = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+    mags[rng.random(n) < 0.1] = 0.0
+    return mags.tolist()
+
+
+def _bracket_mp(mp, weights, mags, q):
+    """(sum_i w_i m_i^q)^(1/q) in mpmath, from the double inputs."""
+    total = sum(mp.mpf(w) * mp.mpf(m) ** q for w, m in zip(weights, mags))
+    return total ** (1 / q) if total else mp.mpf(0)
+
+
+def _bracket_bounds_mp(mp, iv, x, s, cp, da, dx, db):
+    """The displayed formulas of :func:`_bracket_bounds`, in mpmath from the
+    same double inputs and the same double offsets."""
+    a, b, w = mp.mpf(iv.a), mp.mpf(iv.b), mp.mpf(iv.width)
+    lam, mu = (mp.mpf(r) for r in ((iv.b - x) / iv.width, (x - iv.a) / iv.width))
+    s, p, q = mp.mpf(s), mp.mpf(cp.p), mp.mpf(cp.q)
+    holder = (p + 1) ** (-1 / p)
+    c1 = {r: r ** (s + 2) / (s + 2) for r in (lam, mu)}
+    c2 = {r: c1[r] - r ** (s + 1) / (s + 1) + 1 / ((s + 1) * (s + 2)) for r in (lam, mu)}
+    mid = _bracket_mp(mp, (1, 3), (da, db), q) + _bracket_mp(mp, (3, 1), (da, db), q)
+    return {
+        "teo1": w * holder * (s + 1) ** (-1 / q) * (
+            lam ** (1 + 1 / p) * _bracket_mp(mp, (lam ** (s + 1), 1 - mu ** (s + 1)), (da, db), q)
+            + mu ** (1 + 1 / p) * _bracket_mp(mp, (1 - lam ** (s + 1), mu ** (s + 1)), (da, db), q)
+        ),
+        "t21": holder / w * (s + 1) ** (-1 / q) * (
+            (b - mp.mpf(x)) ** 2 * _bracket_mp(mp, (1, 1), (dx, db), q)
+            + (mp.mpf(x) - a) ** 2 * _bracket_mp(mp, (1, 1), (da, dx), q)
+        ),
+        "z": w * holder * (lam ** (p + 1) + mu ** (p + 1)) ** (1 / p)
+        * (s + 1) ** (-1 / q) * _bracket_mp(mp, (1, 1), (da, db), q),
+        "t22": w * mp.mpf(0.5) ** (1 - 1 / q) * (
+            lam ** (2 * (1 - 1 / q)) * _bracket_mp(mp, (c1[lam], c2[mu]), (da, db), q)
+            + mu ** (2 * (1 - 1 / q)) * _bracket_mp(mp, (c2[lam], c1[mu]), (da, db), q)
+        ),
+        "t22-mid": w / 8 * mp.mpf(3) ** (-1 / q) * mid,
+        "eq15": w / 16 * (4 / (p + 1)) ** (1 / p) * mid,
+    }
+
+
+class TestScaledBrackets:
+    """Each bracket is scaled by its own largest magnitude before the q-th
+    powers are taken; raw powers over- or underflowed for q in the
+    thousands (p near 1)."""
+
+    @pytest.mark.parametrize("k", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+    def test_homogeneous_in_the_magnitudes(self, k):
+        # scaling by a power of two is exact, and so is every step after it
+        rng = np.random.default_rng(17)
+        for _ in range(250):
+            iv = Interval(0.0, rng.uniform(0.5, 4.0))
+            x = rng.uniform(iv.a, iv.b) if rng.random() < 0.8 else rng.choice((iv.a, iv.b))
+            s = rng.uniform(0.05, 1.0)
+            cp = make_conjugate(1.0 + 10.0 ** rng.uniform(math.log10(1.0 / 4999.0), 1.5))
+            mags = _magnitudes(rng, 3, 1e-3, 1e3)
+            scaled = [k * m for m in mags]
+            want = _bracket_bounds(iv, float(x), s, cp, *mags)
+            got = _bracket_bounds(iv, float(x), s, cp, *scaled)
+            for tag, value in want.items():
+                assert got[tag] == k * value, (tag, iv, x, s, cp, mags)
+
+    @pytest.mark.parametrize("k", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+    @pytest.mark.parametrize("variant", ["p5", "p6"])
+    def test_composite_error_bound_homogeneous(self, k, variant):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            d = Partition(np.sort(rng.uniform(0.0, 2.0, 17)))
+            dvals = np.array(_magnitudes(rng, 17, 1e-3, 1e3))
+            q = float(10.0 ** rng.uniform(0.0, math.log10(5000.0)))
+            want = midpoint_error_bound(d, dvals, variant, q=q)
+            assert midpoint_error_bound(d, k * dvals, variant, q=q) == k * want
+
+    def test_power_mean_at_large_q_against_50_digits(self):
+        # the raw powers 0.5^2000 underflowed, and the bound came out as 0.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            # x at the midpoint of [0, 1], s = 1/2, q = 2000, da = db = 1/2:
+            # lam = mu = 1/2 and the two terms of the bound are equal
+            s, q, r = Decimal("0.5"), Decimal(2000), Decimal("0.5")
+            c1 = r ** (s + 2) / (s + 2)
+            c2 = c1 - r ** (s + 1) / (s + 1) + 1 / ((s + 1) * (s + 2))
+            term = r ** (2 * (1 - 1 / q)) * ((c1 + c2) * r**q) ** (1 / q)
+            exact = r ** (1 - 1 / q) * 2 * term
+        got = bound_power_mean(UNIT, 0.5, 0.5, 2000.0, EndpointData(0.5, 0.5)).value
+        assert abs(Decimal(got) - exact) <= 4 * Decimal(math.ulp(got))
+
+    def test_extreme_inputs_against_mpmath(self):
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(5)
+        with mp.workprec(140):  # about 40 digits
+            for _ in range(500):
+                a = rng.uniform(0.0, 2.0)
+                iv = Interval(a, a + rng.uniform(0.5, 2.0))
+                x = float(rng.uniform(iv.a, iv.b))
+                s = rng.uniform(0.05, 1.0)
+                cp = make_conjugate(1.0 + 10.0 ** rng.uniform(-7.0, math.log10(49.0)))
+                mags = _magnitudes(rng, 3, 1e-300, 1e300)
+                got = _bracket_bounds(iv, x, s, cp, *mags)
+                want = _bracket_bounds_mp(mp, iv, x, s, cp, *mags)
+                for tag, value in got.items():
+                    if want[tag] == 0:
+                        assert value == 0.0, (tag, iv, x, s, cp, mags)
+                        continue
+                    err = float(abs(mp.mpf(value) - want[tag]) / want[tag])
+                    assert err <= 4e-15, (tag, err, iv, x, s, cp, mags)

@@ -81,6 +81,43 @@ class TestBoundCommand:
         assert payload["theorem"] == expected.theorem_id == tag
         assert payload["value"] == expected.value
 
+    def test_t22_at_large_q(self, capsys):
+        # 0.5^2000 underflowed and the value printed was 0.0; 50-digit value
+        # 0.1250200904289195770
+        code, out, _ = run(
+            capsys, "bound", "--theorem", "t22", "--a", "0", "--b", "1", "--x", "0.5",
+            "--s", "0.5", "--q", "2000", "--da", "0.5", "--db", "0.5",
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(0.1250200904289195770, rel=1e-15)
+
+    @pytest.mark.parametrize("tag,exponent", [
+        ("t22", ("--q", "2000")),
+        ("teo1", ("--p", "1.0000001")),
+        ("t21", ("--p", "1.0000001")),
+        ("z", ("--p", "1.0000001")),
+        ("eq15", ("--p", "1.0000001")),
+    ])
+    def test_large_q_is_finite(self, capsys, tag, exponent):
+        # 2^q overflowed: an OverflowError traceback and exit 1
+        code, out, err = run(
+            capsys, "bound", "--theorem", tag, "--a", "0", "--b", "1", "--x", "0.5",
+            "--s", "0.5", *exponent, "--da", "2", "--db", "2", "--dx", "2",
+        )
+        assert (code, err) == (0, "")
+        value = json.loads(out)["value"]
+        assert math.isfinite(value) and value > 0.0
+
+    def test_overflow_elsewhere_exits_2(self, capsys):
+        # (b - x)^2 = 1e600 in the uniform-derivative bound
+        code, out, err = run(
+            capsys, "bound", "--theorem", "ee", "--a", "0", "--b", "1e300", "--x", "0",
+            "--s", "0.5", "--p", "2", "--m", "1e300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: a value overflowed double precision\n"
+
     @pytest.mark.parametrize("tag", sorted(BOUND_TAGS))
     def test_each_missing_flag_named(self, capsys, tag):
         flags, _ = BOUND_TAGS[tag]
@@ -348,14 +385,21 @@ class TestSweepConfig:
         assert "finite" in err
 
     def test_overflowing_bound_exits_2(self, capsys):
-        # q = p/(p-1) = 1e7 overflows |f'(b)|^q = 2^q; the scalar loop died
-        # with an OverflowError traceback
-        code, out, err = run(
-            capsys, "verify", "--functions", "poly:0,0,1", "--p-grid", "1.0000001"
-        )
+        # |f'| = 1e308 is finite, but the t20 bound over [0, 1] is not
+        code, out, err = run(capsys, "verify", "--functions", "poly:0,1e308")
         assert code == 2
         assert out == ""
-        assert err == "error: bound teo1 produced invalid values for poly:0,0,1\n"
+        assert err.endswith("error: bound t20 produced invalid values for poly:0,1e+308\n")
+
+    @pytest.mark.parametrize("spec,p_grid", [
+        ("poly:0,0,1", "1.0000001"),  # |f'(b)|^q = 2^1e7 overflowed
+        ("breckner:0,1,0,0.5", "1.0005"),  # |f'|^q underflowed: 12 false failures
+    ])
+    def test_p_near_one_holds(self, capsys, spec, p_grid):
+        code, out, _ = run(capsys, "verify", "--functions", spec, "--p-grid", p_grid)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["total"], payload["failures"]) == (220, 0)
 
     def test_non_finite_grid_derivative_exits_2(self, capsys, monkeypatch):
         def nan_inside(spec):
@@ -388,6 +432,26 @@ class TestMeansCommand:
         assert row["p2"] == pytest.approx(0.13971946208343752, rel=1e-9)
         assert row["p3"] == pytest.approx(0.12456214868187001, rel=1e-9)
 
+    @pytest.mark.parametrize("flag,value,variant,exact", [
+        ("--q", "2000", "p3", None),
+        ("--p", "1.0001", "p2", 0.1135286262490472),
+    ])
+    def test_large_q_bounds_the_gap(self, capsys, flag, value, variant, exact):
+        # raw q-th powers of the slopes underflowed, and the bound read 0.0
+        code, out, _ = run(capsys, "means", "--a", "1", "--b", "2", "--s", "0.5", flag, value)
+        assert code == 0
+        row = json.loads(out)
+        assert row[variant] >= row["gap"]
+        if exact is not None:
+            assert row[variant] == pytest.approx(exact, rel=1e-15)
+
+    def test_overflow_exits_2(self, capsys):
+        # b^(s+1) overflows in L_s^s
+        code, out, err = run(capsys, "means", "--a", "1", "--b", "1e300", "--s", "0.9")
+        assert code == 2
+        assert out == ""
+        assert err == "error: a value overflowed double precision\n"
+
     def test_invalid_inputs(self, capsys):
         code, _, err = run(capsys, "means", "--a", "2", "--b", "1", "--s", "0.5")
         assert code == 2
@@ -419,6 +483,26 @@ class TestQuadCommand:
         assert payload["error_bound"] <= 1e-3
         assert payload["variant"] == "p4"
         assert payload["panels"] == 512
+
+    @pytest.mark.parametrize("spec,target", [
+        ("poly:0,0,0.3", 1e-6),  # certified 0.0 at one panel, off by 0.025
+        ("poly:0,0,3", 1e-3),  # doubled to 2^20 panels and exited 3
+    ])
+    def test_p6_at_large_q_certifies(self, capsys, spec, target):
+        code, out, _ = run(
+            capsys, "quad", "--fn", spec, "--a", "0", "--b", "1",
+            "--target", repr(target), "--variant", "p6", "--q", "2000",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert 0.0 < payload["error_bound"] <= target
+        assert payload["panels"] < quadrature.DEFAULT_PANEL_BUDGET
+        report = quadrature.certified_integrate(
+            toolkit.parse_function_spec(spec), Interval(0.0, 1.0), target, "p6", q=2000.0,
+            verify=True,
+        )
+        assert report.certified_ok
+        assert (report.approx, report.panels) == (payload["approx"], payload["panels"])
 
     def test_p4_requires_p(self, capsys):
         code, _, err = run(

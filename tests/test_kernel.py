@@ -97,19 +97,6 @@ class TestMontgomeryIdentity:
             verify_montgomery_identity(fn, UNIT, 0.5)
         assert points == []
 
-    def test_custom_integrator_is_used(self):
-        calls = []
-
-        def counting(fn, iv, tol):
-            calls.append(fn.label)
-            return reference_integrate(fn, iv, tol)
-
-        rec = verify_montgomery_identity(
-            parse_function_spec("poly:0,0,1"), UNIT, 0.5, integrator=counting
-        )
-        assert rec.holds
-        assert len(calls) == 3  # the mean plus one integral per kernel branch
-
     def test_boundary_x_single_branch(self):
         # x = a makes the breakpoint 1; only the first branch integral exists
         fn = parse_function_spec("poly:0,0,1")

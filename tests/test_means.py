@@ -232,6 +232,49 @@ class TestMeansGapBound:
             ):
                 assert gap <= res.value + 1e-9, (a, b, s, res.theorem_id)
 
+    @pytest.mark.parametrize("lam", [2.0**200, 2.0**-200], ids=["2^200", "2^-200"])
+    def test_p2_p3_homogeneous_in_the_endpoints(self, lam):
+        # the slopes scale by lam^(s-1) and the width by lam, so the bound
+        # scales by lam^s; raw q-th powers of the slopes over- or underflowed
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            a = rng.uniform(0.1, 10.0)
+            b = a * rng.uniform(1.01, 100.0)
+            s = rng.uniform(0.05, 0.95)
+            q = float(10.0 ** rng.uniform(0.0, math.log10(5000.0)))
+            p = q / (q - 1.0)
+            for variant in ("p2", "p3"):
+                want = lam**s * means_gap_bound(a, b, s, variant, p=p, q=q).value
+                got = means_gap_bound(lam * a, lam * b, s, variant, p=p, q=q).value
+                assert got == pytest.approx(want, rel=1e-13), (variant, a, b, s, q)
+
+    @staticmethod
+    def _p2_p3_50_digits(a, b, s, p, q):
+        """p2 and p3 from their displayed forms at 50 digits, with the
+        slopes s t^(s-1) taken at a, (a+b)/2 and b."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, b, s, p, q = (Decimal(v) for v in (a, b, s, p, q))
+            m = (a + b) / 2
+            da, dx, db = (s * t ** (s - 1) for t in (a, m, b))
+            p2 = ((b - m) ** 2 * ((dx**q + db**q) / (s + 1)) ** (1 / q)
+                  + (m - a) ** 2 * ((da**q + dx**q) / (s + 1)) ** (1 / q)) / (
+                      (b - a) * (p + 1) ** (1 / p))
+            mid = (da**q + 3 * db**q) ** (1 / q) + (3 * da**q + db**q) ** (1 / q)
+            p3 = (b - a) / 8 * (Decimal(1) / 3) ** (1 / q) * mid
+            return p2, p3
+
+    @pytest.mark.parametrize("variant, p, q", [("p2", 1.0001, 2.0), ("p3", 2.0, 2000.0)])
+    def test_large_q_against_50_digits(self, variant, p, q):
+        # raw q-th powers underflowed, and both bounds came out as 0.0,
+        # below the gap they bound
+        cp = make_conjugate(p)
+        p2, p3 = self._p2_p3_50_digits(1.0, 2.0, 0.5, cp.p, cp.q if variant == "p2" else q)
+        exact = p2 if variant == "p2" else p3
+        got = means_gap_bound(1.0, 2.0, 0.5, variant, p=p, q=q).value
+        assert abs(Decimal(got) - exact) <= 4 * Decimal(math.ulp(got))
+        assert got >= means_gap(1.0, 2.0, 0.5, oracle_tol=None)
+
 
 class TestConsistencyWithGeneralBounds:
     def test_p1_equals_midpoint_sconvex_abs(self):
