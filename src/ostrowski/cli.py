@@ -181,7 +181,6 @@ def run_sweep(cfg: SweepConfig) -> list:
         fn = parse_function_spec(spec)
         iv = _sweep_interval(fn.label, cfg)
         iv.require_nonnegative()
-        mean = reference_integrate(fn, iv, 1e-12 * iv.width) / iv.width
         xs = np.linspace(iv.a, iv.b, cfg.x_grid_points)
         ep = EndpointData(da=abs(fn.deriv(iv.a)), db=abs(fn.deriv(iv.b)))
         dx = np.abs(fn.deriv(xs))[:, None]
@@ -201,6 +200,9 @@ def run_sweep(cfg: SweepConfig) -> list:
         for theorem, values in bounds.items():
             if not np.all((values >= 0.0) & (values < np.inf)):
                 raise DomainError(f"bound {theorem} produced invalid values for {fn.label}")
+        # after the bound checks, so that a bound that overflows is reported
+        # even where the oracle cannot reach its tolerance
+        mean = reference_integrate(fn, iv, 1e-12 * iv.width) / iv.width
         grid = list(zip(xs.tolist(), np.abs(fn(xs) - mean).tolist()))
         prepared.append((fn.label, grid, bounds))
     records = []

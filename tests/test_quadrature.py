@@ -2,9 +2,12 @@
 loop."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from ostrowski import quadrature
 
 from ostrowski.core import (
     ConvergenceError,
@@ -18,6 +21,7 @@ from ostrowski.core import EndpointData
 from ostrowski.quadrature import (
     Partition,
     QuadReport,
+    _fsum,
     certified_integrate,
     composite_midpoint,
     midpoint_error_bound,
@@ -70,6 +74,133 @@ class TestCompositeMidpoint:
 
     def test_quadratic_single_panel(self):
         assert composite_midpoint(TSQ, Partition.uniform(UNIT, 1)) == 0.25
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum: every double is an integer multiple of 2**-1074."""
+    scaled = 0
+    for v in values:
+        num, den = v.as_integer_ratio()
+        scaled += num * (2**1074 // den)
+    return Fraction(scaled, 2**1074)
+
+
+def fsum_outcome(x: np.ndarray):
+    """(result, None) or (None, exception type), for _fsum and math.fsum."""
+    outcomes = []
+    for fn in (_fsum, lambda a: math.fsum(a.tolist())):
+        try:
+            outcomes.append((fn(x).hex(), None))
+        except (OverflowError, ValueError) as exc:
+            outcomes.append((None, type(exc)))
+    return outcomes
+
+
+FSUM_SIZES = (0, 1, 2, 3, 255, 256, 257, 511, 513, 1023, 1025, 4095, 4097, 2**17)
+
+
+def fsum_data(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "positive":
+        return 10.0 ** rng.uniform(-300.0, 300.0, n)
+    if kind == "signed":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    # ill-conditioned: pairs that cancel to 1e-12 relative, one sign each,
+    # so that sum|x| / |sum x| is about 1e12
+    half = np.abs(rng.standard_normal(n // 2)) * 10.0 ** rng.uniform(-3.0, 3.0, n // 2)
+    pairs = -half * (1.0 + 1e-12 * rng.uniform(0.5, 1.5, n // 2))
+    x = np.concatenate([half, pairs, 1e-12 * rng.uniform(-1.0, 1.0, n % 2)])
+    rng.shuffle(x)
+    return x
+
+
+class TestFsum:
+    @pytest.mark.parametrize("kind", ["positive", "signed", "ill-conditioned"])
+    def test_rounds_the_exact_sum_as_fsum_does(self, kind):
+        rng = np.random.default_rng(8)
+        for n in FSUM_SIZES:
+            x = fsum_data(kind, n, rng)
+            got = _fsum(x)
+            assert got.hex() == math.fsum(x.tolist()).hex(), (kind, n)
+            assert got == float(exact_sum(x.tolist())), (kind, n)
+
+    def test_condition_number_reached(self):
+        rng = np.random.default_rng(8)
+        for n in (257, 4096, 2**17):
+            x = fsum_data("ill-conditioned", n, rng)
+            kappa = np.sum(np.abs(x)) / abs(float(exact_sum(x.tolist())))
+            assert 5e11 < kappa < 5e12
+
+    def test_near_tie_needs_every_error_exactly(self):
+        # the exact sum is 3 + 2**-52 + 2**-200, just above the midpoint of
+        # 3 and its successor: losing 2**-200 from one level's rounding
+        # errors would round to 3 instead
+        x = np.zeros(1024)
+        x[:3] = 1.0
+        x[512:515] = (2.0**-53, 2.0**-200, 2.0**-53)
+        assert _fsum(x) == math.fsum(x.tolist()) == 3.0 + 2.0**-51
+
+    def test_rounding_errors_that_are_not_all_zero_after_one_pass(self):
+        # errors of errors survive the second pass for data this wide
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x = rng.choice([1.0, -1.0], 4097) * 2.0 ** rng.integers(-1000, 1000, 4097)
+            assert _fsum(x) == math.fsum(x.tolist()) == float(exact_sum(x.tolist()))
+
+    def test_signed_zeros(self):
+        for n in (1000, 1001):
+            for x in (np.full(n, -0.0), np.zeros(n)):
+                assert _fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+    @pytest.mark.parametrize("case", [
+        "inf", "-inf", "nan", "inf-inf", "overflow", "cancelling-overflow", "top-double",
+    ])
+    @pytest.mark.parametrize("n", [3, 1000, 1001])
+    def test_failures_match_fsum(self, case, n):
+        x = np.linspace(1.0, 2.0, n)
+        if case == "inf":
+            x[n // 2] = math.inf
+        elif case == "-inf":
+            x[-1] = -math.inf
+        elif case == "nan":
+            x[1] = math.nan
+        elif case == "inf-inf":
+            x[0], x[-1] = math.inf, -math.inf
+        elif case == "overflow":
+            x[:] = 1e308
+        elif case == "cancelling-overflow":
+            # fsum's running sum overflows even though the halvings, which
+            # pair each 1e308 with a -1e308, would not
+            x[: (n + 1) // 2], x[(n + 1) // 2 :] = 1e308, -1e308
+        else:
+            x[0] = np.finfo(float).max
+        (got, got_exc), (want, want_exc) = fsum_outcome(x)
+        assert (got, got_exc) == (want, want_exc)
+        if case in ("overflow", "cancelling-overflow"):
+            assert want_exc is OverflowError
+
+    def test_composite_midpoint_overflow_still_raises(self):
+        fn = parse_function_spec("poly:1e308")
+        for n in (4, 1024):
+            with pytest.raises(OverflowError):
+                composite_midpoint(fn, Partition.uniform(Interval(0.0, 2.0), n))
+
+    @pytest.mark.parametrize("spec,iv,target,variant,kw", [
+        ("poly:0,0,1", UNIT, 1e-4, "p4", {"p": 2.5}),
+        ("breckner:0.5,1,0.25,0.5", Interval(0.5, 2.0), 1e-5, "p5", {}),
+        ("powabs:2.5", Interval(-1.0, 1.5), 1e-4, "p6", {"q": 1.5}),
+    ])
+    def test_certified_integrate_matches_fsum_recomputation(
+        self, monkeypatch, spec, iv, target, variant, kw
+    ):
+        fn = parse_function_spec(spec)
+        report = certified_integrate(fn, iv, target, variant, **kw)
+        assert report.panels >= 1024
+        monkeypatch.setattr(quadrature, "_fsum", lambda x: math.fsum(x.tolist()))
+        d = Partition.uniform(iv, report.panels)
+        assert report.approx == composite_midpoint(fn, d)
+        assert report.error_bound == midpoint_error_bound(
+            d, np.abs(fn.deriv(d.nodes)), variant, **kw
+        )
 
 
 class TestMidpointErrorBound:

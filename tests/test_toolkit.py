@@ -1,12 +1,14 @@
 """Breckner family, s-convexity falsification, and the reference integrator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ostrowski import toolkit
 from ostrowski.core import ConvergenceError, DomainError, Function1D, Interval
 from ostrowski.toolkit import (
     BrecknerFunction,
@@ -244,6 +246,30 @@ class TestReferenceIntegrate:
         fn = Function1D(f=lambda t: math.nan, label="nan")
         with pytest.raises(ConvergenceError, match="non-finite"):
             reference_integrate(fn, Interval(0.0, 1.0), 1e-9)
+
+    def test_integrand_near_the_top_of_the_double_range(self):
+        # the K15/G7 weighted sums of f used to overflow to inf before the
+        # half-width scaling, for integrals as small as 5e307
+        unit = Interval(0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec, exact in (("poly:0,1e308", 5e307), ("poly:1e308", 1e308)):
+                fn = parse_function_spec(spec)
+                assert reference_integrate(fn, unit, 1e294) == pytest.approx(exact, rel=1e-14)
+                # 1e-12 is far below the rounding of a 5e307 sum: it must
+                # fail, not return inf
+                with pytest.raises(ConvergenceError, match="did not reach"):
+                    reference_integrate(fn, unit, 1e-12, max_panels=16)
+
+    def test_quarter_scaling_keeps_finite_panel_sums_bit_identical(self):
+        # max|f| = 1.1e308 >= 2**1023, yet the unscaled sums do not overflow
+        fn = parse_function_spec("poly:1e307,1e308")
+        fs = fn(toolkit._NODES)
+        assert np.abs(fs).max() >= 2.0**1023
+        with np.errstate(over="raise"):
+            k15 = float(toolkit._W_KRONROD @ fs)
+            g7 = float(toolkit._W_GAUSS @ fs)
+        assert toolkit._panel(fn, -1.0, 1.0) == (k15, abs(k15 - g7))
 
     def test_deterministic(self):
         fn = parse_function_spec("powabs:0.5")
