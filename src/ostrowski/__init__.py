@@ -15,7 +15,6 @@ from .core import (
     EndpointData,
     Function1D,
     Interval,
-    SParam,
     VerificationRecord,
     make_conjugate,
     validate_eval_point,
@@ -80,7 +79,6 @@ __all__ = [
     "Partition",
     "QuadReport",
     "SConvexityReport",
-    "SParam",
     "VerificationRecord",
     "alomari_bound",
     "arithmetic_mean",

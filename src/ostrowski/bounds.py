@@ -30,9 +30,8 @@ from .core import (
     ConjugatePair,
     EndpointData,
     Interval,
-    SParam,
     _require_exponent,
-    as_sparam,
+    _require_s,
     validate_eval_point,
 )
 
@@ -171,15 +170,13 @@ def kernel_moment_bracket(r: float, s: float) -> float:
     return 2.0 * (s + 1.0) * r ** (s + 2.0) - (s + 2.0) * r ** (s + 1.0) + 1.0
 
 
-def bound_sconvex_abs(
-    iv: Interval, x: float, s: "float | SParam", ep: EndpointData
-) -> BoundResult:
+def bound_sconvex_abs(iv: Interval, x: float, s: float, ep: EndpointData) -> BoundResult:
     """(b-a)/((s+1)(s+2)) * [B(lam) |f'(a)| + B(mu) |f'(b)|].
 
     B is :func:`kernel_moment_bracket`. Requires |f'| itself s-convex.
     """
     lam, mu = _prep(iv, x)
-    s_val = as_sparam(s).s
+    s_val = _require_s(s)
     return BoundResult(
         value=_sconvex_abs(iv.width, lam, mu, s_val, ep.da, ep.db),
         theorem_id="t20",
@@ -187,16 +184,14 @@ def bound_sconvex_abs(
     )
 
 
-def midpoint_sconvex_abs(
-    iv: Interval, s: "float | SParam", ep: EndpointData
-) -> BoundResult:
+def midpoint_sconvex_abs(iv: Interval, s: float, ep: EndpointData) -> BoundResult:
     """(b-a)/((s+1)(s+2)) * (1 - 2^-(s+1)) * (|f'(a)| + |f'(b)|).
 
     Midpoint specialization of :func:`bound_sconvex_abs`, implemented from
     its own closed form.
     """
     iv.require_nonnegative()
-    s_val = as_sparam(s).s
+    s_val = _require_s(s)
     return BoundResult(
         value=_sconvex_abs_mid(iv.width, s_val, ep.da, ep.db),
         theorem_id="t20-mid",
@@ -207,7 +202,7 @@ def midpoint_sconvex_abs(
 def bound_holder_split(
     iv: Interval,
     x: float,
-    s: "float | SParam",
+    s: float,
     cp: ConjugatePair,
     ep: EndpointData,
 ) -> BoundResult:
@@ -218,7 +213,7 @@ def bound_holder_split(
       + mu^(1+1/p) ([1 - lam^(s+1)] da^q + mu^(s+1) db^q)^(1/q) }
     """
     lam, mu = _prep(iv, x)
-    s_val = as_sparam(s).s
+    s_val = _require_s(s)
     p, q = cp.p, cp.q
     return BoundResult(
         value=_holder_split(iv.width, lam, mu, s_val, p, q, ep.da, ep.db),
@@ -233,7 +228,7 @@ def bound_holder_split(
 def bound_holder_hadamard(
     iv: Interval,
     x: float,
-    s: "float | SParam",
+    s: float,
     cp: ConjugatePair,
     ep: EndpointData,
 ) -> BoundResult:
@@ -247,7 +242,7 @@ def bound_holder_hadamard(
     """
     iv.require_nonnegative()
     x = validate_eval_point(iv, x)
-    s_val = as_sparam(s).s
+    s_val = _require_s(s)
     dx = ep.require_dx()
     p, q = cp.p, cp.q
     return BoundResult(
@@ -277,7 +272,7 @@ def midpoint_e5(iv: Interval, cp: ConjugatePair, ep: EndpointData) -> BoundResul
 def bound_holder_global(
     iv: Interval,
     x: float,
-    s: "float | SParam",
+    s: float,
     cp: ConjugatePair,
     ep: EndpointData,
 ) -> BoundResult:
@@ -287,7 +282,7 @@ def bound_holder_global(
                       * ((da^q + db^q)/(s+1))^(1/q)
     """
     lam, mu = _prep(iv, x)
-    s_val = as_sparam(s).s
+    s_val = _require_s(s)
     p, q = cp.p, cp.q
     return BoundResult(
         value=_holder_global(iv.width, lam, mu, s_val, p, q, ep.da, ep.db),
@@ -302,7 +297,7 @@ def bound_holder_global(
 def bound_power_mean(
     iv: Interval,
     x: float,
-    s: "float | SParam",
+    s: float,
     q: float,
     ep: EndpointData,
 ) -> BoundResult:
@@ -315,7 +310,7 @@ def bound_power_mean(
     coincides with :func:`bound_sconvex_abs`.
     """
     lam, mu = _prep(iv, x)
-    s_val = as_sparam(s).s
+    s_val = _require_s(s)
     q = _require_exponent(q, "the power-mean bound")
     return BoundResult(
         value=_power_mean(iv.width, lam, mu, s_val, q, ep.da, ep.db),

@@ -41,7 +41,7 @@ from .core import (
     EndpointData,
     Interval,
     VerificationRecord,
-    as_sparam,
+    _require_s,
     make_conjugate,
 )
 from .kernel import (
@@ -148,7 +148,7 @@ class SweepConfig:
             raise DomainError("sweep tol must be positive")
         if self.x_grid_points < 2:
             raise DomainError("sweep needs at least two x grid points")
-        object.__setattr__(self, "s_grid", tuple(as_sparam(s).s for s in self.s_grid))
+        object.__setattr__(self, "s_grid", tuple(_require_s(s) for s in self.s_grid))
         object.__setattr__(self, "p_grid", tuple(make_conjugate(p).p for p in self.p_grid))
 
 

@@ -5,6 +5,11 @@ exponent pairs, endpoint derivative data, function handles, and the
 result/record containers returned by every other module. Construction
 validates; a successfully built object is safe to share between threads.
 
+Each kind of scalar hypothesis has one checker here, which every module
+calls: _require_s for the order s in (0, 1] of s-convexity, and
+_require_magnitude for a derivative magnitude |f'(.)| or a sup bound M,
+finite and >= 0.
+
 All arithmetic is double precision. Inequality checks performed elsewhere
 compare with a small absolute slack (default 1e-12) because the underlying
 inequalities are exact in real arithmetic but evaluated in floating point.
@@ -22,7 +27,6 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "Interval",
-    "SParam",
     "ConjugatePair",
     "EndpointData",
     "Function1D",
@@ -30,7 +34,6 @@ __all__ = [
     "VerificationRecord",
     "make_conjugate",
     "validate_eval_point",
-    "as_sparam",
     "DEFAULT_TOL",
 ]
 
@@ -91,23 +94,6 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class SParam:
-    """Convexity order s in (0, 1]; s = 1 is ordinary convexity."""
-
-    s: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", _require_finite("s", self.s))
-        if not 0.0 < self.s <= 1.0:
-            raise DomainError(f"s must lie in (0, 1], got {self.s!r}")
-
-
-def as_sparam(s: "float | SParam") -> SParam:
-    """Coerce a plain float to SParam, validating the (0, 1] range."""
-    return s if isinstance(s, SParam) else SParam(float(s))
-
-
-@dataclass(frozen=True)
 class ConjugatePair:
     """Conjugate exponents p, q > 1 with 1/p + 1/q = 1."""
 
@@ -141,6 +127,22 @@ def _require_exponent(q: float, what: str) -> float:
     return q
 
 
+def _require_s(s: float) -> float:
+    """The order s of s-convexity, checked in (0, 1]; s = 1 is ordinary convexity."""
+    s = _require_finite("s", s)
+    if not 0.0 < s <= 1.0:
+        raise DomainError(f"s must lie in (0, 1], got {s!r}")
+    return s
+
+
+def _require_magnitude(name: str, value: float) -> float:
+    """A derivative magnitude, say |f'(a)| or a sup bound M, checked finite and >= 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be a finite magnitude >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class EndpointData:
     """Derivative magnitudes |f'(a)|, |f'(b)| and optionally |f'(x)|.
@@ -154,14 +156,10 @@ class EndpointData:
     dx: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "da", _require_finite("da", self.da))
-        object.__setattr__(self, "db", _require_finite("db", self.db))
-        if self.da < 0.0 or self.db < 0.0:
-            raise DomainError("derivative magnitudes must be nonnegative")
+        object.__setattr__(self, "da", _require_magnitude("da", self.da))
+        object.__setattr__(self, "db", _require_magnitude("db", self.db))
         if self.dx is not None:
-            object.__setattr__(self, "dx", _require_finite("dx", self.dx))
-            if self.dx < 0.0:
-                raise DomainError("derivative magnitudes must be nonnegative")
+            object.__setattr__(self, "dx", _require_magnitude("dx", self.dx))
 
     def require_dx(self) -> float:
         if self.dx is None:

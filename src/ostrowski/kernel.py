@@ -10,7 +10,6 @@ s-convex functions, and the midpoint baselines that the sharper bounds in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,9 +19,9 @@ from .core import (
     DomainError,
     Function1D,
     Interval,
-    SParam,
     VerificationRecord,
-    as_sparam,
+    _require_magnitude,
+    _require_s,
     validate_eval_point,
 )
 from .bounds import _offsets, _scaled_powers
@@ -96,13 +95,13 @@ def classic_ostrowski_bound(iv: Interval, x: float, m: float) -> BoundResult:
     """M(b-a) [1/4 + (x - midpoint)^2 / (b-a)^2] for sup|f'| <= M.
 
     Valid on any real interval; no nonnegativity restriction applies.
+    Formed as M(b-a)(lam^2 + mu^2)/2, equal since lam + mu = 1, because on a
+    narrow interval the rounded midpoint lacks the digits x - midpoint needs.
     """
     x = validate_eval_point(iv, x)
-    m = float(m)
-    if not math.isfinite(m) or m < 0.0:
-        raise DomainError(f"derivative sup bound M must be >= 0, got {m!r}")
-    width = iv.width
-    value = m * width * (0.25 + ((x - iv.midpoint) / width) ** 2)
+    m = _require_magnitude("M", m)
+    lam, mu = _offsets(iv, x)
+    value = m * iv.width * (lam**2 + mu**2) / 2.0
     return BoundResult(
         value=value,
         theorem_id="eq11",
@@ -132,12 +131,12 @@ class HadamardBounds:
 def hadamard_sconvex_bounds(
     fn: Function1D,
     iv: Interval,
-    s: "float | SParam",
+    s: float,
     tol: float = 1e-9,
 ) -> HadamardBounds:
     """Check 2^(s-1) f(mid) <= average(f) <= (f(a) + f(b))/(s+1)."""
     iv.require_nonnegative()
-    s_val = as_sparam(s).s
+    s_val = _require_s(s)
     mean = reference_integrate(fn, iv, tol * iv.width / 10.0) / iv.width
     lower = 2.0 ** (s_val - 1.0) * fn(iv.midpoint)
     upper = (fn(iv.a) + fn(iv.b)) / (s_val + 1.0)
@@ -158,7 +157,7 @@ def hadamard_sconvex_bounds(
 def alomari_bound(
     iv: Interval,
     x: float,
-    s: "float | SParam",
+    s: float,
     cp: ConjugatePair,
     m: float,
 ) -> BoundResult:
@@ -170,10 +169,8 @@ def alomari_bound(
     """
     iv.require_nonnegative()
     x = validate_eval_point(iv, x)
-    s_val = as_sparam(s).s
-    m = float(m)
-    if not math.isfinite(m) or m < 0.0:
-        raise DomainError(f"derivative sup bound M must be >= 0, got {m!r}")
+    s_val = _require_s(s)
+    m = _require_magnitude("M", m)
     bracket = ((x - iv.a) ** 2 + (iv.b - x) ** 2) / iv.width
     value = (
         m
@@ -212,10 +209,8 @@ def baseline_midpoint_bound(
         raise DomainError(
             f"unknown midpoint baseline {variant!r}; expected one of {MIDPOINT_VARIANTS}"
         )
-    da = float(da)
-    db = float(db)
-    if da < 0.0 or db < 0.0:
-        raise DomainError("derivative magnitudes must be nonnegative")
+    da = _require_magnitude("da", da)
+    db = _require_magnitude("db", db)
     width = iv.width
     inputs = {"a": iv.a, "b": iv.b, "da": da, "db": db}
 

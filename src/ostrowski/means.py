@@ -26,9 +26,8 @@ from .core import (
     DomainError,
     EndpointData,
     Interval,
-    SParam,
     _require_exponent,
-    as_sparam,
+    _require_s,
     make_conjugate,
 )
 from .toolkit import make_breckner, true_deviation
@@ -108,13 +107,18 @@ def p_logarithmic_mean(a: float, b: float, r: float) -> float:
     return a ** (1.0 + 1.0 / r) * (b - a) ** (-1.0 / r) * m ** (1.0 / r)
 
 
-def _gap_sparam(s: "float | SParam") -> float:
-    s_val = as_sparam(s).s
+def _gap_args(a: float, b: float, s: float) -> Tuple[float, float, float]:
+    """The gap statements' (a, b, s), checked: 0 < a < b and s in (0, 1)."""
+    a = _require_positive("a", a)
+    b = _require_positive("b", b)
+    if not a < b:
+        raise DomainError("gap requires 0 < a < b")
+    s = _require_s(s)
     # the gap statements hold on the open range; at s = 1 the gap is
     # identically zero and the formulas below lose meaning (a^(s-1) etc.)
-    if s_val == 1.0:
+    if s == 1.0:
         raise DomainError("gap bounds are stated for s in (0, 1) strictly")
-    return s_val
+    return a, b, s
 
 
 #: Below this u = (b-a)/(b+a) the gap is summed from its series: the closed
@@ -147,9 +151,7 @@ def _mean_powers(a: float, b: float, s: float) -> Tuple[float, float, float]:
     return mean_power, mean_power + excess, abs(excess)
 
 
-def means_gap(
-    a: float, b: float, s: "float | SParam", oracle_tol: Optional[float] = 1e-10
-) -> float:
+def means_gap(a: float, b: float, s: float, oracle_tol: Optional[float] = 1e-10) -> float:
     """|A(a,b)^s - (b^(s+1) - a^(s+1)) / ((s+1)(b-a))| for 0 < a < b.
 
     The second term is the s-th power of the s-logarithmic mean, i.e. the
@@ -159,11 +161,7 @@ def means_gap(
     cancel. When oracle_tol is given the result is cross-checked against
     the reference integrator and a disagreement raises ConvergenceError.
     """
-    a = _require_positive("a", a)
-    b = _require_positive("b", b)
-    if not a < b:
-        raise DomainError("gap requires 0 < a < b")
-    s_val = _gap_sparam(s)
+    a, b, s_val = _gap_args(a, b, s)
     gap = _mean_powers(a, b, s_val)[2]
     if oracle_tol is not None:
         oracle = true_deviation(
@@ -186,7 +184,7 @@ GAP_VARIANTS = ("p1", "p2", "p3")
 def means_gap_bound(
     a: float,
     b: float,
-    s: "float | SParam",
+    s: float,
     variant: str,
     p: Optional[float] = None,
     q: Optional[float] = None,
@@ -198,11 +196,7 @@ def means_gap_bound(
     p2: t21 at the midpoint (|f'|^q s-convex); needs p > 1, q its conjugate
     p3: t22-mid (|f'|^q s-convex); needs q >= 1
     """
-    a = _require_positive("a", a)
-    b = _require_positive("b", b)
-    if not a < b:
-        raise DomainError("gap bounds require 0 < a < b")
-    s_val = _gap_sparam(s)
+    a, b, s_val = _gap_args(a, b, s)
     inputs = {"a": a, "b": b, "s": s_val}
     da, dx, db = _slopes(a, b, s_val)
 
@@ -228,15 +222,13 @@ def means_gap_bound(
     return BoundResult(value=value, theorem_id=variant, inputs=inputs)
 
 
-def slope_endpoint_data(a: float, b: float, s: "float | SParam") -> EndpointData:
-    """Exact |d/dt t^s| = s t^(s-1) at the endpoints, as EndpointData.
+def slope_endpoint_data(a: float, b: float, s: float) -> EndpointData:
+    """Exact |d/dt t^s| = s t^(s-1) at the endpoints, as EndpointData, for 0 < a < b.
 
     Convenience for cross-checking the gap bounds against the general
     midpoint bounds; the midpoint sample s A^(s-1) goes in dx.
     """
-    s_val = _gap_sparam(s)
-    a = _require_positive("a", a)
-    b = _require_positive("b", b)
+    a, b, s_val = _gap_args(a, b, s)
     da, dx, db = _slopes(a, b, s_val)
     return EndpointData(da=da, db=db, dx=dx)
 

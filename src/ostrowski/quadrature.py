@@ -165,8 +165,13 @@ def _fsum(x: np.ndarray) -> float:
 
 def composite_midpoint(fn: Function1D, d: Partition) -> float:
     """sum of f(panel midpoint) * panel width, rounded once as math.fsum
-    rounds it."""
-    return _fsum(fn(d.midpoints()) * d.widths())
+    rounds it. A term or a sum beyond double precision raises OverflowError."""
+    terms = fn(d.midpoints())
+    with np.errstate(over="ignore"):  # checked just below
+        terms = terms * d.widths()  # not in place: fn may return an array it keeps
+    if not -np.inf < terms.min() <= terms.max() < np.inf:  # NaN fails too; no bool array
+        raise OverflowError("a composite midpoint term is not finite")
+    return _fsum(terms)
 
 
 def midpoint_error_bound(

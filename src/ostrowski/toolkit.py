@@ -23,8 +23,7 @@ from .core import (
     DomainError,
     Function1D,
     Interval,
-    SParam,
-    as_sparam,
+    _require_s,
     validate_eval_point,
 )
 
@@ -59,7 +58,7 @@ class BrecknerFunction:
     s: float
 
     def __post_init__(self) -> None:
-        as_sparam(self.s)
+        _require_s(self.s)
 
     @property
     def is_known_member(self) -> bool:
@@ -88,9 +87,9 @@ def _nonnegative_min(t) -> float:
     return lo
 
 
-def make_breckner(u: float, v: float, w: float, s: "float | SParam") -> Function1D:
+def make_breckner(u: float, v: float, w: float, s: float) -> Function1D:
     """Build a Function1D for the piecewise power family above."""
-    fn = BrecknerFunction(float(u), float(v), float(w), as_sparam(s).s)
+    fn = BrecknerFunction(float(u), float(v), float(w), float(s))
     return Function1D(f=fn.value, df=fn.slope, label=fn.label)
 
 
@@ -116,7 +115,7 @@ class SConvexityReport:
 
 def check_sconvex(
     fn: Function1D,
-    s: "float | SParam",
+    s: float,
     domain: Interval,
     grid_n: int = 21,
 ) -> SConvexityReport:
@@ -129,7 +128,7 @@ def check_sconvex(
     positive difference within a few ulps of the operand scale is treated
     as equality, not as a violation.
     """
-    s_val = as_sparam(s).s
+    s_val = _require_s(s)
     if grid_n < 2:
         raise DomainError(f"grid_n must be >= 2, got {grid_n!r}")
     pts = np.linspace(domain.a, domain.b, grid_n)

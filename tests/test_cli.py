@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"CLI printed {name}, which is not valid JSON")
+
+
+def strict_json(text):
+    """json.loads that fails on the NaN, Infinity and -Infinity json.dumps can print."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 # every --theorem tag: exactly its required flags, with values that satisfy
@@ -76,7 +86,7 @@ class TestBoundCommand:
         flags, direct = BOUND_TAGS[tag]
         code, out, _ = run(capsys, *bound_argv(tag, flags))
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         expected = direct()
         assert payload["theorem"] == expected.theorem_id == tag
         assert payload["value"] == expected.value
@@ -89,7 +99,7 @@ class TestBoundCommand:
             "--s", "0.5", "--q", "2000", "--da", "0.5", "--db", "0.5",
         )
         assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(0.1250200904289195770, rel=1e-15)
+        assert strict_json(out)["value"] == pytest.approx(0.1250200904289195770, rel=1e-15)
 
     @pytest.mark.parametrize("tag,exponent", [
         ("t22", ("--q", "2000")),
@@ -105,7 +115,7 @@ class TestBoundCommand:
             "--s", "0.5", *exponent, "--da", "2", "--db", "2", "--dx", "2",
         )
         assert (code, err) == (0, "")
-        value = json.loads(out)["value"]
+        value = strict_json(out)["value"]
         assert math.isfinite(value) and value > 0.0
 
     def test_overflow_elsewhere_exits_2(self, capsys):
@@ -133,7 +143,7 @@ class TestBoundCommand:
             "--x", "0.5", "--s", "1", "--da", "1", "--db", "1",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["theorem"] == "t20"
         assert payload["value"] == pytest.approx(0.25, rel=1e-12)
         assert payload["a"] == 0.0 and payload["b"] == 1.0
@@ -153,7 +163,7 @@ class TestBoundCommand:
             "--x", "0.5", "--m", "1",
         )
         assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(0.625, rel=1e-12)
+        assert strict_json(out)["value"] == pytest.approx(0.625, rel=1e-12)
 
     def test_reversed_interval_usage_error(self, capsys):
         code, _, err = run(
@@ -218,7 +228,7 @@ class TestVerifyCommand:
     def test_default_config_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["failures"] == 0
         assert payload["total"] == len(payload["records"]) > 0
 
@@ -234,7 +244,7 @@ class TestVerifyCommand:
             capsys, "verify", "--functions", "powabs:1.5", "--s-grid", "1",
         )
         assert code == 1
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["failures"] > 0
         failing = [r for r in payload["records"] if not r["holds"]]
         assert all("powabs:1.5" in r["context"] for r in failing)
@@ -255,7 +265,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--out", str(path))
         assert code == 0
         assert out == ""
-        assert json.loads(path.read_text())["failures"] == 0
+        assert strict_json(path.read_text())["failures"] == 0
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -398,7 +408,7 @@ class TestSweepConfig:
     def test_p_near_one_holds(self, capsys, spec, p_grid):
         code, out, _ = run(capsys, "verify", "--functions", spec, "--p-grid", p_grid)
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert (payload["total"], payload["failures"]) == (220, 0)
 
     def test_non_finite_grid_derivative_exits_2(self, capsys, monkeypatch):
@@ -424,7 +434,7 @@ class TestMeansCommand:
             "--p", "2", "--q", "2",
         )
         assert code == 0
-        row = json.loads(out)
+        row = strict_json(out)
         assert row["A^s"] == pytest.approx(1.224744871391589, rel=1e-12)
         assert row["L_s^s"] == pytest.approx(1.21895141649746, rel=1e-12)
         assert row["gap"] == pytest.approx(0.005793454894128984, abs=1e-9)
@@ -440,7 +450,7 @@ class TestMeansCommand:
         # raw q-th powers of the slopes underflowed, and the bound read 0.0
         code, out, _ = run(capsys, "means", "--a", "1", "--b", "2", "--s", "0.5", flag, value)
         assert code == 0
-        row = json.loads(out)
+        row = strict_json(out)
         assert row[variant] >= row["gap"]
         if exact is not None:
             assert row[variant] == pytest.approx(exact, rel=1e-15)
@@ -471,13 +481,25 @@ class TestMeansCommand:
 
 
 class TestQuadCommand:
+    def test_overflow_exits_2(self, capsys):
+        # f(m) * w = 2e308 at one panel printed "approx": Infinity and exited 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "quad", "--fn", "poly:1e308", "--a", "0", "--b", "2",
+                "--target", "1e-6", "--variant", "p5",
+            )
+        assert code == 2
+        assert out == ""
+        assert err == "error: a value overflowed double precision\n"
+
     def test_quadratic_report(self, capsys):
         code, out, _ = run(
             capsys, "quad", "--fn", "poly:0,0,1", "--a", "0", "--b", "1",
             "--target", "1e-3", "--variant", "p4", "--p", "2",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert list(payload.keys()) == ["approx", "error_bound", "variant", "panels"]
         assert payload["approx"] == pytest.approx(1.0 / 3.0, abs=1e-3)
         assert payload["error_bound"] <= 1e-3
@@ -494,7 +516,7 @@ class TestQuadCommand:
             "--target", repr(target), "--variant", "p6", "--q", "2000",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert 0.0 < payload["error_bound"] <= target
         assert payload["panels"] < quadrature.DEFAULT_PANEL_BUDGET
         report = quadrature.certified_integrate(
@@ -579,7 +601,7 @@ class TestIdentityCommand:
     def test_default_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "identity")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["failures"] == 0
         # 7 polynomials x 3 intervals x 9 evaluation points
         assert payload["total"] == 7 * 3 * 9
@@ -591,12 +613,12 @@ class TestConfigFile:
         cfg.write_text("a=1\nb=2\ns=0.5\n# comment\np=3\n")
         code, out, _ = run(capsys, "means", "--config", str(cfg))
         assert code == 0
-        row = json.loads(out)
+        row = strict_json(out)
         assert (row["a"], row["b"], row["s"], row["p"]) == (1.0, 2.0, 0.5, 3.0)
 
         code, out, _ = run(capsys, "means", "--config", str(cfg), "--s", "0.25")
         assert code == 0
-        assert json.loads(out)["s"] == 0.25  # explicit flag wins
+        assert strict_json(out)["s"] == 0.25  # explicit flag wins
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "means", "--config", "/definitely/not/here",

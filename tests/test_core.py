@@ -14,11 +14,12 @@ from ostrowski.core import (
     EndpointData,
     Function1D,
     Interval,
-    SParam,
     VerificationRecord,
+    _require_s,
     make_conjugate,
     validate_eval_point,
 )
+from ostrowski.kernel import alomari_bound, baseline_midpoint_bound, classic_ostrowski_bound
 
 
 class TestInterval:
@@ -54,12 +55,12 @@ class TestInterval:
 class TestSParam:
     @pytest.mark.parametrize("s", [1e-9, 0.25, 0.5, 1.0])
     def test_valid(self, s):
-        assert SParam(s).s == s
+        assert _require_s(s) == s
 
     @pytest.mark.parametrize("s", [0.0, -0.5, 1.0000001, math.nan])
     def test_invalid(self, s):
         with pytest.raises(DomainError):
-            SParam(s)
+            _require_s(s)
 
 
 class TestConjugatePair:
@@ -110,6 +111,32 @@ class TestEndpointData:
     def test_negative_rejected(self, kwargs):
         with pytest.raises(DomainError):
             EndpointData(**kwargs)
+
+
+UNIT = Interval(0.0, 1.0)
+CP2 = make_conjugate(2.0)
+# every entry point that takes a derivative magnitude: (parameter name, call)
+MAGNITUDE_ENTRY_POINTS = {
+    "EndpointData-da": ("da", lambda v: EndpointData(v, 1.0)),
+    "EndpointData-db": ("db", lambda v: EndpointData(1.0, v)),
+    "EndpointData-dx": ("dx", lambda v: EndpointData(1.0, 1.0, dx=v)),
+    "eq11-M": ("M", lambda v: classic_ostrowski_bound(UNIT, 0.5, v)),
+    "ee-M": ("M", lambda v: alomari_bound(UNIT, 0.5, 0.5, CP2, v)),
+    "eq14-da": ("da", lambda v: baseline_midpoint_bound("eq14", UNIT, CP2, v, 1.0)),
+    "eq14-db": ("db", lambda v: baseline_midpoint_bound("eq14", UNIT, CP2, 1.0, v)),
+    "eq15-da": ("da", lambda v: baseline_midpoint_bound("eq15", UNIT, CP2, v, 1.0)),
+    "eq15-db": ("db", lambda v: baseline_midpoint_bound("eq15", UNIT, CP2, 1.0, v)),
+    "eq16-da": ("da", lambda v: baseline_midpoint_bound("eq16", UNIT, CP2, v, 1.0)),
+    "eq16-db": ("db", lambda v: baseline_midpoint_bound("eq16", UNIT, CP2, 1.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(MAGNITUDE_ENTRY_POINTS))
+def test_magnitude_rejected_naming_its_parameter(entry, value):
+    name, call = MAGNITUDE_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=rf"^{name} must be a finite magnitude >= 0, got"):
+        call(value)
 
 
 class TestFunction1D:

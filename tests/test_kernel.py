@@ -1,5 +1,8 @@
 """Montgomery kernel, the reproduction identity, and the baseline bounds."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -131,6 +134,22 @@ class TestClassicOstrowski:
     def test_negative_interval_allowed(self):
         # the classical bound has no nonnegativity restriction
         assert classic_ostrowski_bound(Interval(-1.0, 1.0), 0.0, 1.0).value == 0.5
+
+    def test_narrow_intervals_within_8_ulp_of_exact(self):
+        # x - midpoint cancels on a narrow interval away from 0, of either sign
+        rng = np.random.default_rng(11)
+        cases = [(1000.0, 1000.000001, 1000.0000001, 1.0)]
+        for _ in range(2000):
+            a = rng.uniform(-1e3, 1e3)
+            b = a + 10.0 ** rng.uniform(-9.0, -3.0)
+            x = min(a + rng.uniform() * (b - a), b)
+            cases.append((a, b, x, 10.0 ** rng.uniform(-3.0, 3.0)))
+        for a, b, x, m in cases:
+            got = classic_ostrowski_bound(Interval(a, b), x, m).value
+            fa, fb, fx = Fraction(a), Fraction(b), Fraction(x)
+            w = fb - fa
+            exact = Fraction(m) * w * (Fraction(1, 4) + ((fx - (fa + fb) / 2) / w) ** 2)
+            assert abs(Fraction(got) - exact) <= 8 * Fraction(math.ulp(float(exact))), (a, b, x, m)
 
     def test_dominates_true_deviation(self):
         for spec in ("poly:0,1", "poly:0,0,1", "poly:0,1,1"):

@@ -318,3 +318,9 @@ class TestSlopeEndpointData:
         ep = slope_endpoint_data(1.0, 2.0, 0.5)
         assert ep.da == pytest.approx(abs(fn.deriv(1.0)), rel=1e-15)
         assert ep.db == pytest.approx(abs(fn.deriv(2.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.0, 1.0)])
+    def test_requires_a_below_b(self, a, b):
+        # as means_gap and means_gap_bound do
+        with pytest.raises(DomainError, match="0 < a < b"):
+            slope_endpoint_data(a, b, 0.5)
