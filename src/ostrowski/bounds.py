@@ -121,7 +121,8 @@ def _holder_hadamard(a, b, x, s, p, q, da, dx, db):
 
 
 def _e5(width, p, da, db):
-    return width / (p + 1.0) ** (1.0 / p) * (db + da) / 4.0
+    # scaled before the sum, so |f'| near the top of the range stays finite
+    return width / (p + 1.0) ** (1.0 / p) * (0.25 * db + 0.25 * da)
 
 
 def _holder_global(width, lam, mu, s, p, q, da, db):

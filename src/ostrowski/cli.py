@@ -2,11 +2,11 @@
 means, certified quadrature, and the kernel identity check.
 
 Exit codes: 0 success, 1 at least one inequality failed, 2 usage, domain
-error or overflow, 3 oracle non-convergence. JSON is the canonical machine
-format and is byte-identical across runs with identical flags (fixed field
-order, shortest round-trip float printing); CSV is a flat projection; the
-human format rounds to 6 significant digits and never feeds back into
-computation.
+error, overflow or a --config/--out file error, 3 oracle non-convergence.
+JSON is the canonical machine format and is byte-identical across runs with
+identical flags (fixed field order, shortest round-trip float printing);
+CSV is a flat projection; the human format rounds to 6 significant digits
+and never feeds back into computation.
 """
 
 from __future__ import annotations
@@ -424,7 +424,8 @@ def _parse_functions(text: str) -> tuple:
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9,
-                        help="verification slack / identity tolerance")
+                        help="verify slack, identity tolerance, means oracle "
+                             "tolerance; bound and quad ignore it")
     common.add_argument("--format", choices=FORMATS, default="json",
                         help="output format (default json)")
     common.add_argument("--out", default=None, metavar="PATH",
@@ -523,18 +524,12 @@ def _load_config_tokens(argv: list) -> list:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        argv = _load_config_tokens(argv)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_load_config_tokens(argv))
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.handler(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:  # OSError: --config or --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError:

@@ -58,7 +58,7 @@ def _require_finite(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [a, b] with a < b strictly.
+    """Closed interval [a, b] with a < b strictly and a finite width b - a.
 
     Degenerate intervals (a == b) are rejected; every bound divides by the
     width. Operations that need the s-convex domain a >= 0 call
@@ -73,6 +73,8 @@ class Interval:
         object.__setattr__(self, "b", _require_finite("b", self.b))
         if not self.a < self.b:
             raise DomainError("interval requires a < b")
+        if not math.isfinite(self.b - self.a):  # every bound multiplies by the width
+            raise DomainError(f"interval width b - a must be finite, got {self.b - self.a!r}")
 
     @property
     def width(self) -> float:

@@ -184,7 +184,9 @@ def midpoint_error_bound(
     """Error bound for the composite midpoint rule from node |f'| values.
 
     ``dvals`` holds |f'| at every partition node, in node order; each panel
-    term uses only its own two endpoints.
+    term uses only its own two endpoints. A panel bound beyond double
+    precision makes the result inf or nan, with no numpy warning; finite
+    panel bounds whose sum overflows raise OverflowError, as math.fsum does.
     """
     if variant not in ERROR_BOUND_VARIANTS:
         raise DomainError(
@@ -202,18 +204,18 @@ def midpoint_error_bound(
 
     w = d.widths()
     lo, hi = dv[:-1], dv[1:]
-    if variant == "p4":
-        if p is None:
-            raise DomainError("variant p4 requires the exponent p")
-        per_panel = _e5(w, make_conjugate(p).p, lo, hi)
-    elif variant == "p5":
-        per_panel = _holder_global(w, 0.5, 0.5, 1.0, 2.0, 2.0, lo, hi)
-    else:  # p6
-        if q is None:
-            raise DomainError("variant p6 requires the exponent q")
-        per_panel = _power_mean_mid(w, _require_exponent(q, "variant p6"), lo, hi)
-
-    per_panel *= w  # in place: one panel-sized array fewer at the peak
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan reaches the result
+        if variant == "p4":
+            if p is None:
+                raise DomainError("variant p4 requires the exponent p")
+            per_panel = _e5(w, make_conjugate(p).p, lo, hi)
+        elif variant == "p5":
+            per_panel = _holder_global(w, 0.5, 0.5, 1.0, 2.0, 2.0, lo, hi)
+        else:  # p6
+            if q is None:
+                raise DomainError("variant p6 requires the exponent q")
+            per_panel = _power_mean_mid(w, _require_exponent(q, "variant p6"), lo, hi)
+        per_panel *= w  # in place: one panel-sized array fewer at the peak
     del w  # and the widths go before _fsum allocates its buffers
     return _fsum(per_panel)
 
@@ -225,22 +227,22 @@ def certified_integrate(
     variant: str,
     p: Optional[float] = None,
     q: Optional[float] = None,
-    max_panels: Optional[int] = None,
+    *,
     verify: bool = False,
 ) -> QuadReport:
     """Refine a uniform partition until the selected bound meets target.
 
     Starts at one panel and doubles. The bound decays like 1/n, so a very
-    small target is expensive; exhausting max_panels raises
-    ConvergenceError rather than silently truncating. With verify=True the
-    reference integrator fills in the actual error; a certificate violation
-    is reported as a warning, not an exception, so it can be logged and
-    examined.
+    small target is expensive; exhausting DEFAULT_PANEL_BUDGET raises
+    ConvergenceError rather than silently truncating. A bound that is not
+    finite counts as unmet, since finer panels may bring it into range; if
+    it is still not finite when the budget runs out, OverflowError is
+    raised instead. With verify=True the reference integrator fills in the
+    actual error; a certificate violation is reported as a warning, not an
+    exception, so it can be logged and examined.
     """
     if not target > 0.0:
         raise DomainError(f"target must be positive, got {target!r}")
-    if max_panels is None:
-        max_panels = DEFAULT_PANEL_BUDGET
 
     n = 1
     while True:
@@ -248,10 +250,12 @@ def certified_integrate(
         bound = midpoint_error_bound(d, np.abs(fn.deriv(d.nodes)), variant, p=p, q=q)
         if bound <= target:
             break
-        if 2 * n > max_panels:
+        if 2 * n > DEFAULT_PANEL_BUDGET:
+            if not math.isfinite(bound):
+                raise OverflowError(f"the midpoint error bound is still {bound} at n={n} panels")
             raise ConvergenceError(
                 f"certified bound still {bound:g} > target {target:g} at "
-                f"n={n} panels (budget {max_panels})"
+                f"n={n} panels (budget {DEFAULT_PANEL_BUDGET})"
             )
         n *= 2
 

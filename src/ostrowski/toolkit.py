@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -178,66 +178,29 @@ def check_sconvex(
 # Reference integrator (the oracle)
 # ----------------------------------------------------------------------
 
-# 15-point Kronrod rule with embedded 7-point Gauss (standard published
-# abscissae/weights for [-1, 1]). The even-index nodes carry zero Gauss
-# weight; the difference |K15 - G7| serves as the panel error estimate.
-_NODES = np.array(
-    [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
-        0.0,
-        0.207784955007898,
-        0.405845151377397,
-        0.586087235467691,
-        0.741531185599394,
-        0.864864423359769,
-        0.949107912342759,
-        0.991455371120813,
-    ]
-)
-_W_KRONROD = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
-    ]
-)
-_W_GAUSS = np.array(
-    [
-        0.0,
-        0.129484966168870,
-        0.0,
-        0.279705391489277,
-        0.0,
-        0.381830050505119,
-        0.0,
-        0.417959183673469,
-        0.0,
-        0.381830050505119,
-        0.0,
-        0.279705391489277,
-        0.0,
-        0.129484966168870,
-        0.0,
-    ]
-)
+# 15-point Kronrod rule with embedded 7-point Gauss on [-1, 1] (QUADPACK's
+# QK15; Piessens et al., 1983), typed to 15 digits. The rule is symmetric,
+# so each table holds one half, from the outermost node in to the centre,
+# and is mirrored below. The Gauss nodes are every other Kronrod node,
+# starting at the second; |K15 - G7| serves as the panel error estimate.
+# Full-precision digits alone would make that difference exactly 0 for a
+# constant, so they have to come with a roundoff floor on the estimate.
+_HALF_NODES = np.array([
+    0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
+    0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0,
+])
+_HALF_W_KRONROD = np.array([
+    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
+])
+_HALF_W_GAUSS = np.array([
+    0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
+])
+
+_NODES = np.concatenate((-_HALF_NODES[:-1], _HALF_NODES[::-1]))  # +0.0 at the centre
+_W_KRONROD = np.concatenate((_HALF_W_KRONROD, _HALF_W_KRONROD[-2::-1]))
+_W_GAUSS = np.zeros(15)
+_W_GAUSS[1::2] = np.concatenate((_HALF_W_GAUSS, _HALF_W_GAUSS[-2::-1]))
 
 
 def _panel(fn: Function1D, lo: float, hi: float) -> Tuple[float, float]:
@@ -267,24 +230,17 @@ def _panel(fn: Function1D, lo: float, hi: float) -> Tuple[float, float]:
 DEFAULT_ORACLE_PANELS = 10_000
 
 
-def reference_integrate(
-    fn: Function1D,
-    iv: Interval,
-    tol: float,
-    max_panels: Optional[int] = None,
-) -> float:
+def reference_integrate(fn: Function1D, iv: Interval, tol: float) -> float:
     """Integrate fn over iv to absolute accuracy tol.
 
     Globally adaptive: the panel with the largest error estimate is bisected
     at its exact midpoint until the summed estimates drop below tol. Raises
-    ConvergenceError once max_panels panels exist without convergence, which
-    signals a pathological integrand rather than a tolerance slightly out of
-    reach.
+    ConvergenceError once DEFAULT_ORACLE_PANELS panels exist without
+    convergence, which signals a pathological integrand rather than a
+    tolerance slightly out of reach.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if max_panels is None:
-        max_panels = DEFAULT_ORACLE_PANELS
     value, err = _panel(fn, iv.a, iv.b)
     # heap orders by largest estimate; ties fall back to the left endpoint
     heap = [(-err, iv.a, iv.b, value)]
@@ -292,10 +248,10 @@ def reference_integrate(
     min_width = (iv.b - iv.a) * 1e-15
 
     while total_err > tol:
-        if len(heap) >= max_panels:
+        if len(heap) >= DEFAULT_ORACLE_PANELS:
             raise ConvergenceError(
                 f"integral of {fn.label or '<anonymous>'} did not reach "
-                f"tol={tol:g} within {max_panels} panels (estimate {total_err:g})"
+                f"tol={tol:g} within {DEFAULT_ORACLE_PANELS} panels (estimate {total_err:g})"
             )
         neg_err, lo, hi, _ = heappop(heap)
         if hi - lo < min_width:

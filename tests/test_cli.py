@@ -173,6 +173,29 @@ class TestBoundCommand:
         assert code == 2
         assert "interval requires a < b" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--theorem", "eq14", "--a=-1e308", "--b", "1e308", "--da", "1", "--db", "1"),
+        ("--theorem", "eq11", "--a=-1e308", "--b", "1e308", "--x", "0", "--m", "1"),
+    ])
+    def test_overflowing_width_named(self, capsys, argv):
+        # b - a = 2e308 used to surface as "bound ... produced invalid value inf/nan"
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: interval width b - a must be finite, got inf\n"
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        # the OSError from opening --out used to escape as a traceback, exit 1
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "bound", "--theorem", "eq14", "--a", "0", "--b", "1",
+            "--da", "1", "--db", "1", "--out", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+        assert not path.exists()
+
     def test_missing_parameter_named(self, capsys):
         code, _, err = run(
             capsys, "bound", "--theorem", "t21", "--a", "0", "--b", "1",
@@ -492,6 +515,33 @@ class TestQuadCommand:
         assert code == 2
         assert out == ""
         assert err == "error: a value overflowed double precision\n"
+
+    @pytest.mark.parametrize("variant", [("p4", "--p", "2"), ("p5",), ("p6", "--q", "2")])
+    def test_overflowing_bound_exits_2(self, capsys, variant):
+        # inf at one panel; at two the finite panel bounds overflow in their
+        # sum. pyproject turns a leaked numpy warning into an error
+        code, out, err = run(
+            capsys, "quad", "--fn", "poly:0,1e308", "--a=-2", "--b", "2",
+            "--target", "1e300", "--variant", *variant,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: a value overflowed double precision\n"
+
+    @pytest.mark.parametrize("a,b,target,variant,panels", [
+        ("-1.5", "1.5", 1e303, ("p5",), 2**18),  # inf at one panel, finite from two
+        ("-1.5", "1.5", 1e303, ("p6", "--q", "2"), 2**18),
+        ("0", "1e-3", 1e300, ("p4", "--p", "2"), 32),  # f'(a) + f'(b) alone overflows
+    ])
+    def test_bound_beyond_double_range_refines(self, capsys, a, b, target, variant, panels):
+        code, out, err = run(
+            capsys, "quad", "--fn", "poly:0,1e308", f"--a={a}", "--b", b,
+            "--target", repr(target), "--variant", *variant,
+        )
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["error_bound"] <= target
+        assert payload["panels"] == panels
 
     def test_quadratic_report(self, capsys):
         code, out, _ = run(

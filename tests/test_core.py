@@ -44,6 +44,14 @@ class TestInterval:
         with pytest.raises(DomainError):
             Interval(math.nan, 1.0)
 
+    @pytest.mark.parametrize("a,b", [(-1e308, 1e308), (-1e308, 8e307)])
+    def test_infinite_width_rejected(self, a, b):
+        with pytest.raises(DomainError, match="width b - a must be finite"):
+            Interval(a, b)
+
+    def test_width_near_the_top_of_the_double_range(self):
+        assert Interval(-8e307, 8e307).width == 1.6e308
+
     def test_require_nonnegative(self):
         # negative intervals are fine to build (classical bounds allow them);
         # s-convex operations reject them

@@ -371,9 +371,23 @@ class TestCertifiedIntegrate:
         assert report.error_bound <= 1e-6
         assert report.approx == pytest.approx(0.5, rel=1e-12)
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(ConvergenceError, match="budget"):
-            certified_integrate(TSQ, UNIT, 1e-9, "p4", p=2.0, max_panels=64)
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 64)
+        with pytest.raises(ConvergenceError, match=r"budget 64\)"):
+            certified_integrate(TSQ, UNIT, 1e-9, "p4", p=2.0)
+
+    def test_bound_still_infinite_at_budget_overflows(self, monkeypatch):
+        # every panel bound is inf up to 4 panels; a finer partition would
+        # be finite, so the doubling goes on and only the budget stops it
+        monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 4)
+        fn = parse_function_spec("poly:0,1e308")
+        with pytest.raises(OverflowError, match="still inf at n=4"):
+            certified_integrate(fn, Interval(-1e3, 1e3), 1.0, "p5")
+
+    def test_verify_is_keyword_only(self):
+        # a budget passed where max_panels used to be must not switch verify on
+        with pytest.raises(TypeError):
+            certified_integrate(TSQ, UNIT, 1e-3, "p5", None, None, 64)
 
     def test_requires_derivative(self):
         fn = Function1D(f=lambda t: t)
