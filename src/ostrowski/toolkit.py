@@ -223,7 +223,13 @@ def _panel(fn: Function1D, lo: float, hi: float) -> Tuple[float, float]:
         fs = fs / scale
     k15 = half * float(_W_KRONROD @ fs) * scale
     g7 = half * float(_W_GAUSS @ fs) * scale
-    return k15, abs(k15 - g7)
+    err = abs(k15 - g7)
+    if not err < math.inf:  # an overflowed k15 or g7 leaves err inf or nan
+        raise OverflowError(
+            f"the panel sums of {fn.label or '<anonymous>'} on [{lo:g}, {hi:g}] "
+            f"overflowed double precision"
+        )
+    return k15, err
 
 
 #: Default panel budget for the reference integrator.
@@ -237,7 +243,8 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float) -> float:
     at its exact midpoint until the summed estimates drop below tol. Raises
     ConvergenceError once DEFAULT_ORACLE_PANELS panels exist without
     convergence, which signals a pathological integrand rather than a
-    tolerance slightly out of reach.
+    tolerance slightly out of reach, and OverflowError when a panel's sum or
+    error estimate is beyond double precision.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")

@@ -306,6 +306,14 @@ class TestVerifyCommand:
         assert code == 3
         assert "oracle" in err
 
+    def test_integral_beyond_double_precision_exits_2(self, capsys):
+        # the oracle returned inf here, and verify printed records with
+        # "lhs": Infinity and exited 1
+        code, out, err = run(capsys, "verify", "--functions", "poly:1e308", "--a", "0", "--b", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: a value overflowed double precision\n"
+
 
 class TestSweepConfig:
     def test_validation(self):

@@ -2,6 +2,7 @@
 loop."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,14 @@ from ostrowski.core import (
     Interval,
     make_conjugate,
 )
-from ostrowski.bounds import bound_holder_global, midpoint_e5, midpoint_power_mean
+from ostrowski.bounds import (
+    _e5,
+    _holder_global,
+    _power_mean_mid,
+    bound_holder_global,
+    midpoint_e5,
+    midpoint_power_mean,
+)
 from ostrowski.core import EndpointData
 from ostrowski.quadrature import (
     Partition,
@@ -316,6 +324,105 @@ class TestMidpointErrorBound:
                 assert midpoint_error_bound(
                     refined, tsq_dvals(refined), "p4", p=2.0
                 ) <= base + 1e-15
+
+
+B = quadrature._BLOCK
+BLOCK_IV = Interval(0.25, 2.0)
+BLOCK_FN = parse_function_spec("breckner:0.3,1.2,0.2,0.6")
+BLOCK_VARIANTS = (("p4", {"p": 2.5}), ("p5", {}), ("p6", {"q": 1.0}), ("p6", {"q": 2.3}))
+
+
+def block_partition(kind: str, n: int) -> Partition:
+    if kind == "uniform":
+        return Partition.uniform(BLOCK_IV, n)
+    rng = np.random.default_rng(n)
+    inner = rng.uniform(BLOCK_IV.a, BLOCK_IV.b, n - 1)
+    nodes = np.unique(np.concatenate([[BLOCK_IV.a, BLOCK_IV.b], inner]))
+    assert len(nodes) == n + 1
+    return Partition(nodes)
+
+
+def whole_array_bound(d: Partition, dv: np.ndarray, variant: str, p=None, q=None) -> float:
+    """midpoint_error_bound in one pass over the whole partition."""
+    w = np.diff(d.nodes)
+    lo, hi = dv[:-1], dv[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "p4":
+            per_panel = _e5(w, make_conjugate(p).p, lo, hi)
+        elif variant == "p5":
+            per_panel = _holder_global(w, 0.5, 0.5, 1.0, 2.0, 2.0, lo, hi)
+        else:
+            per_panel = _power_mean_mid(w, q, lo, hi)
+        return math.fsum((per_panel * w).tolist())
+
+
+class TestBlocks:
+    """Blocked composite_midpoint and midpoint_error_bound against one pass
+    over the whole partition: the same bits at and around block boundaries."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_same_bits_as_one_pass(self, kind, n):
+        d = block_partition(kind, n)
+        dv = np.abs(BLOCK_FN.deriv(d.nodes))
+        for variant, kw in BLOCK_VARIANTS:
+            got = midpoint_error_bound(d, dv, variant, **kw)
+            assert got.hex() == whole_array_bound(d, dv, variant, **kw).hex(), (variant, kw)
+        mids = 0.5 * (d.nodes[1:] + d.nodes[:-1])
+        want = math.fsum((BLOCK_FN(mids) * np.diff(d.nodes)).tolist())
+        assert composite_midpoint(BLOCK_FN, d).hex() == want.hex()
+
+    def test_infinite_panel_bound_in_a_later_block(self):
+        # the last panel, in the second block, is 1e300 wide: its bound
+        # overflows to inf with no numpy warning, as in one pass
+        d = Partition(np.append(np.linspace(0.0, 1.0, B + 1), 1e300))
+        dv = np.ones(B + 2)
+        for variant, kw in BLOCK_VARIANTS:
+            got = midpoint_error_bound(d, dv, variant, **kw)
+            assert got == whole_array_bound(d, dv, variant, **kw) == math.inf, (variant, kw)
+
+
+def peak_panel_arrays(call, n: int) -> float:
+    """Peak memory that call() allocates, in units of an n-element float array.
+    tracemalloc sees numpy's data buffers as well as Python objects."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / (8 * n)
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    N = 2**16
+
+    @pytest.mark.parametrize("variant,kw", BLOCK_VARIANTS)
+    def test_error_bound_peak(self, variant, kw):
+        # one per-panel array plus _fsum's buffers (2.25 arrays); one pass
+        # took 4 to 8 arrays, depending on the formula
+        d = Partition.uniform(BLOCK_IV, self.N)
+        dv = np.abs(BLOCK_FN.deriv(d.nodes))
+        assert peak_panel_arrays(lambda: midpoint_error_bound(d, dv, variant, **kw), self.N) <= 3.5
+
+    def test_uniform_partition_peak_and_nodes(self):
+        # linspace's array itself and one boolean check array, no copy
+        assert peak_panel_arrays(lambda: Partition.uniform(BLOCK_IV, self.N), self.N) <= 1.5
+        nodes = Partition.uniform(BLOCK_IV, 4).nodes
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[1] = 0.5
+        # eight panels need nine distinct doubles; [1, 1 + 4e-16] holds three
+        with pytest.raises(DomainError, match="strictly increasing"):
+            Partition.uniform(Interval(1.0, 1.0 + 4e-16), 8)
+
+    def test_constructor_still_copies(self):
+        mine = np.array([0.0, 0.5, 1.0])
+        d = Partition(mine)
+        mine[1] = 0.75
+        assert tuple(d.nodes) == (0.0, 0.5, 1.0)
+        assert not d.nodes.flags.writeable
 
 
 class TestCertification:

@@ -303,6 +303,21 @@ class TestReferenceIntegrate:
             g7 = float(toolkit._W_GAUSS @ fs)
         assert toolkit._panel(fn, -1.0, 1.0) == (k15, abs(k15 - g7))
 
+    def test_overflowing_panel_sum_raises_instead_of_returning_inf(self):
+        # the integral 2e308 is beyond double precision: the panel used to
+        # return (inf, nan), and the nan estimate passed as converged
+        fn = parse_function_spec("poly:1e308")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflowed"):
+                reference_integrate(fn, Interval(0.0, 2.0), 1e-12)
+            # K15 = 1.2e308 and G7 = -1e308 are finite, their difference is not
+            gauss = toolkit._NODES[toolkit._W_GAUSS != 0.0]
+            spread = Function1D(f=lambda t: np.where(np.isin(t, gauss), -0.5e308, 1.7e308),
+                                label="spread")
+            with pytest.raises(OverflowError, match="spread"):
+                toolkit._panel(spread, -1.0, 1.0)
+
     def test_deterministic(self):
         fn = parse_function_spec("powabs:0.5")
         a = reference_integrate(fn, Interval(0.0, 1.0), 1e-11)
