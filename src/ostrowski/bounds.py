@@ -1,19 +1,30 @@
-"""Position-dependent deviation bounds for functions whose derivative
-magnitude (or a power of it) is s-convex.
+"""The theorem registry: every bound of |f(x) - average of f over [a, b]|
+from derivative data, each stated once as a :class:`Theorem` record.
 
-Five families, each bounding |f(x) - average of f over [a, b]| from
-derivative data alone:
+A record holds a theorem's tag, the inputs it takes beyond [a, b] in the
+order its result echoes them, whether it needs a >= 0, and its array
+formula. :func:`evaluate` is the one way in: it checks each given input by
+its kind, calls the formula and echoes the inputs in a :class:`BoundResult`.
+The CLI, the domination sweep, the special-mean gap variants and the
+quadrature variants all take their formulas from :data:`THEOREMS`.
 
-  bound_sconvex_abs      |f'| s-convex; kernel moments integrated exactly
-  bound_holder_split     |f'|^q s-convex; Hoelder applied per kernel branch
-  bound_holder_hadamard  |f'|^q s-convex; average bracket applied on [x,b], [a,x]
-  bound_holder_global    |f'|^q s-convex; Hoelder applied to the whole kernel
-  bound_power_mean       |f'|^q s-convex; power-mean refinement, finite q >= 1
+  t20      |f'| s-convex; kernel moments integrated exactly
+  t20-mid  its midpoint form
+  teo1     |f'|^q s-convex; Hoelder applied per kernel branch
+  t21      |f'|^q s-convex; average bracket applied on [x, b], [a, x]
+  e5       midpoint Hoelder form under equal derivative samples
+  z        |f'|^q s-convex; Hoelder applied to the whole kernel
+  t22      |f'|^q s-convex; power-mean refinement, finite q >= 1
+  t22-mid  its stated midpoint companion at s = 1
+  eq11     sup|f'| <= M; the classical Ostrowski bound
+  ee       |f'|^q s-convex and |f'| <= M; uniform-derivative bound
+  eq14-16  the classical midpoint baselines
 
-plus their midpoint specializations. Position enters through the
-normalized offsets lam = (b-x)/(b-a) and mu = (x-a)/(b-a); every bound is
-invariant under the reflection x -> a+b-x combined with swapping the
-endpoint derivative values.
+The public ``bound_*`` and ``midpoint_*`` functions here, and the classical
+ones in :mod:`ostrowski.kernel`, are thin calls into :func:`evaluate`.
+Position enters through the normalized offsets lam = (b-x)/(b-a) and
+mu = (x-a)/(b-a); every bound is invariant under the reflection
+x -> a+b-x combined with swapping the endpoint derivative values.
 
 Powers of the offsets at 0 are exact: 0.0**e == 0.0 for e > 0 in IEEE
 arithmetic, so no special-casing is needed (s > 0 keeps exponents positive).
@@ -21,21 +32,29 @@ arithmetic, so no special-casing is needed (s > 0 keeps exponents positive).
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, Collection, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .core import (
     BoundResult,
     ConjugatePair,
+    DomainError,
     EndpointData,
     Interval,
     _require_exponent,
+    _require_magnitude,
     _require_s,
+    make_conjugate,
     validate_eval_point,
 )
 
 __all__ = [
+    "Theorem",
+    "THEOREMS",
+    "evaluate",
     "kernel_moment_bracket",
     "bound_sconvex_abs",
     "midpoint_sconvex_abs",
@@ -58,27 +77,26 @@ def _offsets(iv: Interval, x):
     return (iv.b - x) / width, (x - iv.a) / width
 
 
-def _prep(iv: Interval, x: float) -> Tuple[float, float]:
-    iv.require_nonnegative()
-    x = validate_eval_point(iv, x)
-    return _offsets(iv, x)
-
-
-# The arithmetic of the public bounds below, one formula per family,
-# without validation. Every argument may be a numpy array, so the sweep,
-# the special means and the composite quadrature bounds evaluate these
-# same formulas, elementwise and broadcast.
+# The formulas, without validation. A formula names what it reads by its
+# parameters: a, b, width = b - a, x and its offsets lam and mu, s, p, q,
+# da, db, dx and M. Every argument may be a numpy array, so the sweep, the
+# special means and the composite quadrature bounds evaluate these same
+# formulas, elementwise and broadcast.
 
 def _sconvex_abs(width, lam, mu, s, da, db):
+    # a quarter of each |f'| before the sum, as the brackets reach s + 1 <= 2:
+    # the sum is then finite wherever the bound is, and in the normal range
+    # the power-of-two scaling leaves every bit as it was
     return (
         width
         / ((s + 1.0) * (s + 2.0))
-        * (kernel_moment_bracket(lam, s) * da + kernel_moment_bracket(mu, s) * db)
+        * (kernel_moment_bracket(lam, s) * (0.25 * da) + kernel_moment_bracket(mu, s) * (0.25 * db))
+        * 4.0
     )
 
 
 def _sconvex_abs_mid(width, s, da, db):
-    return width / ((s + 1.0) * (s + 2.0)) * (1.0 - 2.0 ** -(s + 1.0)) * (da + db)
+    return width / ((s + 1.0) * (s + 2.0)) * (1.0 - 2.0 ** -(s + 1.0)) * (0.5 * da + 0.5 * db) * 2.0
 
 
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double, a Python float
@@ -161,6 +179,30 @@ def _power_mean_mid(width, q, da, db):
     )
 
 
+def _classic(width, lam, mu, M):
+    return M * width * (lam**2 + mu**2) / 2.0
+
+
+def _alomari(a, b, x, s, p, q, M):
+    bracket = ((x - a) ** 2 + (b - x) ** 2) / (b - a)
+    return M / (1.0 + p) ** (1.0 / p) * (2.0 / (s + 1.0)) ** (1.0 / q) * bracket
+
+
+def _eq14(width, da, db):
+    return width / 4.0 * (0.5 * da + 0.5 * db)  # scaled before the sum, as in _sconvex_abs
+
+
+def _eq15(width, p, q, da, db):
+    c, daq, dbq = _scaled_powers(da, db, q)
+    inner = (daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q)
+    return width / 16.0 * (4.0 / (p + 1.0)) ** (1.0 / p) * c * inner
+
+
+def _eq16(width, p, da, db):
+    # (b-a)/4 (4/(p+1))^(1/p) (da + db), scaled before the sum, as in _sconvex_abs
+    return width / 2.0 * (4.0 / (p + 1.0)) ** (1.0 / p) * (0.5 * da + 0.5 * db)
+
+
 def kernel_moment_bracket(r: float, s: float) -> float:
     """2(s+1) r^(s+2) - (s+2) r^(s+1) + 1 for r in [0, 1].
 
@@ -171,18 +213,132 @@ def kernel_moment_bracket(r: float, s: float) -> float:
     return 2.0 * (s + 1.0) * r ** (s + 2.0) - (s + 2.0) * r ** (s + 1.0) + 1.0
 
 
+@dataclass(frozen=True)
+class Theorem:
+    """One bound: its tag, the inputs it takes beyond [a, b] in the order
+    its result echoes them, whether it needs a >= 0, and its array formula.
+
+    ``reads`` is the formula's parameter names. ``required`` is what a caller
+    must give: the inputs, less q where p is one of them, since p comes as a
+    ConjugatePair that brings its own q.
+    """
+
+    tag: str
+    inputs: Tuple[str, ...]
+    nonnegative: bool
+    formula: Callable
+    reads: Tuple[str, ...] = field(init=False, repr=False)
+    required: Tuple[str, ...] = field(init=False, repr=False)
+    _args: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        code = self.formula.__code__
+        reads = code.co_varnames[: code.co_argcount]
+        object.__setattr__(self, "reads", reads)
+        object.__setattr__(self, "required", tuple(
+            name for name in self.inputs if not (name == "q" and "p" in self.inputs)))
+        # every formula reads at least two values, so this returns a tuple
+        object.__setattr__(self, "_args", itemgetter(*reads))
+
+    def bound(self, values: Mapping):
+        """The formula at the named values it reads; arrays broadcast."""
+        return self.formula(*self._args(values))
+
+
+# tag, inputs in echo order, whether a >= 0 is needed, formula
+THEOREMS = {t.tag: t for t in (
+    Theorem("t20", ("x", "s", "da", "db"), True, _sconvex_abs),
+    Theorem("t20-mid", ("s", "da", "db"), True, _sconvex_abs_mid),
+    Theorem("teo1", ("x", "s", "p", "q", "da", "db"), True, _holder_split),
+    Theorem("t21", ("x", "s", "p", "q", "da", "dx", "db"), True, _holder_hadamard),
+    Theorem("e5", ("p", "q", "da", "db"), True, _e5),
+    Theorem("z", ("x", "s", "p", "q", "da", "db"), True, _holder_global),
+    Theorem("t22", ("x", "s", "q", "da", "db"), True, _power_mean),
+    Theorem("t22-mid", ("q", "da", "db"), True, _power_mean_mid),
+    Theorem("eq11", ("x", "M"), False, _classic),
+    Theorem("ee", ("x", "s", "p", "q", "M"), True, _alomari),
+    Theorem("eq14", ("da", "db"), False, _eq14),
+    Theorem("eq15", ("da", "db", "p", "q"), False, _eq15),
+    Theorem("eq16", ("da", "db", "p", "q"), False, _eq16),
+)}
+
+
+def evaluate(
+    tag: str,
+    iv: Interval,
+    *,
+    x: Optional[float] = None,
+    s: Optional[float] = None,
+    p: Optional[ConjugatePair] = None,
+    q: Optional[float] = None,
+    da: Optional[float] = None,
+    db: Optional[float] = None,
+    dx: Optional[float] = None,
+    M: Optional[float] = None,
+) -> BoundResult:
+    """The bound THEOREMS[tag] on iv, its inputs echoed after a and b.
+
+    Every given input is checked by its kind, whether the theorem reads it
+    or not: x must lie in [a, b], s in (0, 1], q must be a finite exponent
+    >= 1, and da, db, dx and M finite magnitudes >= 0. p is a ConjugatePair;
+    a theorem that takes p echoes and uses the pair's own q, never one given
+    apart or recomputed. A missing input the theorem needs raises
+    DomainError naming it.
+    """
+    theorem = THEOREMS[tag]
+    if theorem.nonnegative:
+        iv.require_nonnegative()
+    values = {"a": iv.a, "b": iv.b, "width": iv.width}
+    if x is not None:
+        values["x"] = x = validate_eval_point(iv, x)
+        values["lam"], values["mu"] = _offsets(iv, x)
+    if s is not None:
+        values["s"] = _require_s(s)
+    if q is not None:
+        values["q"] = _require_exponent(q, tag)
+    if p is not None:
+        values["p"] = p.p
+        if "q" not in theorem.required:  # q comes with p
+            values["q"] = p.q
+    for key, value in (("da", da), ("db", db), ("dx", dx), ("M", M)):
+        if value is not None:
+            values[key] = _require_magnitude(key, value)
+    for key in theorem.required:
+        if key not in values:
+            raise DomainError(f"{tag} requires the input {key!r}")
+    inputs = {"a": iv.a, "b": iv.b}
+    for key in theorem.inputs:
+        inputs[key] = values[key]
+    return BoundResult(value=theorem.bound(values), theorem_id=tag, inputs=inputs)
+
+
+def _free_exponents(theorem: Theorem, variant: str, p, q, fixed: Collection[str] = ()) -> dict:
+    """The exponent a variant of theorem leaves to its caller, checked.
+
+    The variant fixes the inputs in ``fixed``. Where the theorem takes p and
+    the variant leaves it open, p is made a ConjugatePair and brings its own
+    q; else, where the theorem takes q and the variant leaves it open, q is
+    checked as an exponent. Other exponents given are not read. A missing
+    one raises DomainError.
+    """
+    if "p" in theorem.required and "p" not in fixed:
+        if p is None:
+            raise DomainError(f"variant {variant} requires the exponent p")
+        cp = make_conjugate(p)
+        return {"p": cp.p, "q": cp.q}
+    if "q" in theorem.required and "q" not in fixed:
+        if q is None:
+            raise DomainError(f"variant {variant} requires the exponent q")
+        return {"q": _require_exponent(q, f"variant {variant}")}
+    return {}
+
+
 def bound_sconvex_abs(iv: Interval, x: float, s: float, ep: EndpointData) -> BoundResult:
     """(b-a)/((s+1)(s+2)) * [B(lam) |f'(a)| + B(mu) |f'(b)|].
 
     B is :func:`kernel_moment_bracket`. Requires |f'| itself s-convex.
     """
-    lam, mu = _prep(iv, x)
-    s_val = _require_s(s)
-    return BoundResult(
-        value=_sconvex_abs(iv.width, lam, mu, s_val, ep.da, ep.db),
-        theorem_id="t20",
-        inputs={"a": iv.a, "b": iv.b, "x": x, "s": s_val, "da": ep.da, "db": ep.db},
-    )
+    return evaluate("t20", iv, x=x, s=s, da=ep.da, db=ep.db)
 
 
 def midpoint_sconvex_abs(iv: Interval, s: float, ep: EndpointData) -> BoundResult:
@@ -191,13 +347,7 @@ def midpoint_sconvex_abs(iv: Interval, s: float, ep: EndpointData) -> BoundResul
     Midpoint specialization of :func:`bound_sconvex_abs`, implemented from
     its own closed form.
     """
-    iv.require_nonnegative()
-    s_val = _require_s(s)
-    return BoundResult(
-        value=_sconvex_abs_mid(iv.width, s_val, ep.da, ep.db),
-        theorem_id="t20-mid",
-        inputs={"a": iv.a, "b": iv.b, "s": s_val, "da": ep.da, "db": ep.db},
-    )
+    return evaluate("t20-mid", iv, s=s, da=ep.da, db=ep.db)
 
 
 def bound_holder_split(
@@ -213,17 +363,7 @@ def bound_holder_split(
       { lam^(1+1/p) (lam^(s+1) da^q + [1 - mu^(s+1)] db^q)^(1/q)
       + mu^(1+1/p) ([1 - lam^(s+1)] da^q + mu^(s+1) db^q)^(1/q) }
     """
-    lam, mu = _prep(iv, x)
-    s_val = _require_s(s)
-    p, q = cp.p, cp.q
-    return BoundResult(
-        value=_holder_split(iv.width, lam, mu, s_val, p, q, ep.da, ep.db),
-        theorem_id="teo1",
-        inputs={
-            "a": iv.a, "b": iv.b, "x": x, "s": s_val,
-            "p": p, "q": q, "da": ep.da, "db": ep.db,
-        },
-    )
+    return evaluate("teo1", iv, x=x, s=s, p=cp, da=ep.da, db=ep.db)
 
 
 def bound_holder_hadamard(
@@ -241,19 +381,7 @@ def bound_holder_hadamard(
     Needs |f'(x)| in addition to the endpoint values; the bound is not
     obviously monotone in dx, so no default is substituted.
     """
-    iv.require_nonnegative()
-    x = validate_eval_point(iv, x)
-    s_val = _require_s(s)
-    dx = ep.require_dx()
-    p, q = cp.p, cp.q
-    return BoundResult(
-        value=_holder_hadamard(iv.a, iv.b, x, s_val, p, q, ep.da, dx, ep.db),
-        theorem_id="t21",
-        inputs={
-            "a": iv.a, "b": iv.b, "x": x, "s": s_val,
-            "p": p, "q": q, "da": ep.da, "dx": dx, "db": ep.db,
-        },
-    )
+    return evaluate("t21", iv, x=x, s=s, p=cp, da=ep.da, dx=ep.dx, db=ep.db)
 
 
 def midpoint_e5(iv: Interval, cp: ConjugatePair, ep: EndpointData) -> BoundResult:
@@ -262,12 +390,7 @@ def midpoint_e5(iv: Interval, cp: ConjugatePair, ep: EndpointData) -> BoundResul
     Midpoint form under equal derivative samples; sharper than the eq16
     baseline by exactly the factor 4^(-1/p).
     """
-    iv.require_nonnegative()
-    return BoundResult(
-        value=_e5(iv.width, cp.p, ep.da, ep.db),
-        theorem_id="e5",
-        inputs={"a": iv.a, "b": iv.b, "p": cp.p, "q": cp.q, "da": ep.da, "db": ep.db},
-    )
+    return evaluate("e5", iv, p=cp, da=ep.da, db=ep.db)
 
 
 def bound_holder_global(
@@ -282,17 +405,7 @@ def bound_holder_global(
     (b-a)/(p+1)^(1/p) * [lam^(p+1) + mu^(p+1)]^(1/p)
                       * ((da^q + db^q)/(s+1))^(1/q)
     """
-    lam, mu = _prep(iv, x)
-    s_val = _require_s(s)
-    p, q = cp.p, cp.q
-    return BoundResult(
-        value=_holder_global(iv.width, lam, mu, s_val, p, q, ep.da, ep.db),
-        theorem_id="z",
-        inputs={
-            "a": iv.a, "b": iv.b, "x": x, "s": s_val,
-            "p": p, "q": q, "da": ep.da, "db": ep.db,
-        },
-    )
+    return evaluate("z", iv, x=x, s=s, p=cp, da=ep.da, db=ep.db)
 
 
 def bound_power_mean(
@@ -310,17 +423,7 @@ def bound_power_mean(
     At q = 1 the power-mean step degenerates to the identity and the value
     coincides with :func:`bound_sconvex_abs`.
     """
-    lam, mu = _prep(iv, x)
-    s_val = _require_s(s)
-    q = _require_exponent(q, "the power-mean bound")
-    return BoundResult(
-        value=_power_mean(iv.width, lam, mu, s_val, q, ep.da, ep.db),
-        theorem_id="t22",
-        inputs={
-            "a": iv.a, "b": iv.b, "x": x, "s": s_val,
-            "q": q, "da": ep.da, "db": ep.db,
-        },
-    )
+    return evaluate("t22", iv, x=x, s=s, q=q, da=ep.da, db=ep.db)
 
 
 def midpoint_power_mean(iv: Interval, q: float, ep: EndpointData) -> BoundResult:
@@ -331,10 +434,4 @@ def midpoint_power_mean(iv: Interval, q: float, ep: EndpointData) -> BoundResult
     to the midpoint carries inner weights (1, 2), not the (1, 3) written
     here, so the two do not coincide; this form is the weaker of the two.
     """
-    iv.require_nonnegative()
-    q = _require_exponent(q, "the power-mean bound")
-    return BoundResult(
-        value=_power_mean_mid(iv.width, q, ep.da, ep.db),
-        theorem_id="t22-mid",
-        inputs={"a": iv.a, "b": iv.b, "q": q, "da": ep.da, "db": ep.db},
-    )
+    return evaluate("t22-mid", iv, q=q, da=ep.da, db=ep.db)

@@ -22,19 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    _holder_global,
-    _holder_hadamard,
-    _holder_split,
-    _offsets,
-    _power_mean,
-    _sconvex_abs,
-    bound_holder_global,
-    bound_holder_hadamard,
-    bound_holder_split,
-    bound_power_mean,
-    bound_sconvex_abs,
-)
+from .bounds import THEOREMS, _offsets, evaluate
 from .core import (
     ConvergenceError,
     DomainError,
@@ -44,12 +32,7 @@ from .core import (
     _require_s,
     make_conjugate,
 )
-from .kernel import (
-    alomari_bound,
-    baseline_midpoint_bound,
-    classic_ostrowski_bound,
-    verify_montgomery_identity,
-)
+from .kernel import verify_montgomery_identity
 from .means import GAP_VARIANTS, _mean_powers, means_gap, means_gap_bound
 from .quadrature import certified_integrate
 from .toolkit import parse_function_spec, reference_integrate
@@ -58,42 +41,6 @@ __all__ = ["main", "entrypoint", "SweepConfig", "run_sweep", "DEFAULT_IDENTITY_P
 
 FORMATS = ("json", "csv", "human")
 
-
-def _baseline(tag: str):
-    """Evaluator for a midpoint baseline; a given p is checked even for
-    eq14, which does not use it."""
-    return lambda iv, x, s, p, q, ep, m: baseline_midpoint_bound(
-        tag, iv, None if p is None else make_conjugate(p), ep.da, ep.db
-    )
-
-
-# tag -> (numeric flags `bound` requires, evaluator over
-# (iv, x, s, p, q, ep, m)); `bound` dispatches through it, and a missing
-# flag is a usage error that names the parameter. Evaluators look each
-# bound up by module-global name when called, so a wrapper installed on
-# that name sees every call.
-_THEOREMS = {
-    "t20": (("a", "b", "x", "s", "da", "db"),
-            lambda iv, x, s, p, q, ep, m: bound_sconvex_abs(iv, x, s, ep)),
-    "teo1": (("a", "b", "x", "s", "p", "da", "db"),
-             lambda iv, x, s, p, q, ep, m: bound_holder_split(
-                 iv, x, s, make_conjugate(p), ep)),
-    "t21": (("a", "b", "x", "s", "p", "da", "db", "dx"),
-            lambda iv, x, s, p, q, ep, m: bound_holder_hadamard(
-                iv, x, s, make_conjugate(p), ep)),
-    "z": (("a", "b", "x", "s", "p", "da", "db"),
-          lambda iv, x, s, p, q, ep, m: bound_holder_global(
-              iv, x, s, make_conjugate(p), ep)),
-    "t22": (("a", "b", "x", "s", "q", "da", "db"),
-            lambda iv, x, s, p, q, ep, m: bound_power_mean(iv, x, s, q, ep)),
-    "eq11": (("a", "b", "x", "m"),
-             lambda iv, x, s, p, q, ep, m: classic_ostrowski_bound(iv, x, m)),
-    "ee": (("a", "b", "x", "s", "p", "m"),
-           lambda iv, x, s, p, q, ep, m: alomari_bound(iv, x, s, make_conjugate(p), m)),
-    "eq14": (("a", "b", "da", "db"), _baseline("eq14")),
-    "eq15": (("a", "b", "p", "da", "db"), _baseline("eq15")),
-    "eq16": (("a", "b", "p", "da", "db"), _baseline("eq16")),
-}
 
 # identity sweep suite: polynomials of degree <= 4, mixed signs included
 DEFAULT_IDENTITY_POLYS = (
@@ -118,6 +65,7 @@ DEFAULT_SWEEP_FUNCTIONS = (
 )
 
 SWEEP_THEOREMS = ("t20", "teo1", "t21", "z", "t22")
+BOUND_THEOREMS = SWEEP_THEOREMS + ("eq11", "ee", "eq14", "eq15", "eq16")
 
 
 # ----------------------------------------------------------------------
@@ -188,17 +136,12 @@ def run_sweep(cfg: SweepConfig) -> list:
             raise DomainError(f"dx must be finite on the sweep grid of {fn.label}")
         x = xs[:, None]
         lam, mu = _offsets(iv, x)
-        w, da, db = iv.width, ep.da, ep.db
+        values = {"a": iv.a, "b": iv.b, "width": iv.width, "x": x, "lam": lam, "mu": mu,
+                  "s": s, "p": p, "q": q, "da": ep.da, "db": ep.db, "dx": dx}
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            bounds = {
-                "t20": _sconvex_abs(w, lam, mu, s, da, db),
-                "teo1": _holder_split(w, lam, mu, s, p, q, da, db),
-                "t21": _holder_hadamard(iv.a, iv.b, x, s, p, q, da, dx, db),
-                "z": _holder_global(w, lam, mu, s, p, q, da, db),
-                "t22": _power_mean(w, lam, mu, s, q, da, db),
-            }
-        for theorem, values in bounds.items():
-            if not np.all((values >= 0.0) & (values < np.inf)):
+            bounds = {tag: THEOREMS[tag].bound(values) for tag in SWEEP_THEOREMS}
+        for theorem, value in bounds.items():
+            if not np.all((value >= 0.0) & (value < np.inf)):
                 raise DomainError(f"bound {theorem} produced invalid values for {fn.label}")
         # after the bound checks, so that a bound that overflows is reported
         # even where the oracle cannot reach its tolerance
@@ -308,15 +251,14 @@ def _emit_flat(payload: dict, fmt: str, out: Optional[str]) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    flags, evaluate = _THEOREMS[args.theorem]
-    for name in flags:
-        if getattr(args, name) is None:
-            raise DomainError(f"--theorem {args.theorem} requires --{name}")
-    iv = Interval(args.a, args.b)
-    ep = None
-    if "da" in flags:
-        ep = EndpointData(da=args.da, db=args.db, dx=args.dx)
-    result = evaluate(iv, args.x, args.s, args.p, args.q, ep, args.m)
+    for name in ("a", "b") + THEOREMS[args.theorem].required:
+        if getattr(args, name.lower()) is None:
+            raise DomainError(f"--theorem {args.theorem} requires --{name.lower()}")
+    result = evaluate(
+        args.theorem, Interval(args.a, args.b), x=args.x, s=args.s,
+        p=None if args.p is None else make_conjugate(args.p), q=args.q,
+        da=args.da, db=args.db, dx=args.dx, M=args.m,
+    )
     payload = {"theorem": result.theorem_id, "value": result.value}
     payload.update(result.inputs)
     if args.format == "human":
@@ -450,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # defaults leak into the others
     p_bound = sub.add_parser("bound", parents=[_common_parser()],
                              help="evaluate one bound and echo its inputs")
-    p_bound.add_argument("--theorem", choices=tuple(_THEOREMS), required=True)
+    p_bound.add_argument("--theorem", choices=BOUND_THEOREMS, required=True)
     for flag in ("a", "b", "x", "s", "p", "q", "da", "db", "dx", "m"):
         p_bound.add_argument(f"--{flag}", type=float, default=None)
     p_bound.set_defaults(handler=cmd_bound)

@@ -20,11 +20,10 @@ from .core import (
     Function1D,
     Interval,
     VerificationRecord,
-    _require_magnitude,
     _require_s,
     validate_eval_point,
 )
-from .bounds import _offsets, _scaled_powers
+from .bounds import _offsets, evaluate
 from .toolkit import reference_integrate
 
 __all__ = [
@@ -98,15 +97,7 @@ def classic_ostrowski_bound(iv: Interval, x: float, m: float) -> BoundResult:
     Formed as M(b-a)(lam^2 + mu^2)/2, equal since lam + mu = 1, because on a
     narrow interval the rounded midpoint lacks the digits x - midpoint needs.
     """
-    x = validate_eval_point(iv, x)
-    m = _require_magnitude("M", m)
-    lam, mu = _offsets(iv, x)
-    value = m * iv.width * (lam**2 + mu**2) / 2.0
-    return BoundResult(
-        value=value,
-        theorem_id="eq11",
-        inputs={"a": iv.a, "b": iv.b, "x": x, "M": m},
-    )
+    return evaluate("eq11", iv, x=x, M=m)
 
 
 @dataclass(frozen=True)
@@ -167,22 +158,7 @@ def alomari_bound(
     position factor depends only on (x-a)^2 + (b-x)^2, hence is symmetric
     about the midpoint.
     """
-    iv.require_nonnegative()
-    x = validate_eval_point(iv, x)
-    s_val = _require_s(s)
-    m = _require_magnitude("M", m)
-    bracket = ((x - iv.a) ** 2 + (iv.b - x) ** 2) / iv.width
-    value = (
-        m
-        / (1.0 + cp.p) ** (1.0 / cp.p)
-        * (2.0 / (s_val + 1.0)) ** (1.0 / cp.q)
-        * bracket
-    )
-    return BoundResult(
-        value=value,
-        theorem_id="ee",
-        inputs={"a": iv.a, "b": iv.b, "x": x, "s": s_val, "p": cp.p, "q": cp.q, "M": m},
-    )
+    return evaluate("ee", iv, x=x, s=s, p=cp, M=m)
 
 
 MIDPOINT_VARIANTS = ("eq14", "eq15", "eq16")
@@ -209,24 +185,4 @@ def baseline_midpoint_bound(
         raise DomainError(
             f"unknown midpoint baseline {variant!r}; expected one of {MIDPOINT_VARIANTS}"
         )
-    da = _require_magnitude("da", da)
-    db = _require_magnitude("db", db)
-    width = iv.width
-    inputs = {"a": iv.a, "b": iv.b, "da": da, "db": db}
-
-    if variant == "eq14":
-        value = width / 4.0 * (da + db) / 2.0
-    else:
-        if cp is None:
-            raise DomainError(f"variant {variant} requires conjugate exponents")
-        inputs.update(p=cp.p, q=cp.q)
-        holder = (4.0 / (cp.p + 1.0)) ** (1.0 / cp.p)
-        if variant == "eq15":
-            q = cp.q
-            c, daq, dbq = _scaled_powers(da, db, q)
-            inner = (daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q)
-            value = width / 16.0 * holder * c * inner
-        else:  # eq16
-            value = width / 4.0 * holder * (da + db)
-
-    return BoundResult(value=value, theorem_id=variant, inputs=inputs)
+    return evaluate(variant, iv, p=cp, da=da, db=db)

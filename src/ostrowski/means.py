@@ -19,16 +19,14 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from .bounds import _holder_hadamard, _power_mean_mid, _sconvex_abs_mid
+from .bounds import THEOREMS, _free_exponents
 from .core import (
     BoundResult,
     ConvergenceError,
     DomainError,
     EndpointData,
     Interval,
-    _require_exponent,
     _require_s,
-    make_conjugate,
 )
 from .toolkit import make_breckner, true_deviation
 
@@ -178,7 +176,10 @@ def means_gap(a: float, b: float, s: float, oracle_tol: Optional[float] = 1e-10)
     return gap
 
 
-GAP_VARIANTS = ("p1", "p2", "p3")
+#: gap variant -> the midpoint bound it evaluates, at x = (a+b)/2 and with
+#: the slopes of t^s as its |f'| values
+_GAP_THEOREMS = {"p1": THEOREMS["t20-mid"], "p2": THEOREMS["t21"], "p3": THEOREMS["t22-mid"]}
+GAP_VARIANTS = tuple(_GAP_THEOREMS)
 
 
 def means_gap_bound(
@@ -197,29 +198,15 @@ def means_gap_bound(
     p3: t22-mid (|f'|^q s-convex); needs q >= 1
     """
     a, b, s_val = _gap_args(a, b, s)
-    inputs = {"a": a, "b": b, "s": s_val}
-    da, dx, db = _slopes(a, b, s_val)
-
-    if variant == "p1":
-        value = _sconvex_abs_mid(b - a, s_val, da, db)
-    elif variant == "p2":
-        if p is None:
-            raise DomainError("variant p2 requires the exponent p")
-        cp = make_conjugate(p)
-        inputs.update(p=cp.p, q=cp.q)
-        value = _holder_hadamard(a, b, (a + b) / 2.0, s_val, cp.p, cp.q, da, dx, db)
-    elif variant == "p3":
-        if q is None:
-            raise DomainError("variant p3 requires the exponent q")
-        q = _require_exponent(q, "variant p3")
-        inputs.update(q=q)
-        value = _power_mean_mid(b - a, q, da, db)
-    else:
+    if variant not in _GAP_THEOREMS:
         raise DomainError(
             f"unknown gap bound variant {variant!r}; expected one of {GAP_VARIANTS}"
         )
-
-    return BoundResult(value=value, theorem_id=variant, inputs=inputs)
+    theorem = _GAP_THEOREMS[variant]
+    inputs = {"a": a, "b": b, "s": s_val, **_free_exponents(theorem, variant, p, q)}
+    da, dx, db = _slopes(a, b, s_val)
+    values = {**inputs, "width": b - a, "x": (a + b) / 2.0, "da": da, "dx": dx, "db": db}
+    return BoundResult(theorem.bound(values), variant, inputs)
 
 
 def slope_endpoint_data(a: float, b: float, s: float) -> EndpointData:

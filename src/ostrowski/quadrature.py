@@ -37,14 +37,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import _e5, _holder_global, _power_mean_mid
+from .bounds import THEOREMS, _free_exponents
 from .core import (
     ConvergenceError,
     DomainError,
     Function1D,
     Interval,
-    _require_exponent,
-    make_conjugate,
 )
 from .toolkit import reference_integrate
 
@@ -57,7 +55,14 @@ __all__ = [
     "ERROR_BOUND_VARIANTS",
 ]
 
-ERROR_BOUND_VARIANTS = ("p4", "p5", "p6")
+#: variant -> (the midpoint bound each panel evaluates, the inputs the variant
+#: fixes); each panel gives its width and its endpoint |f'| values as da and db
+_PANEL_BOUNDS = {
+    "p4": (THEOREMS["e5"], {}),
+    "p5": (THEOREMS["z"], {"lam": 0.5, "mu": 0.5, "s": 1.0, "p": 2.0, "q": 2.0}),
+    "p6": (THEOREMS["t22-mid"], {}),
+}
+ERROR_BOUND_VARIANTS = tuple(_PANEL_BOUNDS)
 
 #: Default cap on uniform panels for certified integration.
 DEFAULT_PANEL_BUDGET = 2**20
@@ -138,7 +143,8 @@ _BLOCK = 8192
 
 
 def _fsum(x: np.ndarray) -> float:
-    """math.fsum(x) for a 1-D float64 array, without a Python float per value.
+    """math.fsum(x) for a writable 1-D float64 array, without a Python float
+    per value. x is consumed: the halvings overwrite it in place.
 
     Each level adds the front half of the array to the back half with
     Knuth's TwoSum, which also yields each sum's rounding error exactly, so
@@ -157,7 +163,7 @@ def _fsum(x: np.ndarray) -> float:
     if n <= _FSUM_DIRECT or not max(-float(x.min()), float(x.max())) < 2.0**1023 / n:
         return math.fsum(x.tolist())
     terms = []
-    y = x.copy()  # halved in place; each pass writes its errors over its front
+    y = x  # halved in place; each pass writes its errors over its front
     s_bufs = (np.empty(n // 2), np.empty(n // 4))
     z_buf = np.empty(n // 2)
     while y.any():
@@ -226,24 +232,16 @@ def midpoint_error_bound(
     if not 0.0 <= dv.min() <= dv.max() < np.inf:  # NaN fails too; no bool array
         raise DomainError("derivative magnitudes must be finite and nonnegative")
 
-    # each formula takes the widths first and the endpoint |f'| values last
-    if variant == "p4":
-        if p is None:
-            raise DomainError("variant p4 requires the exponent p")
-        formula, params = _e5, (make_conjugate(p).p,)
-    elif variant == "p5":
-        formula, params = _holder_global, (0.5, 0.5, 1.0, 2.0, 2.0)
-    else:  # p6
-        if q is None:
-            raise DomainError("variant p6 requires the exponent q")
-        formula, params = _power_mean_mid, (_require_exponent(q, "variant p6"),)
+    theorem, fixed = _PANEL_BOUNDS[variant]
+    values = {**fixed, **_free_exponents(theorem, variant, p, q, fixed)}
     terms = np.empty(d.n_panels)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan reaches the result
         for i in range(0, d.n_panels, _BLOCK):
-            w = np.diff(d.nodes[i : i + _BLOCK + 1])
+            values["width"] = w = np.diff(d.nodes[i : i + _BLOCK + 1])
             v = dv[i : i + _BLOCK + 1]
-            np.multiply(formula(w, *params, v[:-1], v[1:]), w, out=terms[i : i + _BLOCK])
-    del w  # the last block's widths go before _fsum allocates its buffers
+            values["da"], values["db"] = v[:-1], v[1:]
+            np.multiply(theorem.bound(values), w, out=terms[i : i + _BLOCK])
+    del w, values  # the last block's widths go before _fsum allocates its buffers
     return _fsum(terms)
 
 

@@ -8,6 +8,7 @@ here; equality checks between algebraically identical forms run at relative
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,17 +16,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ostrowski.bounds import (
+    THEOREMS,
     bound_holder_global,
     bound_holder_hadamard,
     bound_holder_split,
     bound_power_mean,
     bound_sconvex_abs,
+    evaluate,
     kernel_moment_bracket,
     midpoint_e5,
     midpoint_power_mean,
     midpoint_sconvex_abs,
 )
 from ostrowski.core import (
+    ConjugatePair,
     DomainError,
     EndpointData,
     Interval,
@@ -559,3 +563,106 @@ class TestScaledBrackets:
                         continue
                     err = float(abs(mp.mpf(value) - want[tag]) / want[tag])
                     assert err <= 4e-15, (tag, err, iv, x, s, cp, mags)
+
+
+# ----------------------------------------------------------------------
+# the registry
+# ----------------------------------------------------------------------
+
+class TestRegistry:
+    def test_records(self):
+        assert tuple(THEOREMS) == (
+            "t20", "t20-mid", "teo1", "t21", "e5", "z", "t22", "t22-mid",
+            "eq11", "ee", "eq14", "eq15", "eq16",
+        )
+        kinds = {"x", "s", "p", "q", "da", "db", "dx", "M"}
+        derived = {"a", "b", "width", "lam", "mu"}
+        for tag, theorem in THEOREMS.items():
+            assert theorem.tag == tag
+            assert set(theorem.inputs) <= kinds, tag
+            assert set(theorem.reads) <= kinds | derived, tag
+            # a formula reads x through its offsets or itself, nothing it is not given
+            given = set(theorem.inputs) | {"a", "b", "width"}
+            if "x" in given:
+                given |= {"lam", "mu"}
+            assert set(theorem.reads) <= given, tag
+
+    def test_unread_input_is_checked_by_its_kind(self):
+        assert evaluate("eq14", UNIT, da=1.0, db=1.0, s=1.0, x=0.5).value == 0.25
+        for bad in ({"s": 5.0}, {"x": 2.0}, {"q": 0.5}, {"dx": -1.0}, {"M": math.nan}):
+            with pytest.raises(DomainError):
+                evaluate("eq14", UNIT, da=1.0, db=1.0, **bad)
+
+    def test_the_pairs_own_q_is_used(self):
+        # 1/3 + 1/1.5000000000001 is 1 within the pair's 1e-12 tolerance
+        cp = ConjugatePair(3.0, 1.5000000000001)
+        got = evaluate("teo1", UNIT, x=0.3, s=0.5, p=cp, q=2.0, da=1.0, db=2.0)
+        assert got.inputs["q"] == cp.q
+        assert got.value == bound_holder_split(UNIT, 0.3, 0.5, cp, EndpointData(1.0, 2.0)).value
+        # t22 takes no p, so the q given is the one it reads
+        got = evaluate("t22", UNIT, x=0.3, s=0.5, p=cp, q=2.0, da=1.0, db=2.0)
+        assert got.inputs["q"] == 2.0
+
+    def test_missing_input_named(self):
+        with pytest.raises(DomainError, match="t20 requires the input 'x'"):
+            evaluate("t20", UNIT, s=1.0, da=1.0, db=1.0)
+        with pytest.raises(DomainError, match="eq11 requires the input 'M'"):
+            evaluate("eq11", UNIT, x=0.5)
+
+
+# ----------------------------------------------------------------------
+# |f'| near the largest double: the bound is finite, and so is its value
+# ----------------------------------------------------------------------
+
+BIG = 1.7e308
+
+
+def kernel_moment_bracket_s1(r: Fraction) -> Fraction:
+    return 4 * r**3 - 3 * r**2 + 1
+
+
+def assert_near(got: float, exact: Fraction, ulps: int = 4) -> None:
+    assert math.isfinite(got)
+    assert abs(Fraction(got) - exact) <= ulps * Fraction(math.ulp(float(exact))), (got, exact)
+
+
+class TestNearTheTopOfTheRange:
+    @pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_t20(self, x):
+        got = bound_sconvex_abs(UNIT, x, 1.0, EndpointData(BIG, BIG / 2)).value
+        lam, mu = 1 - Fraction(x), Fraction(x)
+        exact = (kernel_moment_bracket_s1(lam) * Fraction(BIG)
+                 + kernel_moment_bracket_s1(mu) * Fraction(BIG / 2)) / 6
+        assert_near(got, exact)
+
+    def test_t20_mid(self):
+        got = midpoint_sconvex_abs(UNIT, 1.0, EndpointData(BIG, BIG)).value
+        assert_near(got, Fraction(1, 6) * Fraction(3, 4) * 2 * Fraction(BIG))
+
+    def test_eq14(self):
+        got = baseline_midpoint_bound("eq14", UNIT, None, BIG, BIG).value
+        assert_near(got, Fraction(BIG) / 4, ulps=0)
+
+    def test_eq16(self):
+        # p = 3 makes (4/(p+1))^(1/p) exactly 1
+        got = baseline_midpoint_bound("eq16", UNIT, make_conjugate(3.0), BIG, BIG).value
+        assert_near(got, Fraction(BIG) / 2, ulps=0)
+
+    def test_scaling_keeps_the_bits_in_the_normal_range(self):
+        # the halved and quartered sums round as the plain sums did
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            iv = Interval(0.0, float(rng.uniform(0.1, 10.0)))
+            x, s = float(rng.uniform(0.0, iv.b)), float(rng.uniform(0.05, 1.0))
+            da, db = 10.0 ** rng.uniform(-300.0, 300.0, 2)
+            lam, mu = (iv.b - x) / iv.width, x / iv.width
+            plain = (iv.width / ((s + 1.0) * (s + 2.0))
+                     * (kernel_moment_bracket(lam, s) * da + kernel_moment_bracket(mu, s) * db))
+            assert bound_sconvex_abs(iv, x, s, EndpointData(da, db)).value == plain
+            mid = iv.width / ((s + 1.0) * (s + 2.0)) * (1.0 - 2.0 ** -(s + 1.0)) * (da + db)
+            assert midpoint_sconvex_abs(iv, s, EndpointData(da, db)).value == mid
+            assert baseline_midpoint_bound("eq14", iv, None, da, db).value == (
+                iv.width / 4.0 * (da + db) / 2.0)
+            cp = make_conjugate(float(rng.uniform(1.1, 5.0)))
+            assert baseline_midpoint_bound("eq16", iv, cp, da, db).value == (
+                iv.width / 4.0 * (4.0 / (cp.p + 1.0)) ** (1.0 / cp.p) * (da + db))

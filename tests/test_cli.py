@@ -5,11 +5,13 @@ import dataclasses
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import ostrowski.bounds as bounds
 import ostrowski.cli as cli
 import ostrowski.means as means
 import ostrowski.quadrature as quadrature
@@ -246,6 +248,94 @@ class TestBoundCommand:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--x", "1.5", "outside interval"),
+        ("--s", "5", "s must lie in (0, 1]"),
+        ("--p", "0.5", "requires p > 1"),
+        ("--q", "0.5", "finite q >= 1"),
+        ("--dx", "-1", "dx must be a finite magnitude"),
+        ("--m", "nan", "M must be a finite magnitude"),
+    ], ids=["x", "s", "p", "q", "magnitude-dx", "magnitude-m"])
+    def test_unread_flag_checked_by_its_kind(self, capsys, flag, value, message):
+        # eq14 reads only --da and --db; every other flag given is still checked
+        argv = ("bound", "--theorem", "eq14", "--a", "0", "--b", "1", "--da", "1", "--db", "1")
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_unread_magnitude_checked_by_its_kind(self, capsys):
+        code, out, err = run(
+            capsys, "bound", "--theorem", "eq11", "--a", "0", "--b", "1", "--x", "0.5",
+            "--m", "1", "--da", "inf",
+        )
+        assert (code, out) == (2, "")
+        assert "da must be a finite magnitude" in err
+
+    @pytest.mark.parametrize("tag,extra,exact", [
+        ("eq14", (), 1.7e308 / 4),
+        ("eq16", ("--p", "3"), 1.7e308 / 2),
+        ("t20", ("--x", "0.5", "--s", "1"), 1.7e308 / 4),
+    ])
+    def test_large_derivatives_finite(self, capsys, tag, extra, exact):
+        # the sum da + db overflowed: "produced invalid value inf", exit 2
+        code, out, err = run(
+            capsys, "bound", "--theorem", tag, "--a", "0", "--b", "1", *extra,
+            "--da", "1.7e308", "--db", "1.7e308",
+        )
+        assert (code, err) == (0, "")
+        assert strict_json(out)["value"] == pytest.approx(exact, rel=4e-16)
+
+
+# the key order of every payload: the echo of each bound, then means and quad
+BOUND_ECHO = {
+    "t20": "x s da db",
+    "teo1": "x s p q da db",
+    "t21": "x s p q da dx db",
+    "z": "x s p q da db",
+    "t22": "x s q da db",
+    "eq11": "x M",
+    "ee": "x s p q M",
+    "eq14": "da db",
+    "eq15": "da db p q",
+    "eq16": "da db p q",
+}
+
+
+class TestOutputShape:
+    def test_theorem_choices(self, capsys):
+        code, out, _ = run(capsys, "bound", "--help")
+        assert code == 0
+        assert re.search(r"--theorem \{([^}]*)\}", out).group(1).split(",") == list(BOUND_ECHO)
+
+    @pytest.mark.parametrize("tag", list(BOUND_ECHO))
+    def test_bound_key_order(self, capsys, tag):
+        argv = ["bound", "--theorem", tag, "--a", "0", "--b", "1", "--x", "0.5", "--s", "1",
+                "--p", "2", "--q", "2", "--da", "1", "--db", "2", "--dx", "1.5", "--m", "3"]
+        keys = ["theorem", "value", "a", "b", *BOUND_ECHO[tag].split()]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert list(strict_json(out)) == keys
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert next(csv.reader(io.StringIO(out))) == keys
+        code, out, _ = run(capsys, *argv, "--format", "human")
+        assert [kv.split("=")[0] for kv in out.splitlines()[1].split()[1:]] == keys[2:]
+
+    def test_means_key_order(self, capsys):
+        code, out, _ = run(capsys, "means", "--a", "1", "--b", "2", "--s", "0.5")
+        assert code == 0
+        assert list(strict_json(out)) == [
+            "a", "b", "s", "p", "q", "A^s", "L_s^s", "gap", "p1", "p2", "p3",
+        ]
+
+    def test_quad_key_order(self, capsys):
+        code, out, _ = run(
+            capsys, "quad", "--fn", "poly:0,0,1", "--a", "0", "--b", "1",
+            "--target", "1e-2", "--variant", "p5",
+        )
+        assert code == 0
+        assert list(strict_json(out)) == ["approx", "error_bound", "variant", "panels"]
+
 
 class TestVerifyCommand:
     def test_default_config_passes(self, capsys):
@@ -359,39 +449,38 @@ class TestSweepConfig:
 
     def test_run_sweep_calls_each_formula_once_per_function(self, monkeypatch):
         # one broadcast call per theorem and function, not one per record
-        forms = ("_sconvex_abs", "_holder_split", "_holder_hadamard", "_holder_global",
-                 "_power_mean")
         calls = []
-        for name in forms:
-            form = getattr(cli, name)
+        bound = bounds.Theorem.bound
 
-            def counted(*args, _form=form, _name=name):
-                calls.append(_name)
-                return _form(*args)
+        def counted(theorem, values):
+            calls.append(theorem.tag)
+            return bound(theorem, values)
 
-            monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(bounds.Theorem, "bound", counted)
         cfg = SweepConfig()
         assert len(run_sweep(cfg)) == 1540
-        assert sorted(calls) == sorted(forms * len(cfg.function_specs))
+        assert sorted(calls) == sorted(cli.SWEEP_THEOREMS * len(cfg.function_specs))
 
     @pytest.mark.parametrize("p_grid", [(2.0,), (1.5, 3.0)])
     def test_run_sweep_matches_scalar_bounds(self, p_grid):
-        # the broadcast grid against the public wrappers, one call per record
+        # the broadcast grid against the registry's scalar path, one call per
+        # record; each theorem takes the inputs it reads, t22 its q
         cfg = SweepConfig(p_grid=p_grid)
         records = run_sweep(cfg)
         want, contexts = [], []
         for theorem in cli.SWEEP_THEOREMS:
-            evaluate = cli._THEOREMS[theorem][1]
             for spec in cfg.function_specs:
                 fn = toolkit.parse_function_spec(spec)
                 iv = cli._sweep_interval(fn.label, cfg)
                 da, db = abs(fn.deriv(iv.a)), abs(fn.deriv(iv.b))
                 for s in cfg.s_grid:
                     for x in np.linspace(iv.a, iv.b, cfg.x_grid_points).tolist():
-                        ep = EndpointData(da, db, abs(fn.deriv(x)))
                         for p in p_grid:
-                            q = make_conjugate(p).q
-                            want.append(evaluate(iv, x, s, p, q, ep, None).value)
+                            cp = make_conjugate(p)
+                            want.append(bounds.evaluate(
+                                theorem, iv, x=x, s=s, p=cp, q=cp.q,
+                                da=da, db=db, dx=abs(fn.deriv(x)),
+                            ).value)
                             contexts.append(
                                 f"domination {theorem} fn={fn.label} "
                                 f"s={s:g} x={x:.17g} p={p:g} [tol=1e-09]"
@@ -426,11 +515,13 @@ class TestSweepConfig:
         assert "finite" in err
 
     def test_overflowing_bound_exits_2(self, capsys):
-        # |f'| = 1e308 is finite, but the t20 bound over [0, 1] is not
-        code, out, err = run(capsys, "verify", "--functions", "poly:0,1e308")
+        # |f'| = 1e300 is finite, but the t20 bound over [0, 1e10] is not
+        code, out, err = run(
+            capsys, "verify", "--functions", "poly:0,1e300", "--a", "0", "--b", "1e10"
+        )
         assert code == 2
         assert out == ""
-        assert err.endswith("error: bound t20 produced invalid values for poly:0,1e+308\n")
+        assert err.endswith("error: bound t20 produced invalid values for poly:0,1e+300\n")
 
     @pytest.mark.parametrize("spec,p_grid", [
         ("poly:0,0,1", "1.0000001"),  # |f'(b)|^q = 2^1e7 overflowed

@@ -98,7 +98,7 @@ def fsum_outcome(x: np.ndarray):
     outcomes = []
     for fn in (_fsum, lambda a: math.fsum(a.tolist())):
         try:
-            outcomes.append((fn(x).hex(), None))
+            outcomes.append((fn(x.copy()).hex(), None))
         except (OverflowError, ValueError) as exc:
             outcomes.append((None, type(exc)))
     return outcomes
@@ -127,7 +127,7 @@ class TestFsum:
         rng = np.random.default_rng(8)
         for n in FSUM_SIZES:
             x = fsum_data(kind, n, rng)
-            got = _fsum(x)
+            got = _fsum(x.copy())
             assert got.hex() == math.fsum(x.tolist()).hex(), (kind, n)
             assert got == float(exact_sum(x.tolist())), (kind, n)
 
@@ -145,19 +145,19 @@ class TestFsum:
         x = np.zeros(1024)
         x[:3] = 1.0
         x[512:515] = (2.0**-53, 2.0**-200, 2.0**-53)
-        assert _fsum(x) == math.fsum(x.tolist()) == 3.0 + 2.0**-51
+        assert _fsum(x.copy()) == math.fsum(x.tolist()) == 3.0 + 2.0**-51
 
     def test_rounding_errors_that_are_not_all_zero_after_one_pass(self):
         # errors of errors survive the second pass for data this wide
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.choice([1.0, -1.0], 4097) * 2.0 ** rng.integers(-1000, 1000, 4097)
-            assert _fsum(x) == math.fsum(x.tolist()) == float(exact_sum(x.tolist()))
+            assert _fsum(x.copy()) == math.fsum(x.tolist()) == float(exact_sum(x.tolist()))
 
     def test_signed_zeros(self):
         for n in (1000, 1001):
             for x in (np.full(n, -0.0), np.zeros(n)):
-                assert _fsum(x).hex() == math.fsum(x.tolist()).hex()
+                assert _fsum(x.copy()).hex() == math.fsum(x.tolist()).hex()
 
     @pytest.mark.parametrize("case", [
         "inf", "-inf", "nan", "inf-inf", "overflow", "cancelling-overflow", "top-double",
@@ -400,11 +400,19 @@ class TestMemory:
 
     @pytest.mark.parametrize("variant,kw", BLOCK_VARIANTS)
     def test_error_bound_peak(self, variant, kw):
-        # one per-panel array plus _fsum's buffers (2.25 arrays); one pass
+        # one per-panel array plus _fsum's buffers (1.25 arrays); one pass
         # took 4 to 8 arrays, depending on the formula
         d = Partition.uniform(BLOCK_IV, self.N)
         dv = np.abs(BLOCK_FN.deriv(d.nodes))
-        assert peak_panel_arrays(lambda: midpoint_error_bound(d, dv, variant, **kw), self.N) <= 3.5
+        assert peak_panel_arrays(lambda: midpoint_error_bound(d, dv, variant, **kw), self.N) <= 2.5
+
+    def test_fsum_halves_its_argument_in_place(self):
+        # two halving buffers and one error buffer, 1.25 arrays, for terms
+        # like a panel sum's; a copy of the argument made it 2.25
+        x = np.random.default_rng(5).uniform(0.0, 1.0, self.N)
+        want, got = math.fsum(x.tolist()), []
+        assert peak_panel_arrays(lambda: got.append(_fsum(x)), self.N) <= 1.5
+        assert got == [want]
 
     def test_uniform_partition_peak_and_nodes(self):
         # linspace's array itself and one boolean check array, no copy
