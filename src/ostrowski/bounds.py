@@ -32,6 +32,7 @@ arithmetic, so no special-casing is needed (s > 0 keeps exponents positive).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Collection, Mapping, Optional, Tuple
@@ -125,16 +126,42 @@ def _holder_split(width, lam, mu, s, p, q, da, db):
     return width * c / (p + 1.0) ** (1.0 / p) / (s + 1.0) ** (1.0 / q) * (term_low + term_high)
 
 
+def _exponent_where(big, limit, e: int):
+    """e where big >= limit, else 0; an int array where big is one."""
+    if isinstance(big, float):
+        return e if big >= limit else 0
+    return np.where(big >= limit, e, 0)
+
+
+def _ldexp(v, e):
+    """v * 2**e, exact in the normal range. A float past the largest double,
+    v = inf included, raises OverflowError; an array holds inf there."""
+    if not (isinstance(v, float) and isinstance(e, int)):
+        return np.ldexp(v, e)
+    if v == math.inf:
+        raise OverflowError("math range error")
+    return math.ldexp(v, e)
+
+
+def _length_exponent(width):
+    """513 where width >= 2**512, else 0: every length up to width, times
+    2**-513, has a square below 2**1022. Where it is 0 a formula that
+    scales by it computes its unscaled bits."""
+    return _exponent_where(width, 2.0**512, 513)
+
+
 def _holder_hadamard(a, b, x, s, p, q, da, dx, db):
     c_high, dxq, dbq = _scaled_powers(dx, db, q)
     c_low, daq, dxq_low = _scaled_powers(da, dx, q)
-    return (
+    e = _length_exponent(b - a)
+    return _ldexp(
         1.0
-        / ((b - a) * (p + 1.0) ** (1.0 / p))
+        / (_ldexp(b - a, -e) * (p + 1.0) ** (1.0 / p))
         * (
-            (b - x) ** 2 * c_high * ((dxq + dbq) / (s + 1.0)) ** (1.0 / q)
-            + (x - a) ** 2 * c_low * ((daq + dxq_low) / (s + 1.0)) ** (1.0 / q)
-        )
+            _ldexp(b - x, -e) ** 2 * c_high * ((dxq + dbq) / (s + 1.0)) ** (1.0 / q)
+            + _ldexp(x - a, -e) ** 2 * c_low * ((daq + dxq_low) / (s + 1.0)) ** (1.0 / q)
+        ),
+        e,
     )
 
 
@@ -180,12 +207,16 @@ def _power_mean_mid(width, q, da, db):
 
 
 def _classic(width, lam, mu, M):
-    return M * width * (lam**2 + mu**2) / 2.0
+    # M (b-a) is quartered where it might overflow; as lam^2 + mu^2 >= 1/2,
+    # every product is then finite wherever the bound is
+    e = _exponent_where(M * 0.25 * width, 2.0**1018, 2)
+    return _ldexp(M, -e) * width * (lam**2 + mu**2) / 2.0 ** (1 - e)
 
 
 def _alomari(a, b, x, s, p, q, M):
-    bracket = ((x - a) ** 2 + (b - x) ** 2) / (b - a)
-    return M / (1.0 + p) ** (1.0 / p) * (2.0 / (s + 1.0)) ** (1.0 / q) * bracket
+    e = _length_exponent(b - a)
+    bracket = (_ldexp(x - a, -e) ** 2 + _ldexp(b - x, -e) ** 2) / _ldexp(b - a, -e)
+    return _ldexp(M / (1.0 + p) ** (1.0 / p) * (2.0 / (s + 1.0)) ** (1.0 / q) * bracket, e)
 
 
 def _eq14(width, da, db):

@@ -20,6 +20,30 @@ SIAM J. Sci. Comput. 26:1955, 2005) and one math.fsum over what is left.
 The result is math.fsum's to the bit, correctly rounded, at numpy speed
 and without a Python list the length of the partition.
 
+certified_integrate fills each level's panel terms as midpoint_error_bound
+does, but runs _fsum only where numpy's sum cannot decide the level. The
+terms are nonnegative, so any summation order of n of them has a rounding
+error of at most gamma_{n-1} S, S their exact sum and gamma_k = ku/(1 - ku),
+u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+sec. 4.2); overflow aside, every partial sum rounds as in that bound, the
+subnormal range included. A level is rejected unread when the rough sum r
+is finite, below 2**1023, and above t (1 + (2n + 4)u) computed in floating
+point, with t the larger of target and the smallest normal double. Then
+
+  r > fl(t (1 + (2n + 4)u)) >= t (1 + (2n + 4)u)(1 - u)
+    >= t (1 + 2u) / (1 - (n - 1)u) = t (1 + 2u)(1 + gamma_{n-1}),
+
+the last inequality holding for n <= 2**52; and t (1 + 2u) is at least the
+double after target, for a normal target and for a subnormal one, whose
+successor is at most the smallest normal. So S >= r / (1 + gamma_{n-1})
+exceeds the double after target, and the correctly rounded sum _fsum would
+return is above target too: the level would have been rejected all the
+same. Every other level, the returned one, the one at the panel budget,
+and any whose rough sum is inf, nan or at least 2**1023 (where the exact
+sum may overflow and must raise), goes to _fsum as before, so the reported
+bits, the exceptions and the evaluations are those of calling
+midpoint_error_bound at every level.
+
 composite_midpoint and midpoint_error_bound fill their per-panel terms in
 blocks of _BLOCK panels. Whole-partition temporaries, four to eight per
 doubling level, would each be fresh memory that page-faults on first touch;
@@ -37,7 +61,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import THEOREMS, _free_exponents
+from .bounds import _TINY, THEOREMS, _free_exponents
 from .core import (
     ConvergenceError,
     DomainError,
@@ -133,6 +157,9 @@ class QuadReport:
         return abs(self.true_error) <= self.error_bound + 1e-9
 
 
+#: The unit roundoff of double precision.
+_U = 2.0**-53
+
 #: Arrays this short go straight to math.fsum, and _fsum stops halving here.
 _FSUM_DIRECT = 256
 
@@ -204,20 +231,15 @@ def composite_midpoint(fn: Function1D, d: Partition) -> float:
     return _fsum(terms)
 
 
-def midpoint_error_bound(
+def _panel_terms(
     d: Partition,
     dvals: Sequence[float],
     variant: str,
-    p: Optional[float] = None,
-    q: Optional[float] = None,
-) -> float:
-    """Error bound for the composite midpoint rule from node |f'| values.
-
-    ``dvals`` holds |f'| at every partition node, in node order; each panel
-    term uses only its own two endpoints. A panel bound beyond double
-    precision makes the result inf or nan, with no numpy warning; finite
-    panel bounds whose sum overflows raise OverflowError, as math.fsum does.
-    """
+    p: Optional[float],
+    q: Optional[float],
+) -> np.ndarray:
+    """Each panel's width times its midpoint bound, checked and filled as
+    midpoint_error_bound states; the terms are nonnegative, inf or nan."""
     if variant not in ERROR_BOUND_VARIANTS:
         raise DomainError(
             f"unknown error-bound variant {variant!r}; "
@@ -241,8 +263,36 @@ def midpoint_error_bound(
             v = dv[i : i + _BLOCK + 1]
             values["da"], values["db"] = v[:-1], v[1:]
             np.multiply(theorem.bound(values), w, out=terms[i : i + _BLOCK])
-    del w, values  # the last block's widths go before _fsum allocates its buffers
-    return _fsum(terms)
+    return terms
+
+
+def midpoint_error_bound(
+    d: Partition,
+    dvals: Sequence[float],
+    variant: str,
+    p: Optional[float] = None,
+    q: Optional[float] = None,
+) -> float:
+    """Error bound for the composite midpoint rule from node |f'| values.
+
+    ``dvals`` holds |f'| at every partition node, in node order; each panel
+    term uses only its own two endpoints. A panel bound beyond double
+    precision makes the result inf or nan, with no numpy warning; finite
+    panel bounds whose sum overflows raise OverflowError, as math.fsum does.
+    """
+    return _fsum(_panel_terms(d, dvals, variant, p, q))
+
+
+def _exceeds(terms: np.ndarray, target: float) -> bool:
+    """True only if the exact sum of the nonnegative terms rounds above
+    target, decided from numpy's sum alone; False where it cannot tell."""
+    n = terms.size
+    with np.errstate(over="ignore"):  # an inf sum is undecided, below
+        rough = float(terms.sum())
+    # the margin (1 + (2n+4)u) covers gamma_{n-1}, the step to the next
+    # double after target, and the rounding of the product; see the module
+    # docstring
+    return max(target, _TINY) * (1.0 + (2 * n + 4) * _U) < rough < 2.0**1023
 
 
 def certified_integrate(
@@ -272,16 +322,20 @@ def certified_integrate(
     n = 1
     while True:
         d = Partition.uniform(iv, n)
-        bound = midpoint_error_bound(d, np.abs(fn.deriv(d.nodes)), variant, p=p, q=q)
-        if bound <= target:
-            break
-        if 2 * n > DEFAULT_PANEL_BUDGET:
-            if not math.isfinite(bound):
-                raise OverflowError(f"the midpoint error bound is still {bound} at n={n} panels")
-            raise ConvergenceError(
-                f"certified bound still {bound:g} > target {target:g} at "
-                f"n={n} panels (budget {DEFAULT_PANEL_BUDGET})"
-            )
+        terms = _panel_terms(d, np.abs(fn.deriv(d.nodes)), variant, p, q)
+        last = 2 * n > DEFAULT_PANEL_BUDGET
+        if last or not _exceeds(terms, target):
+            bound = _fsum(terms)
+            if bound <= target:
+                break
+            if last:
+                if not math.isfinite(bound):
+                    raise OverflowError(f"the midpoint error bound is still {bound} at n={n} panels")
+                raise ConvergenceError(
+                    f"certified bound still {bound:g} > target {target:g} at "
+                    f"n={n} panels (budget {DEFAULT_PANEL_BUDGET})"
+                )
+        del terms  # before the next level fills twice as many
         n *= 2
 
     approx = composite_midpoint(fn, d)

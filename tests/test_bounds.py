@@ -35,7 +35,7 @@ from ostrowski.core import (
     Interval,
     make_conjugate,
 )
-from ostrowski.kernel import alomari_bound, baseline_midpoint_bound
+from ostrowski.kernel import alomari_bound, baseline_midpoint_bound, classic_ostrowski_bound
 from ostrowski.quadrature import Partition, midpoint_error_bound
 from ostrowski.toolkit import (
     check_sconvex,
@@ -666,3 +666,67 @@ class TestNearTheTopOfTheRange:
             cp = make_conjugate(float(rng.uniform(1.1, 5.0)))
             assert baseline_midpoint_bound("eq16", iv, cp, da, db).value == (
                 iv.width / 4.0 * (4.0 / (cp.p + 1.0)) ** (1.0 / cp.p) * (da + db))
+
+    @pytest.mark.parametrize("x,factor", [(1.0, Fraction(1, 2)), (0.0, 1), (0.5, Fraction(5, 8))])
+    def test_eq11(self, x, factor):
+        # M (b-a) overflowed before the factor (lam^2 + mu^2)/2 <= 1/2 applied
+        got = classic_ostrowski_bound(Interval(0.0, 2.0), x, BIG).value
+        assert_near(got, Fraction(BIG) * factor, ulps=1)
+
+    def test_eq11_keeps_the_bits_in_the_normal_range(self):
+        rng = np.random.default_rng(14)
+        for _ in range(500):
+            iv = Interval(0.0, float(10.0 ** rng.uniform(-150.0, 150.0)))
+            x, m = float(rng.uniform(0.0, iv.b)), float(10.0 ** rng.uniform(-150.0, 150.0))
+            lam, mu = (iv.b - x) / iv.width, x / iv.width
+            plain = m * iv.width * (lam**2 + mu**2) / 2.0
+            assert classic_ostrowski_bound(iv, x, m).value.hex() == plain.hex()
+
+
+class TestWideIntervals:
+    """t21 and ee square b - x and x - a. On an interval at least 2**512
+    wide the lengths are scaled by 2**-513 first and the bound by 2**513
+    after, so it is finite; on a narrower one the formula is unscaled."""
+
+    @staticmethod
+    def bound(tag, s, p):
+        cp = make_conjugate(p)
+        if tag == "t21":
+            ep = EndpointData(da=0.75, db=1.25, dx=0.5)
+            return lambda b, x: bound_holder_hadamard(Interval(0.0, b), x, s, cp, ep).value
+        return lambda b, x: alomari_bound(Interval(0.0, b), x, s, cp, 3.0).value
+
+    @pytest.mark.parametrize("tag", ["t21", "ee"])
+    @pytest.mark.parametrize("k", [512, 513, 600, 1020])
+    def test_scaled_formula_on_wide_intervals(self, tag, k):
+        rng = np.random.default_rng(k)
+        for _ in range(50):
+            b = float(rng.uniform(1.0, 1.99))
+            x = float(rng.choice([0.0, b, rng.uniform(0.0, b)]))
+            bound = self.bound(tag, float(rng.uniform(0.1, 1.0)), float(rng.uniform(1.1, 5.0)))
+            wide = bound(math.ldexp(b, k), math.ldexp(x, k))
+            # the unscaled formula on the interval scaled by 2**-513, scaled back exactly
+            assert wide.hex() == math.ldexp(bound(math.ldexp(b, k - 513), math.ldexp(x, k - 513)), 513).hex()
+            # and the value is the narrow interval's bound, scaled up, to a few ulps
+            assert wide == pytest.approx(math.ldexp(bound(b, x), k), rel=8e-16)
+
+    def test_unscaled_formula_below_2_to_the_512(self):
+        rng = np.random.default_rng(15)
+        for b in [math.ldexp(1.0, 512) * (1.0 - 2.0**-53)] + (10.0 ** rng.uniform(-100.0, 100.0, 500)).tolist():
+            iv, x = Interval(0.0, b), float(rng.uniform(0.0, b))
+            s, cp = float(rng.uniform(0.05, 1.0)), make_conjugate(float(rng.uniform(1.1, 5.0)))
+            kp = (cp.p + 1.0) ** (1.0 / cp.p)
+            plain_ee = (3.0 / kp * (2.0 / (s + 1.0)) ** (1.0 / cp.q)
+                        * (((x - iv.a) ** 2 + (iv.b - x) ** 2) / (iv.b - iv.a)))
+            assert alomari_bound(iv, x, s, cp, 3.0).value.hex() == plain_ee.hex()
+            da, dx, db = (float(v) for v in 10.0 ** rng.uniform(-100.0, 100.0, 3))
+            if b > 1e100:
+                da, dx, db = da * 1e-150, dx * 1e-150, db * 1e-150
+            c_high, c_low = max(dx, db), max(da, dx)
+            plain_t21 = 1.0 / ((iv.b - iv.a) * kp) * (
+                (iv.b - x) ** 2 * c_high * (((dx / c_high) ** cp.q + (db / c_high) ** cp.q)
+                                            / (s + 1.0)) ** (1.0 / cp.q)
+                + (x - iv.a) ** 2 * c_low * (((da / c_low) ** cp.q + (dx / c_low) ** cp.q)
+                                             / (s + 1.0)) ** (1.0 / cp.q))
+            got = bound_holder_hadamard(iv, x, s, cp, EndpointData(da=da, db=db, dx=dx)).value
+            assert got.hex() == plain_t21.hex()

@@ -287,6 +287,23 @@ class TestBoundCommand:
         assert strict_json(out)["value"] == pytest.approx(exact, rel=4e-16)
 
 
+    @pytest.mark.parametrize("argv,exact", [
+        (("eq11", "--a", "0", "--b", "2", "--x", "1", "--m", "1.7e308"), 8.5e307),
+        (("t21", "--a", "0", "--b", "1.5e154", "--x", "0", "--s", "1", "--p", "2",
+          "--da", "1", "--db", "1", "--dx", "1"), 1.5e154 / math.sqrt(3.0)),
+        (("ee", "--a", "0", "--b", "1.5e154", "--x", "0", "--s", "1", "--p", "2", "--m", "1"),
+         1.5e154 / math.sqrt(3.0)),
+    ])
+    def test_overflowing_intermediates_finite(self, capsys, argv, exact):
+        # M (b-a), or the square of b - x, overflowed though the bound does
+        # not, and the command exited 2
+        code, out, err = run(capsys, "bound", "--theorem", *argv)
+        assert (code, err) == (0, "")
+        assert strict_json(out)["value"] == pytest.approx(exact, rel=4e-16)
+        if argv[0] == "eq11":
+            assert '"value": 8.5e+307,' in out
+
+
 # the key order of every payload: the echo of each bound, then means and quad
 BOUND_ECHO = {
     "t20": "x s da db",

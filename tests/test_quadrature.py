@@ -29,6 +29,7 @@ from ostrowski.core import EndpointData
 from ostrowski.quadrature import (
     Partition,
     QuadReport,
+    _exceeds,
     _fsum,
     certified_integrate,
     composite_midpoint,
@@ -536,6 +537,110 @@ class TestCertifiedIntegrate:
         with pytest.warns(RuntimeWarning, match="certificate violated"):
             report = certified_integrate(liar, UNIT, 1e-6, "p4", p=2.0, verify=True)
         assert report.certified_ok is False
+
+
+def reference_certify(fn, iv, target, variant, **kw):
+    """certified_integrate's doubling loop with the exact bound at every level."""
+    n = 1
+    while True:
+        d = Partition.uniform(iv, n)
+        bound = midpoint_error_bound(d, np.abs(fn.deriv(d.nodes)), variant, **kw)
+        if bound <= target:
+            return composite_midpoint(fn, d), bound, n
+        n *= 2
+
+
+class TestLevelDecision:
+    """certified_integrate rejects a level from numpy's sum and a proven
+    error bound; the exact sum runs only where that cannot decide."""
+
+    @pytest.mark.parametrize("spec,iv,target,variant,kw", [
+        ("poly:0,0,1", UNIT, 3e-5, "p4", {"p": 2.5}),
+        ("breckner:0,1,0,0.5", Interval(1e-3, 1.0), 1e-4, "p5", {}),
+        ("powabs:2.5", Interval(-1.0, 1.5), 1e-4, "p6", {"q": 1.5}),
+        ("poly:0,1", UNIT, 1e-6, "p5", {}),
+    ])
+    def test_same_bits_as_exact_bound_at_every_level(self, spec, iv, target, variant, kw):
+        fn = parse_function_spec(spec)
+        report = certified_integrate(fn, iv, target, variant, **kw)
+        approx, bound, n = reference_certify(fn, iv, target, variant, **kw)
+        assert (report.approx.hex(), report.error_bound.hex(), report.panels) == (
+            approx.hex(), bound.hex(), n)
+
+    @pytest.mark.parametrize("variant,kw", [("p4", {"p": 2.0}), ("p5", {}), ("p6", {"q": 3.0})])
+    def test_near_tie_target(self, variant, kw):
+        # a target of exactly the bound at 256 panels certifies there; the
+        # next double below it does not, though numpy's sum may land either side
+        fn = parse_function_spec("breckner:0.5,1,0.25,0.5")
+        iv = Interval(0.5, 2.0)
+        d = Partition.uniform(iv, 256)
+        tie = midpoint_error_bound(d, np.abs(fn.deriv(d.nodes)), variant, **kw)
+        assert certified_integrate(fn, iv, tie, variant, **kw).panels == 256
+        below = certified_integrate(fn, iv, math.nextafter(tie, 0.0), variant, **kw)
+        assert below.panels == 512
+        assert below.error_bound < tie
+
+    def test_rough_sum_never_claims_a_sum_at_or_below_target(self):
+        rng = np.random.default_rng(13)
+        tiny = np.finfo(float).tiny
+        for n in (1, 2, 3, 100, 4097):
+            for scale in (1.0, 1e-300, tiny, 5e-324, 1e300 / n):
+                terms = rng.uniform(0.0, 1.0, n) * scale
+                exact = exact_sum(terms.tolist())
+                total = math.fsum(terms.tolist())
+                targets = [total, math.nextafter(total, 0.0), math.nextafter(total, math.inf),
+                           total * (1.0 - 1e-9), total * (1.0 - 1e-6), total / 2.0, 5e-324, tiny]
+                for target in targets:
+                    if target > 0.0 and _exceeds(terms, target):
+                        assert exact > target and total > target, (n, scale, target)
+        # far above a tiny or subnormal target, the rough sum decides
+        assert _exceeds(np.full(8, 1e-300), 5e-324)
+        assert _exceeds(np.full(8, 1e-300), 1e-310)
+
+    def test_undecidable_sums_are_left_to_the_exact_sum(self):
+        assert not _exceeds(np.array([math.inf, 1.0]), 1.0)
+        assert not _exceeds(np.array([math.nan, 1.0]), 1.0)
+        assert not _exceeds(np.array([2.0**1023, 1.0]), 1.0)
+        assert not _exceeds(np.array([1e308, 1e308]), 1.0)  # the rough sum is inf
+        assert not _exceeds(np.array([1.0]), math.inf)
+        # within the margin of gamma_{n-1} above the target
+        assert not _exceeds(np.full(4, 0.25), math.nextafter(1.0, 0.0))
+
+    def test_exact_sum_past_the_largest_double_still_raises(self):
+        # at one panel the bound is inf and the doubling goes on; at two the
+        # panel bounds are finite, but their sum is past the largest double
+        fn = parse_function_spec("poly:0,1e308")
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            certified_integrate(fn, Interval(0.0, 4.07), 1.0, "p4", p=2.0)
+
+    def test_budget_message_carries_the_exact_bound(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 64)
+        d = Partition.uniform(UNIT, 64)
+        exact = midpoint_error_bound(d, tsq_dvals(d), "p4", p=2.0)
+        with pytest.raises(ConvergenceError, match=f"still {exact:g} > target"):
+            certified_integrate(TSQ, UNIT, 1e-9, "p4", p=2.0)
+
+    def test_subnormal_target(self, monkeypatch):
+        fn = parse_function_spec("poly:2.5")  # f' == 0: the bound is 0 at one panel
+        assert certified_integrate(fn, UNIT, 5e-324, "p5").panels == 1
+        monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 16)
+        d = Partition.uniform(UNIT, 16)
+        exact = midpoint_error_bound(d, tsq_dvals(d), "p5")
+        with pytest.raises(ConvergenceError, match=f"still {exact:g} > target 4.94066e-324"):
+            certified_integrate(TSQ, UNIT, 5e-324, "p5")
+
+    def test_exact_sum_runs_at_most_twice(self, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x.size)
+            return _fsum(x)
+
+        monkeypatch.setattr(quadrature, "_fsum", counting)
+        report = certified_integrate(parse_function_spec("poly:0,1"), UNIT, 1e-6, "p5")
+        assert report.panels == 2**19
+        # the returned level's bound and composite_midpoint's sum
+        assert calls == [2**19, 2**19]
 
 
 class TestQuadReport:
