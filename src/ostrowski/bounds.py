@@ -32,7 +32,6 @@ arithmetic, so no special-casing is needed (s > 0 keeps exponents positive).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Collection, Mapping, Optional, Tuple
@@ -79,8 +78,8 @@ def _offsets(iv: Interval, x):
 
 
 # The formulas, without validation. A formula names what it reads by its
-# parameters: a, b, width = b - a, x and its offsets lam and mu, s, p, q,
-# da, db, dx and M. Every argument may be a numpy array, so the sweep, the
+# parameters: width = b - a, the offsets lam and mu of x, s, p, q, da, db,
+# dx and M. Every argument may be a numpy array, so the sweep, the
 # special means and the composite quadrature bounds evaluate these same
 # formulas, elementwise and broadcast.
 
@@ -126,43 +125,17 @@ def _holder_split(width, lam, mu, s, p, q, da, db):
     return width * c / (p + 1.0) ** (1.0 / p) / (s + 1.0) ** (1.0 / q) * (term_low + term_high)
 
 
-def _exponent_where(big, limit, e: int):
-    """e where big >= limit, else 0; an int array where big is one."""
-    if isinstance(big, float):
-        return e if big >= limit else 0
-    return np.where(big >= limit, e, 0)
-
-
-def _ldexp(v, e):
-    """v * 2**e, exact in the normal range. A float past the largest double,
-    v = inf included, raises OverflowError; an array holds inf there."""
-    if not (isinstance(v, float) and isinstance(e, int)):
-        return np.ldexp(v, e)
-    if v == math.inf:
-        raise OverflowError("math range error")
-    return math.ldexp(v, e)
-
-
-def _length_exponent(width):
-    """513 where width >= 2**512, else 0: every length up to width, times
-    2**-513, has a square below 2**1022. Where it is 0 a formula that
-    scales by it computes its unscaled bits."""
-    return _exponent_where(width, 2.0**512, 513)
-
-
-def _holder_hadamard(a, b, x, s, p, q, da, dx, db):
+def _holder_hadamard(width, lam, mu, s, p, q, da, dx, db):
+    # each branch is (b-a) lam^2 c B / (p+1)^(1/p), formed as
+    # (lam c) (lam (b-a) B / (p+1)^(1/p)): with one offset on each scale, no
+    # product leaves the range of its term, even where the scale c of a
+    # bracket B is subnormal or the two scales lie far apart
     c_high, dxq, dbq = _scaled_powers(dx, db, q)
     c_low, daq, dxq_low = _scaled_powers(da, dx, q)
-    e = _length_exponent(b - a)
-    return _ldexp(
-        1.0
-        / (_ldexp(b - a, -e) * (p + 1.0) ** (1.0 / p))
-        * (
-            _ldexp(b - x, -e) ** 2 * c_high * ((dxq + dbq) / (s + 1.0)) ** (1.0 / q)
-            + _ldexp(x - a, -e) ** 2 * c_low * ((daq + dxq_low) / (s + 1.0)) ** (1.0 / q)
-        ),
-        e,
-    )
+    kp = (p + 1.0) ** (1.0 / p)
+    high = lam * width * (((dxq + dbq) / (s + 1.0)) ** (1.0 / q) / kp)
+    low = mu * width * (((daq + dxq_low) / (s + 1.0)) ** (1.0 / q) / kp)
+    return lam * c_high * high + mu * c_low * low
 
 
 def _e5(width, p, da, db):
@@ -207,16 +180,18 @@ def _power_mean_mid(width, q, da, db):
 
 
 def _classic(width, lam, mu, M):
-    # M (b-a) is quartered where it might overflow; as lam^2 + mu^2 >= 1/2,
-    # every product is then finite wherever the bound is
-    e = _exponent_where(M * 0.25 * width, 2.0**1018, 2)
-    return _ldexp(M, -e) * width * (lam**2 + mu**2) / 2.0 ** (1 - e)
+    # the width is quartered, not M: M (b-a) never forms, and a subnormal M
+    # keeps its bits (evaluate scales a subnormal width up first); as
+    # lam^2 + mu^2 >= 1/2, every product is finite wherever the bound is
+    return M * (0.25 * width) * (lam**2 + mu**2) * 2.0
 
 
-def _alomari(a, b, x, s, p, q, M):
-    e = _length_exponent(b - a)
-    bracket = (_ldexp(x - a, -e) ** 2 + _ldexp(b - x, -e) ** 2) / _ldexp(b - a, -e)
-    return _ldexp(M / (1.0 + p) ** (1.0 / p) * (2.0 / (s + 1.0)) ** (1.0 / q) * bracket, e)
+def _alomari(width, lam, mu, s, p, q, M):
+    # ordered as _classic, with the constant (2/(s+1))^(1/q)/(1+p)^(1/p) in
+    # (1/2, 2) applied last: no product leaves [bound/8, bound], so a
+    # subnormal M keeps its bits too
+    constant = (2.0 / (s + 1.0)) ** (1.0 / q) / (1.0 + p) ** (1.0 / p)
+    return M * (0.25 * width) * (lam**2 + mu**2) * (4.0 * constant)
 
 
 def _eq14(width, da, db):
@@ -294,6 +269,14 @@ THEOREMS = {t.tag: t for t in (
 )}
 
 
+# Every formula is b - a times a factor free of it. evaluate scales a width
+# below 2**-960 up by 2**512, so that its products with the constants and the
+# offsets keep their bits, and the bound back down with one rounding at most.
+# Such a bound is below 2**-960 * 2**1024 times a constant under 8, so no
+# product of the scaled formula leaves the range.
+_NARROW, _WIDTH_SCALE = 2.0**-960, 2.0**512
+
+
 def evaluate(
     tag: str,
     iv: Interval,
@@ -314,12 +297,14 @@ def evaluate(
     >= 1, and da, db, dx and M finite magnitudes >= 0. p is a ConjugatePair;
     a theorem that takes p echoes and uses the pair's own q, never one given
     apart or recomputed. A missing input the theorem needs raises
-    DomainError naming it.
+    DomainError naming it; a bound beyond double precision raises
+    OverflowError.
     """
     theorem = THEOREMS[tag]
     if theorem.nonnegative:
         iv.require_nonnegative()
-    values = {"a": iv.a, "b": iv.b, "width": iv.width}
+    scale = _WIDTH_SCALE if iv.width < _NARROW else 1.0
+    values = {"width": iv.width * scale}
     if x is not None:
         values["x"] = x = validate_eval_point(iv, x)
         values["lam"], values["mu"] = _offsets(iv, x)
@@ -340,7 +325,7 @@ def evaluate(
     inputs = {"a": iv.a, "b": iv.b}
     for key in theorem.inputs:
         inputs[key] = values[key]
-    return BoundResult(value=theorem.bound(values), theorem_id=tag, inputs=inputs)
+    return BoundResult(value=theorem.bound(values) / scale, theorem_id=tag, inputs=inputs)
 
 
 def _free_exponents(theorem: Theorem, variant: str, p, q, fixed: Collection[str] = ()) -> dict:

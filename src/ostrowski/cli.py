@@ -134,10 +134,9 @@ def run_sweep(cfg: SweepConfig) -> list:
         dx = np.abs(fn.deriv(xs))[:, None]
         if not np.all(np.isfinite(dx)):
             raise DomainError(f"dx must be finite on the sweep grid of {fn.label}")
-        x = xs[:, None]
-        lam, mu = _offsets(iv, x)
-        values = {"a": iv.a, "b": iv.b, "width": iv.width, "x": x, "lam": lam, "mu": mu,
-                  "s": s, "p": p, "q": q, "da": ep.da, "db": ep.db, "dx": dx}
+        lam, mu = _offsets(iv, xs[:, None])
+        values = {"width": iv.width, "lam": lam, "mu": mu, "s": s, "p": p, "q": q,
+                  "da": ep.da, "db": ep.db, "dx": dx}
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
             bounds = {tag: THEOREMS[tag].bound(values) for tag in SWEEP_THEOREMS}
         for theorem, value in bounds.items():
@@ -365,9 +364,6 @@ def _parse_functions(text: str) -> tuple:
 
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="verify slack, identity tolerance, means oracle "
-                             "tolerance; bound and quad ignore it")
     common.add_argument("--format", choices=FORMATS, default="json",
                         help="output format (default json)")
     common.add_argument("--out", default=None, metavar="PATH",
@@ -406,6 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="semicolon-separated function specs")
     p_verify.add_argument("--a", type=float, default=None)
     p_verify.add_argument("--b", type=float, default=None)
+    p_verify.add_argument("--tol", type=float, default=1e-9,
+                          help="absolute slack of each domination check (default 1e-9)")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_means = sub.add_parser("means", parents=[_common_parser()],
@@ -415,6 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_means.add_argument("--s", type=float, required=True)
     p_means.add_argument("--p", type=float, default=2.0)
     p_means.add_argument("--q", type=float, default=2.0)
+    p_means.add_argument("--tol", type=float, default=1e-9,
+                         help="oracle tolerance of the gap (default 1e-9)")
     p_means.set_defaults(handler=cmd_means)
 
     p_quad = sub.add_parser("quad", parents=[_common_parser()],
@@ -430,6 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ident = sub.add_parser("identity", parents=[_common_parser()],
                              help="check the kernel identity on polynomials")
+    p_ident.add_argument("--tol", type=float, default=1e-9,
+                         help="tolerance of each identity check (default 1e-9)")
     p_ident.set_defaults(handler=cmd_identity)
 
     return parser

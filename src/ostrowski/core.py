@@ -163,14 +163,6 @@ class EndpointData:
         if self.dx is not None:
             object.__setattr__(self, "dx", _require_magnitude("dx", self.dx))
 
-    def require_dx(self) -> float:
-        if self.dx is None:
-            raise DomainError(
-                "this bound needs |f'(x)| (dx); refusing to guess it from "
-                "the endpoint values"
-            )
-        return self.dx
-
 
 @dataclass(frozen=True)
 class Function1D:
@@ -207,7 +199,8 @@ class BoundResult:
     """Computed right-hand side of one bound, with the inputs echoed back.
 
     ``theorem_id`` is the stable tag used by the CLI and reports (e.g. "t20",
-    "teo1", "e5"). Values are always finite and nonnegative.
+    "teo1", "e5"). Values are always finite and nonnegative: a value that is
+    not finite raises OverflowError, a negative one DomainError.
     """
 
     value: float
@@ -216,7 +209,10 @@ class BoundResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value) or self.value < 0.0:
+        # every input of a bound is checked finite: only an overflow makes it inf or nan
+        if not math.isfinite(self.value):
+            raise OverflowError(f"bound {self.theorem_id} overflowed double precision")
+        if self.value < 0.0:
             raise DomainError(
                 f"bound {self.theorem_id} produced invalid value {self.value!r}"
             )

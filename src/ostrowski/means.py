@@ -203,10 +203,11 @@ def means_gap_bound(
             f"unknown gap bound variant {variant!r}; expected one of {GAP_VARIANTS}"
         )
     theorem = _GAP_THEOREMS[variant]
-    inputs = {"a": a, "b": b, "s": s_val, **_free_exponents(theorem, variant, p, q)}
+    exponents = _free_exponents(theorem, variant, p, q)
     da, dx, db = _slopes(a, b, s_val)
-    values = {**inputs, "width": b - a, "x": (a + b) / 2.0, "da": da, "dx": dx, "db": db}
-    return BoundResult(theorem.bound(values), variant, inputs)
+    values = {"width": b - a, "lam": 0.5, "mu": 0.5, "s": s_val, **exponents,
+              "da": da, "dx": dx, "db": db}
+    return BoundResult(theorem.bound(values), variant, {"a": a, "b": b, "s": s_val, **exponents})
 
 
 def slope_endpoint_data(a: float, b: float, s: float) -> EndpointData:

@@ -576,13 +576,15 @@ class TestRegistry:
             "eq11", "ee", "eq14", "eq15", "eq16",
         )
         kinds = {"x", "s", "p", "q", "da", "db", "dx", "M"}
-        derived = {"a", "b", "width", "lam", "mu"}
+        derived = {"width", "lam", "mu"}
         for tag, theorem in THEOREMS.items():
             assert theorem.tag == tag
             assert set(theorem.inputs) <= kinds, tag
             assert set(theorem.reads) <= kinds | derived, tag
-            # a formula reads x through its offsets or itself, nothing it is not given
-            given = set(theorem.inputs) | {"a", "b", "width"}
+            # position enters only through the width and the offsets of x
+            assert not set(theorem.reads) & {"a", "b", "x"}, tag
+            # and a formula reads nothing it is not given
+            given = set(theorem.inputs) | {"width"}
             if "x" in given:
                 given |= {"lam", "mu"}
             assert set(theorem.reads) <= given, tag
@@ -602,6 +604,21 @@ class TestRegistry:
         # t22 takes no p, so the q given is the one it reads
         got = evaluate("t22", UNIT, x=0.3, s=0.5, p=cp, q=2.0, da=1.0, db=2.0)
         assert got.inputs["q"] == 2.0
+
+    @pytest.mark.parametrize("tag", list(THEOREMS))
+    def test_subnormal_width_keeps_its_bits(self, tag):
+        # every formula is b - a times a factor free of it, so on a width of
+        # 7 subnormal units the bound is the one on that interval scaled up
+        # by 2**600, scaled back exactly: quartering or offsetting the
+        # subnormal width rounded off its low bits
+        unit = math.ldexp(1.0, -1074)
+        for x in (0.0, 3.0, 7.0):
+            got, wide = (
+                evaluate(tag, Interval(0.0, 7.0 * u), x=x * u, s=0.5, p=make_conjugate(3.0),
+                         q=2.0, da=1e300, db=3e299, dx=7e299, M=1e300).value
+                for u in (unit, math.ldexp(unit, 600)))
+            assert got > 2.0**-1020, (tag, x)
+            assert got.hex() == math.ldexp(wide, -600).hex(), (tag, x)
 
     def test_missing_input_named(self):
         with pytest.raises(DomainError, match="t20 requires the input 'x'"):
@@ -684,9 +701,10 @@ class TestNearTheTopOfTheRange:
 
 
 class TestWideIntervals:
-    """t21 and ee square b - x and x - a. On an interval at least 2**512
-    wide the lengths are scaled by 2**-513 first and the bound by 2**513
-    after, so it is finite; on a narrower one the formula is unscaled."""
+    """t21, ee and eq11 read position through the width and the offsets
+    lam, mu in [0, 1], never through squared lengths, so scaling the
+    interval by a power of two scales the bound by exactly that power, and
+    the bound is accurate wherever it and the width are normal doubles."""
 
     @staticmethod
     def bound(tag, s, p):
@@ -705,28 +723,59 @@ class TestWideIntervals:
             x = float(rng.choice([0.0, b, rng.uniform(0.0, b)]))
             bound = self.bound(tag, float(rng.uniform(0.1, 1.0)), float(rng.uniform(1.1, 5.0)))
             wide = bound(math.ldexp(b, k), math.ldexp(x, k))
-            # the unscaled formula on the interval scaled by 2**-513, scaled back exactly
+            # scaling the interval by 2**513 scales the bound by exactly 2**513
             assert wide.hex() == math.ldexp(bound(math.ldexp(b, k - 513), math.ldexp(x, k - 513)), 513).hex()
             # and the value is the narrow interval's bound, scaled up, to a few ulps
             assert wide == pytest.approx(math.ldexp(bound(b, x), k), rel=8e-16)
 
-    def test_unscaled_formula_below_2_to_the_512(self):
+    def test_accurate_at_every_width(self):
+        # the squared lengths (b-x)^2 underflowed below a width of about
+        # 1e-154, and t21 and ee came out 0 or short of bits
+        mp = pytest.importorskip("mpmath").mp
         rng = np.random.default_rng(15)
-        for b in [math.ldexp(1.0, 512) * (1.0 - 2.0**-53)] + (10.0 ** rng.uniform(-100.0, 100.0, 500)).tolist():
-            iv, x = Interval(0.0, b), float(rng.uniform(0.0, b))
-            s, cp = float(rng.uniform(0.05, 1.0)), make_conjugate(float(rng.uniform(1.1, 5.0)))
-            kp = (cp.p + 1.0) ** (1.0 / cp.p)
-            plain_ee = (3.0 / kp * (2.0 / (s + 1.0)) ** (1.0 / cp.q)
-                        * (((x - iv.a) ** 2 + (iv.b - x) ** 2) / (iv.b - iv.a)))
-            assert alomari_bound(iv, x, s, cp, 3.0).value.hex() == plain_ee.hex()
-            da, dx, db = (float(v) for v in 10.0 ** rng.uniform(-100.0, 100.0, 3))
-            if b > 1e100:
-                da, dx, db = da * 1e-150, dx * 1e-150, db * 1e-150
-            c_high, c_low = max(dx, db), max(da, dx)
-            plain_t21 = 1.0 / ((iv.b - iv.a) * kp) * (
-                (iv.b - x) ** 2 * c_high * (((dx / c_high) ** cp.q + (db / c_high) ** cp.q)
-                                            / (s + 1.0)) ** (1.0 / cp.q)
-                + (x - iv.a) ** 2 * c_low * (((da / c_low) ** cp.q + (dx / c_low) ** cp.q)
-                                             / (s + 1.0)) ** (1.0 / cp.q))
-            got = bound_holder_hadamard(iv, x, s, cp, EndpointData(da=da, db=db, dx=dx)).value
-            assert got.hex() == plain_t21.hex()
+        widths = [math.ldexp(1.0, 512) * (1.0 - 2.0**-53)] + (
+            10.0 ** rng.uniform(-100.0, 100.0, 500)).tolist() + (
+            10.0 ** rng.uniform(-300.0, -100.0, 500)).tolist()
+        with mp.workprec(200):
+            for b in widths:
+                iv = Interval(0.0, b)
+                x = float(rng.choice([0.0, b, rng.uniform(0.0, b)]))
+                s, cp = float(rng.uniform(0.05, 1.0)), make_conjugate(float(rng.uniform(1.1, 5.0)))
+                # magnitudes that keep every bound a normal double
+                low = 0.0 if b < 1e-100 else -100.0
+                da, dx, db, m = (float(v) for v in 10.0 ** rng.uniform(low, 100.0, 4))
+                B, X, S, P, Q = (mp.mpf(v) for v in (b, x, s, cp.p, cp.q))
+                kp = (P + 1) ** (1 / P)
+                want = {
+                    "t21": ((B - X) ** 2 * (((dx**Q + db**Q) / (S + 1)) ** (1 / Q))
+                            + X**2 * (((da**Q + dx**Q) / (S + 1)) ** (1 / Q))) / (B * kp),
+                    "ee": m / kp * (2 / (S + 1)) ** (1 / Q) * (X**2 + (B - X) ** 2) / B,
+                    "eq11": m * (X**2 + (B - X) ** 2) / (2 * B),
+                }
+                got = {
+                    "t21": bound_holder_hadamard(iv, x, s, cp, EndpointData(da=da, db=db, dx=dx)).value,
+                    "ee": alomari_bound(iv, x, s, cp, m).value,
+                    "eq11": classic_ostrowski_bound(iv, x, m).value,
+                }
+                for tag, value in got.items():
+                    ulps = abs(mp.mpf(value) - want[tag]) / math.ulp(float(want[tag]))
+                    assert ulps <= 6, (tag, float(ulps), b, x, s, cp, da, dx, db, m)
+
+    @pytest.mark.parametrize("b,x,s,mags", [
+        # |f'| near the largest double on a narrow interval: lam^2 c B alone overflows
+        (0.5, 0.0, 0.1, (1.7e308, 1.7e308, 1.7e308)),
+        # mu = 1e-200 and a bracket scale 1e600 times the other: mu^2 underflows to 0
+        (1e100, 1e-100, 1.0, (1e300, 1e-300, 1e-300)),
+        # subnormal |f'| on a wide interval: lam^2 times the scale underflows to 0
+        (1e300, 5e299, 1.0, (5e-324, 5e-324, 5e-324)),
+    ])
+    def test_t21_products_stay_in_range(self, b, x, s, mags):
+        mp = pytest.importorskip("mpmath").mp
+        cp = make_conjugate(2.0)
+        da, dx, db = mags
+        got = bound_holder_hadamard(Interval(0.0, b), x, s, cp, EndpointData(da=da, db=db, dx=dx)).value
+        with mp.workprec(200):
+            B, X, S = mp.mpf(b), mp.mpf(x), mp.mpf(s)
+            want = ((B - X) ** 2 * mp.sqrt((mp.mpf(dx) ** 2 + mp.mpf(db) ** 2) / (S + 1))
+                    + X**2 * mp.sqrt((mp.mpf(da) ** 2 + mp.mpf(dx) ** 2) / (S + 1))) / (B * mp.sqrt(3))
+            assert abs(mp.mpf(got) - want) <= 4 * math.ulp(float(want)), (got, want)

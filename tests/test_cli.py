@@ -121,7 +121,7 @@ class TestBoundCommand:
         assert math.isfinite(value) and value > 0.0
 
     def test_overflow_elsewhere_exits_2(self, capsys):
-        # (b - x)^2 = 1e600 in the uniform-derivative bound
+        # the uniform-derivative bound itself, about 6.7e599, is beyond double precision
         code, out, err = run(
             capsys, "bound", "--theorem", "ee", "--a", "0", "--b", "1e300", "--x", "0",
             "--s", "0.5", "--p", "2", "--m", "1e300",
@@ -302,6 +302,31 @@ class TestBoundCommand:
         assert strict_json(out)["value"] == pytest.approx(exact, rel=4e-16)
         if argv[0] == "eq11":
             assert '"value": 8.5e+307,' in out
+
+    @pytest.mark.parametrize("argv,value", [
+        # (x - a)^2 underflowed to 0, and the bound printed as 0.0
+        (("ee", "--a", "0", "--b", "1e-200", "--x", "0", "--s", "1", "--p", "2", "--m", "1"),
+         "5.773502691896258e-201"),
+        # (b - x)^2 |f'(x)| overflowed, and the command exited 2
+        (("t21", "--a", "0", "--b", "1e100", "--x", "0", "--s", "1", "--p", "2",
+          "--da", "1e200", "--db", "1e200", "--dx", "1e200"), "5.773502691896258e+299"),
+        # the width is quartered, not M: a quartered 5e-324 is 0
+        (("eq11", "--a", "0", "--b", "1e300", "--x", "0", "--m", "5e-324"),
+         "2.470328229206233e-24"),
+        # nor a subnormal width before it is scaled up: a quartered 5e-324 width is 0
+        (("eq11", "--a", "0", "--b", "5e-324", "--x", "0", "--m", "1e300"),
+         "2.470328229206233e-24"),
+        # and a quartered width of 7 subnormal units rounds to 2, 14% high
+        (("eq11", "--a", "0", "--b", "3.5e-323", "--x", "0", "--m", "1e300"),
+         "1.7292297604443628e-23"),
+        # M / 3^(1/2) rounded to 5e-324 again, and the bound printed as 4.94e-24
+        (("ee", "--a", "0", "--b", "1e300", "--x", "0", "--s", "1", "--p", "2", "--m", "5e-324"),
+         "2.8524893362379006e-24"),
+    ])
+    def test_position_through_offsets(self, capsys, argv, value):
+        code, out, err = run(capsys, "bound", "--theorem", *argv)
+        assert (code, err) == (0, "")
+        assert f'"value": {value},' in out
 
 
 # the key order of every payload: the echo of each bound, then means and quad
@@ -797,6 +822,43 @@ class TestConfigFile:
         code, _, err = run(capsys, "identity", "--config", str(cfg))
         assert code == 2
         assert "key=value" in err
+
+
+class TestTolFlag:
+    """--tol is defined only on the subcommands whose handlers read it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--theorem", "eq14", "--a", "0", "--b", "1", "--da", "1", "--db", "1"),
+        ("quad", "--fn", "poly:0,1", "--a", "0", "--b", "1", "--target", "1", "--variant", "p5"),
+    ], ids=["bound", "quad"])
+    def test_rejected_where_unread(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--tol", "1e-6")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol 1e-6" in err
+        # a --config key the subcommand does not define is a usage error too
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=1e-6\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol 1e-6" in err
+
+    @pytest.mark.parametrize("argv", [("verify", "--functions", "poly:0,1"), ("identity",)])
+    def test_slack_read_by_the_sweeps(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--tol", "1e-8")
+        assert (code, err) == (0, "")
+        contexts = [r["context"] for r in strict_json(out)["records"]]
+        assert contexts and all(c.endswith(" [tol=1e-08]") for c in contexts)
+
+    def test_oracle_tolerance_read_by_means(self, capsys, monkeypatch):
+        seen = []
+
+        def gap(a, b, s, oracle_tol):
+            seen.append(oracle_tol)
+            return 0.0
+
+        monkeypatch.setattr(cli, "means_gap", gap)
+        code, _, err = run(capsys, "means", "--a", "1", "--b", "2", "--s", "0.5", "--tol", "1e-8")
+        assert (code, err, seen) == (0, "", [1e-8])
 
 
 class TestUsage:
