@@ -219,13 +219,17 @@ def kernel_moment_bracket(r: float, s: float) -> float:
     return 2.0 * (s + 1.0) * r ** (s + 2.0) - (s + 2.0) * r ** (s + 1.0) + 1.0
 
 
+_MAGNITUDES = ("da", "db", "dx", "M")
+
+
 @dataclass(frozen=True)
 class Theorem:
     """One bound: its tag, the inputs it takes beyond [a, b] in the order
     its result echoes them, whether it needs a >= 0, and its array formula.
 
-    ``reads`` is the formula's parameter names. ``required`` is what a caller
-    must give: the inputs, less q where p is one of them, since p comes as a
+    ``reads`` is the formula's parameter names, and ``magnitudes`` those of
+    them that are derivative magnitudes. ``required`` is what a caller must
+    give: the inputs, less q where p is one of them, since p comes as a
     ConjugatePair that brings its own q.
     """
 
@@ -234,6 +238,7 @@ class Theorem:
     nonnegative: bool
     formula: Callable
     reads: Tuple[str, ...] = field(init=False, repr=False)
+    magnitudes: Tuple[str, ...] = field(init=False, repr=False)
     required: Tuple[str, ...] = field(init=False, repr=False)
     _args: Callable = field(init=False, repr=False, compare=False)
 
@@ -241,6 +246,7 @@ class Theorem:
         code = self.formula.__code__
         reads = code.co_varnames[: code.co_argcount]
         object.__setattr__(self, "reads", reads)
+        object.__setattr__(self, "magnitudes", tuple(name for name in reads if name in _MAGNITUDES))
         object.__setattr__(self, "required", tuple(
             name for name in self.inputs if not (name == "q" and "p" in self.inputs)))
         # every formula reads at least two values, so this returns a tuple
@@ -273,7 +279,11 @@ THEOREMS = {t.tag: t for t in (
 # below 2**-960 up by 2**512, so that its products with the constants and the
 # offsets keep their bits, and the bound back down with one rounding at most.
 # Such a bound is below 2**-960 * 2**1024 times a constant under 8, so no
-# product of the scaled formula leaves the range.
+# product of the scaled formula leaves the range. Every formula is also
+# homogeneous of degree 1 in the magnitudes it reads, taken together, and
+# evaluate scales them up alike where the largest is below 2**-960: a
+# subnormal |f'| would otherwise lose its bits to the constants before the
+# width brings the bound back into the normal range.
 _NARROW, _WIDTH_SCALE = 2.0**-960, 2.0**512
 
 
@@ -305,6 +315,7 @@ def evaluate(
         iv.require_nonnegative()
     scale = _WIDTH_SCALE if iv.width < _NARROW else 1.0
     values = {"width": iv.width * scale}
+    unscale = 1.0 / scale
     if x is not None:
         values["x"] = x = validate_eval_point(iv, x)
         values["lam"], values["mu"] = _offsets(iv, x)
@@ -316,7 +327,7 @@ def evaluate(
         values["p"] = p.p
         if "q" not in theorem.required:  # q comes with p
             values["q"] = p.q
-    for key, value in (("da", da), ("db", db), ("dx", dx), ("M", M)):
+    for key, value in zip(_MAGNITUDES, (da, db, dx, M)):
         if value is not None:
             values[key] = _require_magnitude(key, value)
     for key in theorem.required:
@@ -325,7 +336,11 @@ def evaluate(
     inputs = {"a": iv.a, "b": iv.b}
     for key in theorem.inputs:
         inputs[key] = values[key]
-    return BoundResult(value=theorem.bound(values) / scale, theorem_id=tag, inputs=inputs)
+    if max(map(values.__getitem__, theorem.magnitudes)) < _NARROW:
+        for key in theorem.magnitudes:
+            values[key] *= _WIDTH_SCALE
+        unscale /= _WIDTH_SCALE  # 2**-512 or 2**-1024, both exact
+    return BoundResult(value=theorem.bound(values) * unscale, theorem_id=tag, inputs=inputs)
 
 
 def _free_exponents(theorem: Theorem, variant: str, p, q, fixed: Collection[str] = ()) -> dict:

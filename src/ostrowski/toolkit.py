@@ -5,14 +5,20 @@ The integrator is a globally adaptive scheme with a fixed high-order rule
 per panel (15-point Kronrod extension of 7-point Gauss) and the nested-rule
 difference as the per-panel error estimate. Refinement always bisects the
 worst panel at its exact midpoint, so results are deterministic for fixed
-inputs and reproducible across runs.
+inputs and reproducible across runs. One rule function, ``_rule``, serves
+the first panel and both halves of every bisection: one evaluator call on a
+flat array of all their nodes, and for a split one product for all their
+K15 and G7 sums. Per split, the cost is Python and numpy call overhead, not
+arithmetic, so two halves at once cost little more than one. Each panel
+keeps the bits, and a failing one the exception, of evaluating it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappush, heapreplace
+from operator import itemgetter
 from typing import Tuple
 
 import numpy as np
@@ -203,34 +209,66 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[1::2] = np.concatenate((_HALF_W_GAUSS, _HALF_W_GAUSS[-2::-1]))
 
 
-def _panel(fn: Function1D, lo: float, hi: float) -> Tuple[float, float]:
-    """One Kronrod/Gauss evaluation on [lo, hi]: (integral, error estimate)."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    xs = mid + half * _NODES
-    fs = fn(xs)
-    top = float(np.abs(fs).max())
-    if not math.isfinite(top):
+_W = np.column_stack((_W_KRONROD, _W_GAUSS))  # (15, 2): one product gives K15 and G7
+_HUGE = 2.0**1023  # each weight sum is below 2, so |f| below this keeps both sums finite
+_max = np.maximum.reduce  # ndarray.max adds a Python-level call
+
+
+def _rule(fn: Function1D, edges) -> list:
+    """K15 and G7 on the adjacent panels between consecutive edges, from one
+    evaluator call: a list of (integral, error estimate) per panel, left to
+    right.
+
+    Each panel is exactly what it would be alone: its nodes are formed from
+    its own Python-float mid and half, and its K15 and G7 sums are the dot
+    products of its 15 values with the weights. For two panels or more, one
+    (k, 15) @ (15, 2) product gives each row those bits; a lone panel takes
+    the dot products themselves, because numpy sends a one-row product
+    through a matrix-vector kernel that sums in another order. A failure
+    names the leftmost panel that fails, as evaluating the panels in turn
+    would.
+    """
+    halves, parts = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        half = 0.5 * (hi - lo)
+        halves.append(half)
+        parts.append(0.5 * (lo + hi) + half * _NODES)
+    fs = fn(parts[0] if len(parts) == 1 else np.concatenate(parts))  # flat: evaluators may assume 1-D
+    scales = [1.0] * len(parts)
+    bad = len(parts)  # the first panel with a non-finite value
+    if not _max(abs(fs), None) < _HUGE:  # NaN fails too
+        rows = fs.reshape(len(parts), 15)
+        tops = np.abs(rows).max(axis=1).tolist()
+        bad = next((j for j, top in enumerate(tops) if not math.isfinite(top)), bad)
+        # sum a quarter of each panel with |f| >= 2**1023, exactly, and scale back;
+        # only that panel, as quartering a subnormal neighbour would round it
+        scales = [4.0 if top >= _HUGE else 1.0 for top in tops[:bad]]
+        fs = (rows[:bad] / np.array(scales)[:, None]).ravel()
+    if len(fs) == 15:  # a lone panel: the dot products themselves, as above
+        sums = [(float(_W_KRONROD @ fs), float(_W_GAUSS @ fs))]
+    else:
+        sums = (fs.reshape(-1, 15) @ _W).tolist()
+    out = []
+    for (kd, gd), half, scale in zip(sums, halves, scales):
+        k15 = half * kd * scale
+        g7 = half * gd * scale
+        err = abs(k15 - g7)
+        if not err < math.inf:  # an overflowed k15 or g7 leaves err inf or nan
+            lo, hi = edges[len(out)], edges[len(out) + 1]
+            raise OverflowError(
+                f"the panel sums of {fn.label or '<anonymous>'} on [{lo:g}, {hi:g}] "
+                f"overflowed double precision"
+            )
+        out.append((k15, err))
+    if bad < len(parts):
         raise ConvergenceError(
             f"integrand {fn.label or '<anonymous>'} returned a non-finite value "
-            f"on [{lo:g}, {hi:g}]"
+            f"on [{edges[bad]:g}, {edges[bad + 1]:g}]"
         )
-    scale = 1.0
-    if top >= 2.0**1023:
-        # each weight sum is below 2, so a weighted sum of fs could pass the
-        # largest double: sum a quarter of fs instead, exactly, and scale back
-        scale = 4.0
-        fs = fs / scale
-    k15 = half * float(_W_KRONROD @ fs) * scale
-    g7 = half * float(_W_GAUSS @ fs) * scale
-    err = abs(k15 - g7)
-    if not err < math.inf:  # an overflowed k15 or g7 leaves err inf or nan
-        raise OverflowError(
-            f"the panel sums of {fn.label or '<anonymous>'} on [{lo:g}, {hi:g}] "
-            f"overflowed double precision"
-        )
-    return k15, err
+    return out
 
+
+_LEFT_THEN_VALUE = itemgetter(1, 3)  # a heap entry is (-estimate, lo, hi, value)
 
 #: Default panel budget for the reference integrator.
 DEFAULT_ORACLE_PANELS = 10_000
@@ -248,7 +286,7 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float) -> float:
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    value, err = _panel(fn, iv.a, iv.b)
+    ((value, err),) = _rule(fn, (iv.a, iv.b))
     # heap orders by largest estimate; ties fall back to the left endpoint
     heap = [(-err, iv.a, iv.b, value)]
     total_err = err
@@ -260,22 +298,23 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float) -> float:
                 f"integral of {fn.label or '<anonymous>'} did not reach "
                 f"tol={tol:g} within {DEFAULT_ORACLE_PANELS} panels (estimate {total_err:g})"
             )
-        neg_err, lo, hi, _ = heappop(heap)
+        neg_err, lo, hi, _ = heap[0]
         if hi - lo < min_width:
             raise ConvergenceError(
                 f"panel [{lo!r}, {hi!r}] cannot be subdivided further; "
                 f"integrand is too irregular for tol={tol:g}"
             )
         mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(fn, lo, mid)
-        v2, e2 = _panel(fn, mid, hi)
+        (v1, e1), (v2, e2) = _rule(fn, (lo, mid, hi))
         total_err += e1 + e2 - (-neg_err)
-        heappush(heap, (-e1, lo, mid, v1))
+        # the worst panel gives its place to its left half: one sift, not a pop
+        # and a push; the heap holds the same entries, so later pops are the same
+        heapreplace(heap, (-e1, lo, mid, v1))
         heappush(heap, (-e2, mid, hi, v2))
 
     # deterministic compensated total: panels summed in left-to-right order
-    panels = sorted((lo, v) for _, lo, _, v in heap)
-    return math.fsum(v for _, v in panels)
+    heap.sort(key=_LEFT_THEN_VALUE)
+    return math.fsum([entry[3] for entry in heap])
 
 
 def true_deviation(

@@ -620,6 +620,27 @@ class TestRegistry:
             assert got > 2.0**-1020, (tag, x)
             assert got.hex() == math.ldexp(wide, -600).hex(), (tag, x)
 
+    @pytest.mark.parametrize("tag", list(THEOREMS))
+    def test_homogeneous_in_the_magnitudes(self, tag):
+        # every formula is degree 1 in da, db, dx and M together, so scaling
+        # them all by a power of two in the normal range scales the bound by
+        # exactly that power; at 2**-1000 evaluate scales them up first
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            iv = Interval(0.0, float(rng.uniform(0.5, 4.0)))
+            x = float(rng.choice([iv.a, iv.b, rng.uniform(iv.a, iv.b)]))
+            given = dict(x=x, s=float(rng.uniform(0.05, 1.0)), p=make_conjugate(float(rng.uniform(1.1, 5.0))),
+                         q=float(rng.uniform(1.0, 4.0)))
+            mags = dict(zip(("da", "db", "dx", "M"), rng.uniform(0.1, 10.0, 4).tolist()))
+            want = evaluate(tag, iv, **given, **mags).value
+            for k in (600, -600, -1000):
+                scaled = {key: math.ldexp(m, k) for key, m in mags.items()}
+                got = evaluate(tag, iv, **given, **scaled)
+                assert got.value.hex() == math.ldexp(want, k).hex(), (tag, k, iv, given, mags)
+                # the inputs are echoed as given
+                assert {key: got.inputs[key] for key in scaled if key in got.inputs} == {
+                    key: scaled[key] for key in THEOREMS[tag].inputs if key in scaled}
+
     def test_missing_input_named(self):
         with pytest.raises(DomainError, match="t20 requires the input 'x'"):
             evaluate("t20", UNIT, s=1.0, da=1.0, db=1.0)

@@ -328,6 +328,35 @@ class TestBoundCommand:
         assert (code, err) == (0, "")
         assert f'"value": {value},' in out
 
+    @pytest.mark.parametrize("tag,argv", [
+        (tag, ("--x", "5e299", "--s", "1", "--da", "5e-324", "--db", "5e-324")) for tag in ("t20", "eq14")
+    ] + [
+        (tag, ("--x", "0", "--s", "1", "--p", "1.001", "--da", "1e-310", "--db", "1e-310"))
+        for tag in ("z", "teo1")
+    ])
+    def test_subnormal_derivatives_on_a_wide_interval(self, capsys, tag, argv):
+        # quartered or raised to the q-th power, a subnormal |f'| rounded to
+        # 0 before the width 1e300 applied, and each bound printed as 0.0
+        mp = pytest.importorskip("mpmath").mp
+        code, out, err = run(capsys, "bound", "--theorem", tag, "--a", "0", "--b", "1e300", *argv)
+        assert (code, err) == (0, "")
+        got = strict_json(out)["value"]
+        flags = dict(zip(argv[::2], argv[1::2]))
+        with mp.workprec(200):
+            w, x = mp.mpf(1e300), mp.mpf(float(flags["--x"]))
+            lam, mu = (w - x) / w, x / w
+            da = mp.mpf(float(flags["--da"]))  # da = db
+            if tag in ("z", "teo1"):
+                # at x = a both reduce to (b - a) (p + 1)^(-1/p) da
+                p = mp.mpf(1.001)
+                want = w * (p + 1) ** (-1 / p) * da
+            elif tag == "t20":
+                bracket = sum(4 * r**3 - 3 * r**2 + 1 for r in (lam, mu))  # at s = 1
+                want = w / 6 * bracket * da
+            else:
+                want = w / 4 * da
+            assert 0.0 < got and abs(mp.mpf(got) - want) <= 4 * math.ulp(float(want)), (got, want)
+
 
 # the key order of every payload: the echo of each bound, then means and quad
 BOUND_ECHO = {

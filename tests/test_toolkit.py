@@ -301,7 +301,7 @@ class TestReferenceIntegrate:
         with np.errstate(over="raise"):
             k15 = float(toolkit._W_KRONROD @ fs)
             g7 = float(toolkit._W_GAUSS @ fs)
-        assert toolkit._panel(fn, -1.0, 1.0) == (k15, abs(k15 - g7))
+        assert toolkit._rule(fn, (-1.0, 1.0))[0] == (k15, abs(k15 - g7))
 
     def test_overflowing_panel_sum_raises_instead_of_returning_inf(self):
         # the integral 2e308 is beyond double precision: the panel used to
@@ -316,13 +316,94 @@ class TestReferenceIntegrate:
             spread = Function1D(f=lambda t: np.where(np.isin(t, gauss), -0.5e308, 1.7e308),
                                 label="spread")
             with pytest.raises(OverflowError, match="spread"):
-                toolkit._panel(spread, -1.0, 1.0)
+                toolkit._rule(spread, (-1.0, 1.0))
 
     def test_deterministic(self):
         fn = parse_function_spec("powabs:0.5")
         a = reference_integrate(fn, Interval(0.0, 1.0), 1e-11)
         b = reference_integrate(fn, Interval(0.0, 1.0), 1e-11)
         assert a == b
+
+
+def _lone_panel(fn, lo, hi):
+    """One panel of the rule, written out with a dot product per weight table."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fs = fn(mid + half * toolkit._NODES)
+    k15 = half * float(toolkit._W_KRONROD @ fs)
+    return k15, abs(k15 - half * float(toolkit._W_GAUSS @ fs))
+
+
+def _hex(pairs):
+    return [(v.hex(), e.hex()) for v, e in pairs]
+
+
+class TestRule:
+    """The panels of one _rule call share an evaluator call and a product,
+    and each comes out as it would alone."""
+
+    @pytest.mark.parametrize("fn", [
+        parse_function_spec("powabs:0.5"),
+        parse_function_spec("breckner:1,2,0.5,0.3"),
+        parse_function_spec("poly:1,-2,0.5,3"),
+        Function1D(f=lambda t: np.sin(50.0 * t) * np.exp(t), label="wave"),
+    ], ids=lambda fn: fn.label)
+    def test_split_is_two_lone_panels_bit_for_bit(self, fn):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            lo = float(rng.uniform(0.0, 3.0))
+            hi = lo + float(10.0 ** rng.uniform(-12.0, 2.0))
+            mid = 0.5 * (lo + hi)
+            split = toolkit._rule(fn, (lo, mid, hi))
+            alone = toolkit._rule(fn, (lo, mid)) + toolkit._rule(fn, (mid, hi))
+            assert _hex(split) == _hex(alone), (lo, hi)
+            assert _hex(split) == _hex([_lone_panel(fn, lo, mid), _lone_panel(fn, mid, hi)])
+
+    def test_huge_half_leaves_a_subnormal_neighbour_unrounded(self):
+        # |f| >= 2**1023 on the left half: only that panel is summed a
+        # quarter at a time; a quartered subnormal right half would round
+        unit = math.ldexp(1.0, -1074)
+        fn = Function1D(f=lambda t: np.where(t < 0.0, 1.1e308 + 1e307 * t,
+                                             unit * np.floor(1000.0 * t + 3.0)), label="mixed")
+        split = toolkit._rule(fn, (-1.0, 0.0, 1.0))
+        assert _hex(split) == _hex(toolkit._rule(fn, (-1.0, 0.0)) + toolkit._rule(fn, (0.0, 1.0)))
+        assert _hex(split[1:]) == _hex([_lone_panel(fn, 0.0, 1.0)])
+        fs = fn(0.5 + 0.5 * toolkit._NODES)
+        quartered = 0.5 * float(toolkit._W_KRONROD @ (fs / 4.0)) * 4.0
+        assert 0.0 < split[1][0] != quartered
+
+    def test_non_finite_right_half_names_that_panel(self):
+        fn = Function1D(f=lambda t: np.where(t > 0.5, math.nan, t * t), label="half-nan")
+        with pytest.raises(ConvergenceError, match=r"on \[0\.5, 1\]$"):
+            toolkit._rule(fn, (0.0, 0.5, 1.0))
+
+    def test_leftmost_failing_panel_raises(self):
+        # the left sums overflow and the right half is NaN: the left panel,
+        # evaluated first on its own, raised first
+        fn = Function1D(f=lambda t: np.where(t < 0.0, 1.7e308, math.nan), label="both")
+        with pytest.raises(OverflowError, match=r"on \[-4, 0\] overflowed"):
+            toolkit._rule(fn, (-4.0, 0.0, 4.0))
+
+    def test_overflowing_right_half_names_that_panel(self):
+        fn = Function1D(f=lambda t: np.where(t < 0.0, t, 1.7e308), label="right-huge")
+        with pytest.raises(OverflowError, match=r"on \[0, 4\] overflowed"):
+            toolkit._rule(fn, (-4.0, 0.0, 4.0))
+
+    def test_one_evaluator_call_per_split(self):
+        fn = parse_function_spec("powabs:0.5")
+        shapes = []
+        counting = Function1D(f=lambda t: shapes.append(t.shape) or fn(t))
+        reference_integrate(counting, Interval(-1.0, 1.0), 1e-12)
+        # 41 splits: 1 + 41 calls on flat arrays, 15 points for each of 83 panels
+        assert shapes == [(15,)] + [(30,)] * 41
+
+    def test_one_dimensional_evaluator(self):
+        def tent(t):
+            if np.ndim(t) != 1:
+                raise TypeError("tent takes 1-D arrays only")
+            return np.interp(t, [0.0, 0.3, 1.0], [0.0, 1.0, 0.0])
+
+        got = reference_integrate(Function1D(f=tent, label="tent"), Interval(0.0, 1.0), 1e-12)
+        assert got == pytest.approx(0.5, abs=1e-12)
 
 
 class TestTrueDeviation:
