@@ -33,6 +33,7 @@ arithmetic, so no special-casing is needed (s > 0 keeps exponents positive).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import itemgetter
 from typing import Callable, Collection, Mapping, Optional, Tuple
 
@@ -99,18 +100,18 @@ def _sconvex_abs_mid(width, s, da, db):
     return width / ((s + 1.0) * (s + 2.0)) * (1.0 - 2.0 ** -(s + 1.0)) * (0.5 * da + 0.5 * db) * 2.0
 
 
-_TINY = float(np.finfo(float).tiny)  # the smallest normal double, a Python float
+_LEAST = 2.0**-1074  # the least positive double
 
 
 def _scaled_powers(u, v, q):
-    """(c, (u/c)^q, (v/c)^q), c = max(u, v) elementwise and at least _TINY: a bracket
-    (alpha u^q + beta v^q)^(1/q) = c (alpha U + beta V)^(1/q) then over- or underflows only
-    with its value. Floats skip numpy and builtin max, either dearer than the two powers."""
+    """(c, (u/c)^q, (v/c)^q), c = max(u, v) elementwise, or _LEAST where both are 0: a
+    bracket (alpha u^q + beta v^q)^(1/q) = c (alpha U + beta V)^(1/q) then over- or underflows
+    only with its value. Floats skip numpy and builtin max, either dearer than the two powers."""
     if isinstance(u, float) and isinstance(v, float):
-        c = u if u >= v and u >= _TINY else v if v >= _TINY else _TINY
+        c = u if u >= v and u >= _LEAST else v if v >= _LEAST else _LEAST
     else:
         c = np.maximum(u, v)
-        np.maximum(c, _TINY, out=c)
+        np.maximum(c, _LEAST, out=c)
     return c, (u / c) ** q, (v / c) ** q
 
 
@@ -181,7 +182,7 @@ def _power_mean_mid(width, q, da, db):
 
 def _classic(width, lam, mu, M):
     # the width is quartered, not M: M (b-a) never forms, and a subnormal M
-    # keeps its bits (evaluate scales a subnormal width up first); as
+    # keeps its bits (Theorem.bound scales a subnormal width up first); as
     # lam^2 + mu^2 >= 1/2, every product is finite wherever the bound is
     return M * (0.25 * width) * (lam**2 + mu**2) * 2.0
 
@@ -220,6 +221,17 @@ def kernel_moment_bracket(r: float, s: float) -> float:
 
 
 _MAGNITUDES = ("da", "db", "dx", "M")
+_NARROW, _SCALE = 2.0**-960, 2.0**512
+
+
+def _least(v):
+    """v, or the least element of the array v, by one reduction."""
+    return np.minimum.reduce(v, axis=None) if isinstance(v, np.ndarray) else v
+
+
+def _up(small):
+    """2**512 where small holds, else 1.0; elementwise for an array."""
+    return np.where(small, _SCALE, 1.0) if isinstance(small, np.ndarray) else _SCALE if small else 1.0
 
 
 @dataclass(frozen=True)
@@ -227,10 +239,9 @@ class Theorem:
     """One bound: its tag, the inputs it takes beyond [a, b] in the order
     its result echoes them, whether it needs a >= 0, and its array formula.
 
-    ``reads`` is the formula's parameter names, and ``magnitudes`` those of
-    them that are derivative magnitudes. ``required`` is what a caller must
-    give: the inputs, less q where p is one of them, since p comes as a
-    ConjugatePair that brings its own q.
+    ``reads`` is the formula's parameter names, the width first.
+    ``required`` is what a caller must give: the inputs, less q where p is
+    one of them, since p comes as a ConjugatePair that brings its own q.
     """
 
     tag: str
@@ -238,23 +249,40 @@ class Theorem:
     nonnegative: bool
     formula: Callable
     reads: Tuple[str, ...] = field(init=False, repr=False)
-    magnitudes: Tuple[str, ...] = field(init=False, repr=False)
     required: Tuple[str, ...] = field(init=False, repr=False)
     _args: Callable = field(init=False, repr=False, compare=False)
+    _mags: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         code = self.formula.__code__
         reads = code.co_varnames[: code.co_argcount]
         object.__setattr__(self, "reads", reads)
-        object.__setattr__(self, "magnitudes", tuple(name for name in reads if name in _MAGNITUDES))
         object.__setattr__(self, "required", tuple(
             name for name in self.inputs if not (name == "q" and "p" in self.inputs)))
         # every formula reads at least two values, so this returns a tuple
         object.__setattr__(self, "_args", itemgetter(*reads))
+        object.__setattr__(self, "_mags", tuple(i for i, r in enumerate(reads) if r in _MAGNITUDES))
 
     def bound(self, values: Mapping):
-        """The formula at the named values it reads; arrays broadcast."""
-        return self.formula(*self._args(values))
+        """The formula at the named values it reads; arrays broadcast.
+
+        Every formula is b - a times a factor free of it. A width below 2**-960
+        is scaled up by 2**512, so that its products with the constants and the
+        offsets keep their bits, and the bound back down with one rounding at
+        most; such a bound is below 2**-960 * 2**1024 times a constant under 8,
+        so no product of the scaled formula leaves the range. Every formula is
+        also homogeneous of degree 1 in the magnitudes it reads, taken together,
+        and they are scaled up alike where the largest is below 2**-960: a
+        subnormal |f'| would otherwise lose its bits to the constants before the
+        width brings the bound back into the normal range. Both act row by row,
+        on copies, and each is divided back out alone: 2**1024 never forms.
+        """
+        args = self._args(values)
+        if not (_least(args[0]) < _NARROW or _least(args[self._mags[0]]) < _NARROW):
+            return self.formula(*args)
+        w, m = _up(args[0] < _NARROW), _up(reduce(np.maximum, [args[i] for i in self._mags]) < _NARROW)
+        args = [v * w if i == 0 else v * m if i in self._mags else v for i, v in enumerate(args)]
+        return self.formula(*args) / w / m
 
 
 # tag, inputs in echo order, whether a >= 0 is needed, formula
@@ -273,18 +301,6 @@ THEOREMS = {t.tag: t for t in (
     Theorem("eq15", ("da", "db", "p", "q"), False, _eq15),
     Theorem("eq16", ("da", "db", "p", "q"), False, _eq16),
 )}
-
-
-# Every formula is b - a times a factor free of it. evaluate scales a width
-# below 2**-960 up by 2**512, so that its products with the constants and the
-# offsets keep their bits, and the bound back down with one rounding at most.
-# Such a bound is below 2**-960 * 2**1024 times a constant under 8, so no
-# product of the scaled formula leaves the range. Every formula is also
-# homogeneous of degree 1 in the magnitudes it reads, taken together, and
-# evaluate scales them up alike where the largest is below 2**-960: a
-# subnormal |f'| would otherwise lose its bits to the constants before the
-# width brings the bound back into the normal range.
-_NARROW, _WIDTH_SCALE = 2.0**-960, 2.0**512
 
 
 def evaluate(
@@ -313,9 +329,7 @@ def evaluate(
     theorem = THEOREMS[tag]
     if theorem.nonnegative:
         iv.require_nonnegative()
-    scale = _WIDTH_SCALE if iv.width < _NARROW else 1.0
-    values = {"width": iv.width * scale}
-    unscale = 1.0 / scale
+    values = {"width": iv.width}
     if x is not None:
         values["x"] = x = validate_eval_point(iv, x)
         values["lam"], values["mu"] = _offsets(iv, x)
@@ -336,11 +350,7 @@ def evaluate(
     inputs = {"a": iv.a, "b": iv.b}
     for key in theorem.inputs:
         inputs[key] = values[key]
-    if max(map(values.__getitem__, theorem.magnitudes)) < _NARROW:
-        for key in theorem.magnitudes:
-            values[key] *= _WIDTH_SCALE
-        unscale /= _WIDTH_SCALE  # 2**-512 or 2**-1024, both exact
-    return BoundResult(value=theorem.bound(values) * unscale, theorem_id=tag, inputs=inputs)
+    return BoundResult(value=theorem.bound(values), theorem_id=tag, inputs=inputs)
 
 
 def _free_exponents(theorem: Theorem, variant: str, p, q, fixed: Collection[str] = ()) -> dict:

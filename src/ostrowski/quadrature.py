@@ -61,7 +61,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import _TINY, THEOREMS, _free_exponents
+from .bounds import THEOREMS, _free_exponents
 from .core import (
     ConvergenceError,
     DomainError,
@@ -157,8 +157,8 @@ class QuadReport:
         return abs(self.true_error) <= self.error_bound + 1e-9
 
 
-#: The unit roundoff of double precision.
-_U = 2.0**-53
+#: The unit roundoff of double precision, and the smallest normal double.
+_U, _TINY = 2.0**-53, float(np.finfo(float).tiny)
 
 #: Arrays this short go straight to math.fsum, and _fsum stops halving here.
 _FSUM_DIRECT = 256

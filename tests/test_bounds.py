@@ -588,6 +588,8 @@ class TestRegistry:
             if "x" in given:
                 given |= {"lam", "mu"}
             assert set(theorem.reads) <= given, tag
+            # Theorem.bound finds the width it scales in the first place
+            assert theorem.reads[0] == "width", tag
 
     def test_unread_input_is_checked_by_its_kind(self):
         assert evaluate("eq14", UNIT, da=1.0, db=1.0, s=1.0, x=0.5).value == 0.25
@@ -640,6 +642,61 @@ class TestRegistry:
                 # the inputs are echoed as given
                 assert {key: got.inputs[key] for key in scaled if key in got.inputs} == {
                     key: scaled[key] for key in THEOREMS[tag].inputs if key in scaled}
+
+    @pytest.mark.parametrize("tag", list(THEOREMS))
+    def test_bound_scales_row_by_row(self, tag):
+        # one array call mixes normal rows with rows of a width below 2**-960,
+        # rows of magnitudes below 2**-960, rows of both, and rows where only
+        # da is tiny (the first magnitude of every theorem that reads it); each
+        # scaled row is the bound at its inputs times 2**600, scaled back, each
+        # other row the bare formula's
+        theorem = THEOREMS[tag]
+        rng = np.random.default_rng(16)
+        n = 50
+        kind = np.arange(n) % 5
+        narrow, tiny = np.isin(kind, (1, 3)), np.isin(kind, (2, 3))
+        lam = rng.uniform(0.0, 1.0, n)
+        lam[:10] = np.repeat([0.0, 1.0], 5)
+        p = rng.uniform(1.1, 5.0, n)
+        values = {
+            "width": np.where(narrow, 10.0 ** rng.uniform(-323.0, -290.0, n), 10.0 ** rng.uniform(0.0, 300.0, n)),
+            "lam": lam, "mu": 1.0 - lam, "s": rng.uniform(0.05, 1.0, n), "p": p, "q": p / (p - 1.0),
+        }
+        for key in ("da", "db", "dx", "M"):
+            values[key] = np.where(tiny | ((kind == 4) & (key == "da")),
+                                   10.0 ** rng.uniform(-323.5, -290.0, n),
+                                   10.0 ** np.where(narrow, rng.uniform(200.0, 300.0, n), rng.uniform(-3.0, 3.0, n)))
+        given = {key: value.copy() for key, value in values.items()}
+        got = theorem.bound(values)
+        for key, value in given.items():
+            assert np.array_equal(values[key], value), (tag, key)
+        bare = theorem.formula(**{key: values[key] for key in theorem.reads})
+        for i in range(n):
+            row = {key: value[i : i + 1] for key, value in values.items()}
+            if narrow[i]:
+                row["width"] = np.ldexp(row["width"], 600)
+            if tiny[i]:
+                row.update({key: np.ldexp(row[key], 600) for key in ("da", "db", "dx", "M")})
+            want = math.ldexp(float(theorem.bound(row)[0]), -600 * int(narrow[i] + tiny[i]))
+            if not narrow[i] | tiny[i]:
+                assert want == bare[i], (tag, i)
+            assert float(got[i]).hex() == want.hex(), (tag, i, kind[i])
+        # the scaled rows are not all 0
+        assert got[kind == 2].min() > 0.0 and got[kind == 1].min() > 0.0, tag
+
+    def test_t21_bracket_of_two_subnormal_magnitudes(self):
+        # |f'(b)| = 1 keeps the magnitudes unscaled, and the bracket of the two
+        # subnormal ones was clamped at the smallest normal double: (u/c)^1001
+        # underflowed and the bound printed 0.0
+        mp = pytest.importorskip("mpmath").mp
+        cp = make_conjugate(1.001)
+        got = bound_holder_hadamard(Interval(0.0, 1e300), 1e300, 1.0, cp,
+                                    EndpointData(da=1e-310, dx=1e-310, db=1.0)).value
+        with mp.workprec(200):
+            # at x = b only the branch over [a, x] remains: (b-a) ((da^q + dx^q)/2)^(1/q) / (p+1)^(1/p)
+            P, Q, D = mp.mpf(cp.p), mp.mpf(cp.q), mp.mpf(1e-310)
+            want = mp.mpf(1e300) * ((2 * D**Q) / 2) ** (1 / Q) / (P + 1) ** (1 / P)
+            assert 0.0 < got and abs(mp.mpf(got) - want) <= 4 * math.ulp(float(want)), (got, want)
 
     def test_missing_input_named(self):
         with pytest.raises(DomainError, match="t20 requires the input 'x'"):

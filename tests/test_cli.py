@@ -421,6 +421,18 @@ class TestVerifyCommand:
         _, out2, _ = run(capsys, "verify")
         assert out1 == out2
 
+    def test_subnormal_slope_on_a_wide_interval(self, capsys):
+        # |f'| = 5e-324 on [0, 1e300]: t20 came out as 0.0 and its records
+        # held only through the 1e-9 slack
+        code, out, err = run(
+            capsys, "verify", "--functions", "poly:0,5e-324", "--a", "0", "--b", "1e300",
+            "--s-grid", "1", "--x-points", "3", "--p-grid", "2",
+        )
+        assert (code, err) == (0, "")
+        records = strict_json(out)["records"]
+        assert len(records) == 15
+        assert all(record["rhs"] > 0.0 for record in records), records
+
     def test_counterexample_fails_with_witness(self, capsys):
         # |f'| of |t|^1.5 is concave, so the s=1 hypotheses fail and the
         # bounds genuinely break at some grid points
@@ -712,6 +724,18 @@ class TestQuadCommand:
         payload = strict_json(out)
         assert payload["error_bound"] <= target
         assert payload["panels"] == panels
+
+    def test_subnormal_derivative_bound_is_not_zero(self, capsys):
+        # the one-panel bound rounded to 0.0 and was certified against any target
+        argv = ("quad", "--fn", "breckner:0,1e-323,0,0.5", "--a", "1", "--b", "1e300",
+                "--variant", "p4", "--p", "2")
+        code, out, err = run(capsys, *argv, "--target", "1e300")
+        assert (code, err) == (0, "")
+        assert strict_json(out)["error_bound"] == pytest.approx(
+            1e300 * (1e300 * 2.0**-1074) / 4.0 / math.sqrt(3.0), rel=1e-14)
+        code, out, err = run(capsys, *argv, "--target", "1")
+        assert (code, out) == (3, "")
+        assert "budget" in err
 
     def test_quadratic_report(self, capsys):
         code, out, _ = run(

@@ -248,6 +248,16 @@ class TestMeansGapBound:
                 got = means_gap_bound(lam * a, lam * b, s, variant, p=p, q=q).value
                 assert got == pytest.approx(want, rel=1e-13), (variant, a, b, s, q)
 
+    @pytest.mark.parametrize("variant,kw", [("p1", {}), ("p2", {"p": 2.0}), ("p3", {"q": 2.0})])
+    def test_subnormal_endpoints(self, variant, kw):
+        # the width 5e-324 lost its bits to the formula's constants before the
+        # slopes, about 2e161, applied, and each bound came out as 0.0; the
+        # bound scales by lam^s as the endpoints scale by lam
+        got = means_gap_bound(5e-324, 1e-323, 0.5, variant, **kw).value
+        wide = means_gap_bound(math.ldexp(5e-324, 600), math.ldexp(1e-323, 600), 0.5, variant, **kw).value
+        assert got > 0.0
+        assert got == pytest.approx(math.ldexp(wide, -300), rel=1e-13)
+
     @staticmethod
     def _p2_p3_50_digits(a, b, s, p, q):
         """p2 and p3 from their displayed forms at 50 digits, with the

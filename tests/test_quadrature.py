@@ -530,6 +530,16 @@ class TestCertifiedIntegrate:
             certified_integrate(counted, UNIT, 0.1, variant, **kw)
         assert levels == [2]
 
+    def test_subnormal_derivative_certifies_a_positive_bound(self):
+        # |f'| is at most 5e-324 and the one panel 1e300 wide: the quartered
+        # |f'| rounded to 0, the bound certified 0.0, and verification warned
+        # of a violated certificate, which pyproject makes an error
+        fn = parse_function_spec("breckner:0,1e-323,0,0.5")
+        report = certified_integrate(fn, Interval(1.0, 1e300), 1e300, "p4", p=2.0, verify=True)
+        assert report.panels == 1 and report.certified_ok
+        # the panel's width times e5 at |f'(a)| = 2**-1074 and |f'(b)| = 0
+        assert report.error_bound == pytest.approx(1e300 * (1e300 * 2.0**-1074) / 4.0 / math.sqrt(3.0), rel=1e-14)
+
     def test_lying_derivative_triggers_warning(self):
         # a derivative evaluator that claims f' == 0 produces a zero bound;
         # verification mode must flag the broken certificate
