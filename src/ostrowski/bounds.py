@@ -275,14 +275,30 @@ class Theorem:
         and they are scaled up alike where the largest is below 2**-960: a
         subnormal |f'| would otherwise lose its bits to the constants before the
         width brings the bound back into the normal range. Both act row by row,
-        on copies, and each is divided back out alone: 2**1024 never forms.
+        on copies, and each is divided back out alone: 2**1024 never forms. A
+        factor is built only when some row needs it, so a block whose first
+        magnitude holds a zero, but no small maximum, pays for no copies.
         """
         args = self._args(values)
-        if not (_least(args[0]) < _NARROW or _least(args[self._mags[0]]) < _NARROW):
+        width, first = args[0], args[self._mags[0]]
+        if type(width) is float and type(first) is float:  # plain comparisons, no reductions
+            if not (width < _NARROW or first < _NARROW):
+                return self.formula(*args)
+        elif not (_least(width) < _NARROW or _least(first) < _NARROW):
             return self.formula(*args)
-        w, m = _up(args[0] < _NARROW), _up(reduce(np.maximum, [args[i] for i in self._mags]) < _NARROW)
-        args = [v * w if i == 0 else v * m if i in self._mags else v for i, v in enumerate(args)]
-        return self.formula(*args) / w / m
+        # a factor only where some row needs it: an unscaled row's bits are the same either way
+        args, factors = list(args), []
+        for scaled, small in (((0,), width < _NARROW),
+                              (self._mags, reduce(np.maximum, [args[i] for i in self._mags]) < _NARROW)):
+            if small.any() if isinstance(small, np.ndarray) else small:
+                up = _up(small)
+                factors.append(up)
+                for i in scaled:
+                    args[i] = args[i] * up
+        value = self.formula(*args)
+        for up in factors:
+            value = value / up
+        return value
 
 
 # tag, inputs in echo order, whether a >= 0 is needed, formula

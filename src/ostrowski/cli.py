@@ -32,7 +32,7 @@ from .core import (
     _require_s,
     make_conjugate,
 )
-from .kernel import verify_montgomery_identity
+from .kernel import _montgomery_records
 from .means import GAP_VARIANTS, _mean_powers, means_gap, means_gap_bound
 from .quadrature import certified_integrate
 from .toolkit import parse_function_spec, reference_integrate
@@ -163,9 +163,8 @@ def _identity_records(tol: float) -> list:
     for spec in DEFAULT_IDENTITY_POLYS:
         fn = parse_function_spec(spec)
         for a, b in DEFAULT_IDENTITY_INTERVALS:
-            iv = Interval(a, b)
-            for x in np.linspace(a, b, 9):
-                records.append(verify_montgomery_identity(fn, iv, float(x), tol=tol))
+            # f is integrated over iv once, for all 9 points
+            records += _montgomery_records(fn, Interval(a, b), np.linspace(a, b, 9).tolist(), tol)
     return records
 
 

@@ -208,6 +208,8 @@ class BoundResult:
     inputs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if type(self.value) is float and 0.0 <= self.value < math.inf:
+            return  # the common case: nothing to convert or reject
         object.__setattr__(self, "value", float(self.value))
         # every input of a bound is checked finite: only an overflow makes it inf or nan
         if not math.isfinite(self.value):

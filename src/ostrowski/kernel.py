@@ -59,35 +59,47 @@ def verify_montgomery_identity(
     lhs is |LHS - RHS| compared against 0 with slack tol; the raw side
     values are kept in the context string.
     """
-    x = validate_eval_point(iv, x)
-    a, b = iv.a, iv.b
-    lam = _offsets(iv, x)[0]
+    return _montgomery_records(fn, iv, (x,), tol)[0]
 
+
+def _montgomery_records(fn: Function1D, iv: Interval, xs, tol: float) -> list:
+    """verify_montgomery_identity at each x in xs, in turn, with the integral
+    of f over iv taken once, at the first x, and reused: the same call each
+    time, so the same bits, and the same exception at the same point."""
+    a, b = iv.a, iv.b
     piece_tol = tol / (10.0 * iv.width)
 
     def dline(t):
         return fn.deriv(t * a + (1.0 - t) * b)
 
-    # the f' side goes first, so a missing derivative raises at its first panel
-    rhs_val = 0.0
-    if lam > 0.0:
-        low = Function1D(lambda t: t * dline(t), label="kernel-low")
-        rhs_val += reference_integrate(low, Interval(0.0, lam), piece_tol)
-    if lam < 1.0:
-        high = Function1D(lambda t: (t - 1.0) * dline(t), label="kernel-high")
-        rhs_val += reference_integrate(high, Interval(lam, 1.0), piece_tol)
-    rhs_val *= a - b
+    low = Function1D(lambda t: t * dline(t), label="kernel-low")
+    high = Function1D(lambda t: (t - 1.0) * dline(t), label="kernel-high")
+    whole = None
+    records = []
+    for x in xs:
+        x = validate_eval_point(iv, x)
+        lam = _offsets(iv, x)[0]
+        # the f' side goes first, so a missing derivative raises at its first panel
+        rhs_val = 0.0
+        if lam > 0.0:
+            rhs_val += reference_integrate(low, Interval(0.0, lam), piece_tol)
+        if lam < 1.0:
+            rhs_val += reference_integrate(high, Interval(lam, 1.0), piece_tol)
+        rhs_val *= a - b
 
-    lhs_val = fn(x) - reference_integrate(fn, iv, tol * iv.width / 10.0) / iv.width
-    return VerificationRecord.check(
-        lhs=abs(lhs_val - rhs_val),
-        rhs=0.0,
-        tol=tol,
-        context=(
-            f"montgomery identity fn={fn.label or '<anonymous>'} "
-            f"iv=[{a:g},{b:g}] x={x:.17g} lhs={lhs_val:.17g} rhs={rhs_val:.17g}"
-        ),
-    )
+        if whole is None:
+            whole = reference_integrate(fn, iv, tol * iv.width / 10.0)
+        lhs_val = fn(x) - whole / iv.width
+        records.append(VerificationRecord.check(
+            lhs=abs(lhs_val - rhs_val),
+            rhs=0.0,
+            tol=tol,
+            context=(
+                f"montgomery identity fn={fn.label or '<anonymous>'} "
+                f"iv=[{a:g},{b:g}] x={x:.17g} lhs={lhs_val:.17g} rhs={rhs_val:.17g}"
+            ),
+        ))
+    return records
 
 
 def classic_ostrowski_bound(iv: Interval, x: float, m: float) -> BoundResult:

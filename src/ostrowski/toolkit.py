@@ -11,6 +11,14 @@ flat array of all their nodes, and for a split one product for all their
 K15 and G7 sums. Per split, the cost is Python and numpy call overhead, not
 arithmetic, so two halves at once cost little more than one. Each panel
 keeps the bits, and a failing one the exception, of evaluating it alone.
+
+Most oracle calls, such as the special-means cross-checks, end at their
+first panel, so that path is kept to its arithmetic: the lone panel returns
+from its 15 nodes, one evaluator call and two dot products, and a first
+panel that meets the tolerance is the result, with no heap or sort. The
+Breckner evaluator likewise takes a float with float arithmetic, and skips
+the multiply by v = 1 and the add of w = 0 on an array where those are
+exact identities.
 """
 
 from __future__ import annotations
@@ -71,8 +79,15 @@ class BrecknerFunction:
         return self.v >= 0.0 and 0.0 <= self.w <= self.u
 
     def value(self, t):
+        if type(t) is float:  # plain float arithmetic
+            return self.u if _nonnegative_min(t) == 0.0 else self.v * t**self.s + self.w
         at_zero = _nonnegative_min(t) == 0.0
-        out = self.v * t**self.s + self.w
+        out = t**self.s
+        if self.v != 1.0:  # 1.0 * x is x
+            out = self.v * out
+        # x + w, w = +-0.0, is x unless x = -0.0 and w = +0.0; v > 0 keeps v * t^s, t > 0, from -0.0
+        if not (self.w == 0.0 and self.v > 0.0):
+            out = out + self.w
         return np.where(t == 0.0, self.u, out)[()] if at_zero else out
 
     def slope(self, t):
@@ -87,7 +102,8 @@ class BrecknerFunction:
 
 
 def _nonnegative_min(t) -> float:
-    lo = np.fmin.reduce(t, axis=None)  # fmin skips NaN, so a NaN cannot hide a bad point
+    # fmin skips NaN, so a NaN cannot hide a bad point
+    lo = t if type(t) is float else np.fmin.reduce(t, axis=None)
     if lo < 0.0:
         raise DomainError(f"Breckner function is defined on [0, inf), got t={float(lo)!r}")
     return lo
@@ -224,20 +240,35 @@ def _rule(fn: Function1D, edges) -> list:
     products of its 15 values with the weights. For two panels or more, one
     (k, 15) @ (15, 2) product gives each row those bits; a lone panel takes
     the dot products themselves, because numpy sends a one-row product
-    through a matrix-vector kernel that sums in another order. A failure
-    names the leftmost panel that fails, as evaluating the panels in turn
-    would.
+    through a matrix-vector kernel that sums in another order. A lone panel
+    whose values and sums are finite returns straight from them; any other
+    goes on to the general body below, with the values already evaluated. A
+    failure names the leftmost panel that fails, as evaluating the panels in
+    turn would.
     """
-    halves, parts = [], []
-    for lo, hi in zip(edges, edges[1:]):
+    if len(edges) == 2:  # a lone panel: its nodes, its dot products, no lists
+        lo, hi = edges
         half = 0.5 * (hi - lo)
-        halves.append(half)
-        parts.append(0.5 * (lo + hi) + half * _NODES)
-    fs = fn(parts[0] if len(parts) == 1 else np.concatenate(parts))  # flat: evaluators may assume 1-D
-    scales = [1.0] * len(parts)
-    bad = len(parts)  # the first panel with a non-finite value
-    if not _max(abs(fs), None) < _HUGE:  # NaN fails too
-        rows = fs.reshape(len(parts), 15)
+        halves = [half]
+        fs = fn(0.5 * (lo + hi) + half * _NODES)
+        if _max(abs(fs), None) < _HUGE:  # NaN fails too
+            k15 = half * float(_W_KRONROD @ fs)
+            g7 = half * float(_W_GAUSS @ fs)
+            err = abs(k15 - g7)
+            if err < math.inf:
+                return [(k15, err)]
+    else:
+        halves, parts = [], []
+        for lo, hi in zip(edges, edges[1:]):
+            half = 0.5 * (hi - lo)
+            halves.append(half)
+            parts.append(0.5 * (lo + hi) + half * _NODES)
+        fs = fn(np.concatenate(parts))  # flat: evaluators may assume 1-D
+    k = len(halves)
+    scales = [1.0] * k
+    bad = k  # the first panel with a non-finite value
+    if not _max(abs(fs), None) < _HUGE:
+        rows = fs.reshape(k, 15)
         tops = np.abs(rows).max(axis=1).tolist()
         bad = next((j for j, top in enumerate(tops) if not math.isfinite(top)), bad)
         # sum a quarter of each panel with |f| >= 2**1023, exactly, and scale back;
@@ -260,7 +291,7 @@ def _rule(fn: Function1D, edges) -> list:
                 f"overflowed double precision"
             )
         out.append((k15, err))
-    if bad < len(parts):
+    if bad < k:
         raise ConvergenceError(
             f"integrand {fn.label or '<anonymous>'} returned a non-finite value "
             f"on [{edges[bad]:g}, {edges[bad + 1]:g}]"
@@ -287,6 +318,8 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float) -> float:
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     ((value, err),) = _rule(fn, (iv.a, iv.b))
+    if not err > tol:  # the first panel converged: math.fsum([value]), which is value + 0.0
+        return value + 0.0
     # heap orders by largest estimate; ties fall back to the left endpoint
     heap = [(-err, iv.a, iv.b, value)]
     total_err = err

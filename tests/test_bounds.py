@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ostrowski.bounds import (
     THEOREMS,
+    Theorem,
     bound_holder_global,
     bound_holder_hadamard,
     bound_holder_split,
@@ -683,6 +684,26 @@ class TestRegistry:
             assert float(got[i]).hex() == want.hex(), (tag, i, kind[i])
         # the scaled rows are not all 0
         assert got[kind == 2].min() > 0.0 and got[kind == 1].min() > 0.0, tag
+
+    def test_zero_magnitude_without_a_small_row_leaves_the_block_unscaled(self):
+        # a zero |f'| at the first node sends the block past the fast gate, but
+        # no row's largest magnitude is small: the block is the bare formula
+        rng = np.random.default_rng(17)
+        da, db = rng.uniform(0.5, 2.0, 8192), rng.uniform(0.5, 2.0, 8192)
+        da[0] = 0.0
+        values = {"width": 1.0 / 8192, "p": 2.0, "q": 2.0, "da": da, "db": db}
+        got = THEOREMS["e5"].bound(values)
+        want = THEOREMS["e5"].formula(1.0 / 8192, 2.0, da, db)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        # and the formula is handed the caller's arrays, not scaled copies
+        seen = []
+
+        def e5(width, p, da, db):
+            seen.append((width, da, db))
+            return THEOREMS["e5"].formula(width, p, da, db)
+
+        Theorem("probe", ("p", "q", "da", "db"), True, e5).bound(values)
+        assert seen[0][0] == 1.0 / 8192 and seen[0][1] is da and seen[0][2] is db
 
     def test_t21_bracket_of_two_subnormal_magnitudes(self):
         # |f'(b)| = 1 keeps the magnitudes unscaled, and the bracket of the two

@@ -115,6 +115,21 @@ class TestMontgomeryIdentity:
                 assert verify_montgomery_identity(fn, iv, float(x), tol=1e-9).holds
 
 
+    def test_several_points_integrate_f_once(self):
+        # the records of one call over several x are those of one call per x,
+        # and f itself is integrated once, not once per x
+        from ostrowski.core import Function1D
+        from ostrowski.kernel import _montgomery_records
+
+        poly = parse_function_spec("poly:1,-2,0.5,2")
+        points = []
+        fn = Function1D(f=lambda t: points.append(np.size(t)) or poly(t), df=poly.df, label=poly.label)
+        iv = Interval(1.0, 3.0)
+        xs = np.linspace(1.0, 3.0, 9).tolist()
+        records = _montgomery_records(fn, iv, xs, 1e-9)
+        assert points == [15] + [1] * 9
+        assert records == [verify_montgomery_identity(poly, iv, x, tol=1e-9) for x in xs]
+
 class TestClassicOstrowski:
     def test_midpoint(self):
         assert classic_ostrowski_bound(UNIT, 0.5, 1.0).value == 0.25

@@ -1,5 +1,6 @@
 """Means of positive reals and the bounds on |A^s - L_s^s|."""
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -182,6 +183,22 @@ class TestMeansGap:
                 )
             got = means_gap(a, b, s)
             assert abs(Decimal(got) - exact) <= Decimal(1e-12) * exact, (a, b, s)
+
+    def test_oracle_evaluates_through_make_breckner(self, monkeypatch):
+        # the cross-check evaluates t^s built by make_breckner, where callers
+        # that count evaluations see it: 15 panel nodes and the midpoint
+        from ostrowski import means
+
+        points = []
+
+        def counting_breckner(*args):
+            fn = make_breckner(*args)
+            return dataclasses.replace(fn, f=lambda t: points.append(np.size(t)) or fn.f(t))
+
+        monkeypatch.setattr(means, "make_breckner", counting_breckner)
+        got = means_gap(1.0, 2.0, 0.5)
+        assert points == [15, 1]
+        assert got == means_gap(1.0, 2.0, 0.5, oracle_tol=None)
 
     def test_s_one_rejected(self):
         with pytest.raises(DomainError):

@@ -21,6 +21,10 @@ from ostrowski.toolkit import (
 )
 
 
+def _hex_list(values):
+    return [float(v).hex() for v in values]
+
+
 class TestBrecknerFunction:
     def test_evaluation(self):
         fn = make_breckner(0.0, 1.0, 0.0, 0.5)  # t^0.5
@@ -53,6 +57,48 @@ class TestBrecknerFunction:
             fn(-0.1)
         with pytest.raises(DomainError):
             fn.deriv(-0.1)
+
+    def test_negative_float_message(self):
+        fn = make_breckner(0.0, 1.0, 0.0, 0.5)
+        for t in (-0.1, -5e-324):
+            with pytest.raises(DomainError, match=rf"^Breckner function is defined on \[0, inf\), got t={t!r}$"):
+                fn(t)
+        with pytest.raises(DomainError, match=r"got t=-0\.1$"):
+            fn(np.array([1.0, -0.1]))
+
+    def test_origin_takes_u(self):
+        fn = BrecknerFunction(3.0, 2.0, 0.5, 0.5)
+        assert fn.value(0.0) == fn.value(-0.0) == 3.0
+        assert fn.value(np.array([0.0, -0.0, 1.0])).tolist() == [3.0, 3.0, 2.5]
+        assert math.isnan(fn.value(math.nan))
+
+    @pytest.mark.parametrize("v", [1.0, 2.0, 0.0, -0.0])
+    @pytest.mark.parametrize("w", [0.0, -0.0, 0.5])
+    def test_array_path_is_the_formula_bit_for_bit(self, v, w):
+        # the multiply by v = 1 and the add of w = 0 are skipped only where
+        # they are identities: at v = -0.0 and w = +0.0, v t^s + w is +0.0
+        rng = np.random.default_rng(23)
+        t = np.concatenate((10.0 ** rng.uniform(-320.0, 300.0, 200), rng.uniform(0.0, 4.0, 200),
+                            [5e-324, 1.0, 8e307]))
+        for s in (0.3, 0.5, 1.0):
+            fn = BrecknerFunction(7.0, v, w, s)
+            want = v * t**s + w
+            assert _hex_list(fn.value(t)) == _hex_list(want), (v, w, s)
+            with_zero = np.concatenate(([0.0, -0.0], t))
+            assert _hex_list(fn.value(with_zero)) == ["0x1.c000000000000p+2"] * 2 + _hex_list(want)
+
+    @pytest.mark.parametrize("v", [1.0, 2.0, 0.0, -0.0])
+    @pytest.mark.parametrize("w", [0.0, -0.0, 0.5])
+    def test_float_path_is_the_array_path_elementwise(self, v, w):
+        # where numpy's power and the C pow agree: s = 1, and s = 1/2 at squares
+        # (elsewhere the two may round a power differently by an ulp)
+        for s, t in ((1.0, [3e-310, 0.1, 0.7, 2.5, 1e300]), (0.5, [2.0**-1074, 0.0625, 0.25, 1.0, 4.0, 2.25])):
+            fn = BrecknerFunction(7.0, v, w, s)
+            t = [0.0, -0.0] + t
+            floats = [fn.value(x) for x in t]
+            assert all(type(y) is float for y in floats)
+            assert _hex_list(floats) == _hex_list(fn.value(np.array(t))), (v, w, s)
+            assert _hex_list(floats[2:]) == _hex_list([v * x**s + w for x in t[2:]])
 
     def test_membership_predicate(self):
         assert BrecknerFunction(1.0, 2.0, 0.5, 0.5).is_known_member
@@ -318,6 +364,21 @@ class TestReferenceIntegrate:
             with pytest.raises(OverflowError, match="spread"):
                 toolkit._rule(spread, (-1.0, 1.0))
 
+    def test_converged_first_panel_makes_one_evaluator_call(self):
+        fn = make_breckner(0.0, 1.0, 0.0, 0.5)
+        points = []
+        counting = Function1D(f=lambda t: points.append(np.size(t)) or fn(t), label=fn.label)
+        got = reference_integrate(counting, Interval(1.0, 2.0), 1e-9)
+        assert points == [15]
+        assert got.hex() == _lone_panel(fn, 1.0, 2.0)[0].hex()
+
+    def test_converged_first_panel_keeps_the_sign_of_fsum(self):
+        # half times a tiny negative sum underflows to -0.0; the result is
+        # math.fsum of the panels, as for a refined integral, so +0.0
+        fn = Function1D(f=lambda t: -1e-300 + 0.0 * t, label="tiny")
+        assert toolkit._rule(fn, (0.0, 2e-100))[0][0].hex() == "-0x0.0p+0"
+        assert reference_integrate(fn, Interval(0.0, 2e-100), 1e-9).hex() == "0x0.0p+0"
+
     def test_deterministic(self):
         fn = parse_function_spec("powabs:0.5")
         a = reference_integrate(fn, Interval(0.0, 1.0), 1e-11)
@@ -357,6 +418,22 @@ class TestRule:
             alone = toolkit._rule(fn, (lo, mid)) + toolkit._rule(fn, (mid, hi))
             assert _hex(split) == _hex(alone), (lo, hi)
             assert _hex(split) == _hex([_lone_panel(fn, lo, mid), _lone_panel(fn, mid, hi)])
+
+    def test_lone_panel_is_its_dot_products_bit_for_bit(self):
+        # random values, a fifth of them subnormal, on random panels: the lone
+        # panel's (integral, estimate) is the two dot products, worked apart
+        rng = np.random.default_rng(37)
+        for _ in range(500):
+            vals = rng.standard_normal(15) * 10.0 ** rng.uniform(-300.0, 300.0)
+            tiny = rng.random(15) < 0.2
+            vals[tiny] = rng.integers(-2**20, 2**20, int(tiny.sum())) * 2.0**-1074
+            lo = float(rng.uniform(-3.0, 3.0))
+            hi = lo + float(10.0 ** rng.uniform(-12.0, 2.0))
+            fn = Function1D(f=lambda t, vals=vals: vals, label="table")
+            half = 0.5 * (hi - lo)
+            k15 = half * float(np.dot(toolkit._W_KRONROD, vals))
+            g7 = half * float(np.dot(toolkit._W_GAUSS, vals))
+            assert _hex(toolkit._rule(fn, (lo, hi))) == _hex([(k15, abs(k15 - g7))]), (lo, hi)
 
     def test_huge_half_leaves_a_subnormal_neighbour_unrounded(self):
         # |f| >= 2**1023 on the left half: only that panel is summed a
