@@ -14,11 +14,13 @@ meets the target, so the schedule is deterministic; adaptive splitting is
 deliberately out of scope. Derivative values at nodes always come from the
 exact derivative evaluator, never from differencing.
 
-Both the panel bounds and the midpoint terms are summed by _fsum: repeated
-error-free halvings of the array (TwoSum, as in Ogita, Rump and Oishi,
-SIAM J. Sci. Comput. 26:1955, 2005) and one math.fsum over what is left.
-The result is math.fsum's to the bit, correctly rounded, at numpy speed
-and without a Python list the length of the partition.
+Both the panel bounds and the midpoint terms are summed by _fsum: error-free
+extraction over blocks of the array (ExtractVector in Rump, Ogita and Oishi,
+"Accurate floating-point summation part I: faithful rounding", SIAM J. Sci.
+Comput. 31:189, 2008), each step summed exactly by numpy, and one math.fsum
+over the few step totals. The result is math.fsum's to the bit, correctly
+rounded, at numpy speed, with one block-sized buffer and without a Python
+list the length of the partition.
 
 certified_integrate fills each level's panel terms as midpoint_error_bound
 does, but runs _fsum only where numpy's sum cannot decide the level. The
@@ -160,8 +162,15 @@ class QuadReport:
 #: The unit roundoff of double precision, and the smallest normal double.
 _U, _TINY = 2.0**-53, float(np.finfo(float).tiny)
 
-#: Arrays this short go straight to math.fsum, and _fsum stops halving here.
-_FSUM_DIRECT = 256
+#: Arrays this short go straight to math.fsum, which is the faster of the
+#: two up to about 800 values: an extraction costs a few dozen numpy calls.
+_FSUM_DIRECT = 512
+
+#: Values per block in _fsum: a block and its buffer stay in cache through
+#: the passes of every extraction step. _FSUM_M is the smallest M with
+#: 2**M >= _FSUM_BLOCK + 2.
+_FSUM_BLOCK = 2**15
+_FSUM_M = (_FSUM_BLOCK + 1).bit_length()
 
 #: Panels per block in composite_midpoint and midpoint_error_bound: a block's
 #: float arrays take 64 KiB each, so the allocator hands the same cache-warm
@@ -171,49 +180,49 @@ _BLOCK = 8192
 
 def _fsum(x: np.ndarray) -> float:
     """math.fsum(x) for a writable 1-D float64 array, without a Python float
-    per value. x is consumed: the halvings overwrite it in place.
+    per value. x is consumed: each block of it is overwritten in place.
 
-    Each level adds the front half of the array to the back half with
-    Knuth's TwoSum, which also yields each sum's rounding error exactly, so
-    the halved array plus the errors holds the same exact total. The errors
-    of one pass are halved again in the next, until they are all zero or
-    short. Panel sums need two passes; data spread over hundreds of binades
-    needs more, since each pass only shrinks the largest error by about
-    n * 2**-53. The leftovers go through one math.fsum, which rounds their
-    exact total, the exact total of x, as math.fsum(x) does.
+    Each block of _FSUM_BLOCK values is split, exactly, into a part whose
+    sum numpy computes exactly and a remainder that takes the block's place,
+    until the remainder is all zero. With m = max|block| < 2**e and
+    sigma = 2**(e + M), M = _FSUM_M:
 
-    Where some partial sum might overflow (n * max|x| >= 2**1023) or x holds
-    inf or nan, x goes to math.fsum whole, so the result or exception is
-    exactly math.fsum's.
+    - fl(sigma + x) lies in [sigma - 2**e, sigma + 2**e], within a factor
+      of 2 of sigma, so q = fl(fl(sigma + x) - sigma) is exact (Sterbenz),
+      and so is x - q, the rounding error of sigma + x, at most 2**-53 sigma;
+    - every q is a multiple of 2**-53 sigma, the spacing of the doubles in
+      [sigma/2, sigma), and |q| <= 2**e, so every partial sum of the q, in
+      any order, is a multiple of 2**-53 sigma of magnitude at most
+      block size * 2**e <= sigma: a double. q.sum() is exact;
+    - each step takes about 53 - M bits off the block's largest value.
+      Once sigma is at most 2**-1022, the doubles below 2 sigma are
+      2**-1074 apart, as every x is, so sigma + x is exact, the remainder
+      is 0, and the loop ends there without a special case.
+
+    The step totals hold the exact total of x, and one math.fsum over them
+    rounds it as math.fsum(x) does.
+
+    Two escapes send x whole to math.fsum, so the result or the exception
+    is exactly math.fsum's: x holds inf or nan, or n * max|x| >= 2**1023,
+    where some partial sum of math.fsum might overflow and must raise; and
+    2**M * max|x| >= 2**1023, where sigma or sigma + x would not be finite.
     """
     n = x.size
-    if n <= _FSUM_DIRECT or not max(-float(x.min()), float(x.max())) < 2.0**1023 / n:
+    limit = 2.0**1023 / max(n, 2**_FSUM_M)
+    if n <= _FSUM_DIRECT or not max(-float(x.min()), float(x.max())) < limit:
         return math.fsum(x.tolist())
-    terms = []
-    y = x  # halved in place; each pass writes its errors over its front
-    s_bufs = (np.empty(n // 2), np.empty(n // 4))
-    z_buf = np.empty(n // 2)
-    while y.any():
-        if y.size <= _FSUM_DIRECT:
-            terms.extend(y.tolist())
-            break
-        rest, done, level = y, 0, 0
-        while rest.size > _FSUM_DIRECT:
-            if rest.size % 2:
-                terms.append(float(rest[-1]))
-                rest = rest[:-1]
-            h = rest.size // 2
-            u, v = rest[:h], rest[h:]
-            s = np.add(u, v, out=s_bufs[level % 2][:h])
-            z = np.subtract(s, u, out=z_buf[:h])
-            np.subtract(v, z, out=v)
-            np.subtract(s, z, out=z)
-            np.subtract(u, z, out=z)
-            np.add(z, v, out=y[done : done + h])  # (u - (s - z)) + (v - z)
-            rest, done, level = s, done + h, level + 1
-        terms.extend(rest.tolist())
-        y = y[:done]
-    return math.fsum(terms)
+    totals = []
+    buf = np.empty(min(n, _FSUM_BLOCK))
+    for i in range(0, n, _FSUM_BLOCK):
+        block = x[i : i + _FSUM_BLOCK]
+        q = buf[: block.size]
+        while m := max(-float(block.min()), float(block.max())):
+            sigma = math.ldexp(1.0, math.frexp(m)[1] + _FSUM_M)
+            np.add(block, sigma, out=q)
+            np.subtract(q, sigma, out=q)
+            np.subtract(block, q, out=block)
+            totals.append(float(q.sum()))
+    return math.fsum(totals)
 
 
 def composite_midpoint(fn: Function1D, d: Partition) -> float:
@@ -225,7 +234,7 @@ def composite_midpoint(fn: Function1D, d: Partition) -> float:
         values = fn(0.5 * (x[1:] + x[:-1]))
         with np.errstate(over="ignore"):  # checked below
             np.multiply(values, np.diff(x), out=terms[i : i + _BLOCK])
-    del values  # the last block's values go before _fsum allocates its buffers
+    del values  # the last block's values go before _fsum allocates its buffer
     if not -np.inf < terms.min() <= terms.max() < np.inf:  # NaN fails too; no bool array
         raise OverflowError("a composite midpoint term is not finite")
     return _fsum(terms)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ostrowski import quadrature
 
@@ -106,6 +108,18 @@ def fsum_outcome(x: np.ndarray):
 
 
 FSUM_SIZES = (0, 1, 2, 3, 255, 256, 257, 511, 513, 1023, 1025, 4095, 4097, 2**17)
+
+#: values per extraction block in _fsum
+FB = quadrature._FSUM_BLOCK
+
+
+def fsum_outcome_and_message(fn, x: np.ndarray):
+    """(hex result, None) or (exception type, message) of fn(a copy of x),
+    fn being _fsum or math.fsum."""
+    try:
+        return (fn(x.copy() if fn is _fsum else x.tolist()).hex(), None)
+    except (OverflowError, ValueError) as exc:
+        return (type(exc), str(exc))
 
 
 def fsum_data(kind: str, n: int, rng) -> np.ndarray:
@@ -210,6 +224,100 @@ class TestFsum:
         assert report.error_bound == midpoint_error_bound(
             d, np.abs(fn.deriv(d.nodes)), variant, **kw
         )
+
+    @pytest.mark.parametrize("n", [FB - 1, FB, FB + 1, 2 * FB + 1, 2**19])
+    @pytest.mark.parametrize("kind", ["positive", "signed", "ill-conditioned"])
+    def test_sizes_around_the_extraction_block(self, kind, n):
+        x = fsum_data(kind, n, np.random.default_rng(n))
+        assert _fsum(x.copy()).hex() == math.fsum(x.tolist()).hex()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_full_blocks_of_one_sign(self, sign):
+        # sigma + x below sigma leaves parts that are multiples of
+        # 2**-53 sigma, and a block of them sums to nearly block size * 2**e:
+        # numpy adds them exactly only while that stays within sigma (with
+        # 2**M four times too small, 5 of the 40 negative arrays go wrong;
+        # positive ones land above sigma, on a grid twice as coarse)
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            x = sign * rng.uniform(0.5, 1.0, 2 * FB + 1)
+            assert _fsum(x.copy()).hex() == math.fsum(x.tolist()).hex()
+
+    def test_subnormal_block_beside_a_block_near_1e300(self):
+        # the 1e300 block cancels exactly, so the rounded total is the
+        # subnormal block's: no extraction step may lose a 2**-1074
+        rng = np.random.default_rng(21)
+        tiny = rng.integers(-(2**52), 2**52, FB) * 5e-324
+        big = rng.uniform(0.5e300, 2e300, FB // 2)
+        big = np.concatenate([big, -big])
+        rng.shuffle(big)
+        for x in (np.concatenate([tiny, big]), np.concatenate([big, tiny])):
+            got = _fsum(x.copy())
+            assert got.hex() == math.fsum(x.tolist()).hex() == math.fsum(tiny.tolist()).hex()
+            assert got == float(exact_sum(x.tolist()))
+
+    @pytest.mark.parametrize("value", [5e-324, -2.5e-310, 1.0, -math.pi, 3.5e300])
+    def test_one_value_among_zeros(self, value):
+        for where in (0, FB - 1, FB, 2**17 - 1):
+            x = np.zeros(2**17)
+            x[where] = value
+            assert _fsum(x.copy()).hex() == math.fsum(x.tolist()).hex() == value.hex()
+
+    def test_signed_zeros_across_blocks(self):
+        n = 2 * FB + 1
+        halves = np.where(np.arange(n) < n // 2, 0.0, -0.0)
+        alternating = np.where(np.arange(n) % 2, 0.0, -0.0)
+        for x in (np.full(n, -0.0), np.zeros(n), halves, alternating, -halves):
+            assert _fsum(x.copy()).hex() == math.fsum(x.tolist()).hex()
+        # a -0.0 block and blocks that cancel to an exact zero
+        x = np.concatenate([np.full(FB, -0.0), np.full(FB, 1.5), np.full(FB, -1.5)])
+        assert _fsum(x.copy()).hex() == math.fsum(x.tolist()).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("n", [1000, 4097, FB + 1, 2**17])
+    @pytest.mark.parametrize("shape", ["constant", "half-negative", "alternating"])
+    def test_just_below_and_at_each_escape(self, monkeypatch, n, shape):
+        # the limit is 2**1023 / max(n, 2**M): for n < 2**M the escape keeps
+        # sigma finite, for n >= 2**M it keeps math.fsum's partial sums finite
+        limit = 2.0**1023 / max(n, 2**quadrature._FSUM_M)
+        for top in (math.nextafter(limit, 0.0), limit, 2.0 * limit, np.finfo(float).max):
+            x = np.full(n, top)
+            if shape == "half-negative":
+                x[n // 2 :] = -top
+            elif shape == "alternating":
+                x[1::2] = -top
+            got, want = fsum_outcome_and_message(_fsum, x), fsum_outcome_and_message(math.fsum, x)
+            assert got == want, (top, shape)
+            lengths = []
+            monkeypatch.setattr(math, "fsum", lambda v, fsum=math.fsum: lengths.append(len(v)) or fsum(v))
+            fsum_outcome_and_message(_fsum, x)
+            monkeypatch.undo()
+            # below the limit the whole array is extracted; at it, x goes whole to math.fsum
+            assert (lengths[-1] < n) == (top < limit), (top, lengths)
+            if n <= 4097 and want[1] is None:
+                assert float.fromhex(got[0]) == float(exact_sum(x.tolist()))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1e300, max_value=1e300),
+                st.floats(min_value=-2.0**-1022, max_value=2.0**-1022),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_tiled_and_shuffled_past_two_blocks(self, values, seed):
+        x = np.tile(np.array(values), 2 * FB // len(values) + 1)
+        assert x.size > 2 * FB
+        np.random.default_rng(seed).shuffle(x)
+        assert _fsum(x.copy()).hex() == math.fsum(x.tolist()).hex()
+
+    def test_allocates_at_most_one_block_buffer(self):
+        x = np.random.default_rng(5).standard_normal(2**17) * 10.0 ** np.arange(-8, 8).repeat(2**13)
+        want, got = math.fsum(x.tolist()), []
+        assert peak_panel_arrays(lambda: got.append(_fsum(x)), FB) <= 1.05
+        assert got == [want]
 
 
 class TestMidpointErrorBound:
