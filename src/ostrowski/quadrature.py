@@ -23,43 +23,53 @@ rounded, at numpy speed, with one block-sized buffer and without a Python
 list the length of the partition.
 
 certified_integrate fills each level's panel terms as midpoint_error_bound
-does, but runs _fsum only where numpy's sum cannot decide the level. The
-terms are nonnegative, so any summation order of n of them has a rounding
-error of at most gamma_{n-1} S, S their exact sum and gamma_k = ku/(1 - ku),
-u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-sec. 4.2); overflow aside, every partial sum rounds as in that bound, the
-subnormal range included. A level is rejected unread when the rough sum r
-is finite, below 2**1023, and above t (1 + (2n + 4)u) computed in floating
-point, with t the larger of target and the smallest normal double. Then
+does, one block of _BLOCK panels at a time, and evaluates |f'| at a block's
+nodes only when it reaches the block. It keeps numpy's running sum r of the
+k terms read so far and runs _fsum only where r cannot decide the level.
+The terms are nonnegative, so any summation order of k of them has a
+rounding error of at most gamma_{k-1} S_k, S_k their exact sum and
+gamma_k = ku/(1 - ku), u = 2**-53 (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, sec. 4.2); overflow aside, every partial sum
+rounds as in that bound, the subnormal range included. A level is rejected
+at the first block where r is finite, below 2**1023, and above
+t (1 + (2k + 4)u) computed in floating point, with t the larger of target
+and the smallest normal double. Then
 
-  r > fl(t (1 + (2n + 4)u)) >= t (1 + (2n + 4)u)(1 - u)
-    >= t (1 + 2u) / (1 - (n - 1)u) = t (1 + 2u)(1 + gamma_{n-1}),
+  r > fl(t (1 + (2k + 4)u)) >= t (1 + (2k + 4)u)(1 - u)
+    >= t (1 + 2u) / (1 - (k - 1)u) = t (1 + 2u)(1 + gamma_{k-1}),
 
-the last inequality holding for n <= 2**52; and t (1 + 2u) is at least the
+the last inequality holding for k <= 2**52; and t (1 + 2u) is at least the
 double after target, for a normal target and for a subnormal one, whose
-successor is at most the smallest normal. So S >= r / (1 + gamma_{n-1})
-exceeds the double after target, and the correctly rounded sum _fsum would
-return is above target too: the level would have been rejected all the
-same. Every other level, the returned one, the one at the panel budget,
-and any whose rough sum is inf, nan or at least 2**1023 (where the exact
-sum may overflow and must raise), goes to _fsum as before, so the reported
-bits, the exceptions and the evaluations are those of calling
-midpoint_error_bound at every level.
+successor is at most the smallest normal. So S_k >= r / (1 + gamma_{k-1})
+exceeds the double after target, the unread terms are nonnegative or not
+finite, and the sum _fsum would return for the whole level is above target
+or not finite: the level would have been rejected all the same. A level no
+prefix proves is read whole and goes to _fsum as before; so does the one at
+the panel budget, which is read without a target. That takes in the
+returned level and any whose rough sum is inf, nan or at least 2**1023,
+where the exact sum may overflow and must raise. So the reported bits are
+those of calling midpoint_error_bound at every level, and so are the
+evaluations and the exceptions of every block that is read. A rejected
+level's unread blocks are neither evaluated nor checked: a NaN |f'| there,
+or an exact sum that would overflow only past the proving prefix, raises
+nothing.
 
 composite_midpoint and midpoint_error_bound fill their per-panel terms in
 blocks of _BLOCK panels. Whole-partition temporaries, four to eight per
 doubling level, would each be fresh memory that page-faults on first touch;
 a block's temporaries are small enough for the allocator to recycle while
-they are still in cache. Every term is elementwise, so the terms, their
-sums and every certified_integrate result are the same bits as in one pass.
+they are still in cache. Every term is elementwise, and so is every
+evaluator, so the terms, their sums and every certified_integrate result
+are the same bits as in one pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -242,36 +252,48 @@ def composite_midpoint(fn: Function1D, d: Partition) -> float:
 
 def _panel_terms(
     d: Partition,
-    dvals: Sequence[float],
+    slopes: Iterable[np.ndarray],
     variant: str,
     p: Optional[float],
     q: Optional[float],
-) -> np.ndarray:
+    target: Optional[float] = None,
+) -> Optional[np.ndarray]:
     """Each panel's width times its midpoint bound, checked and filled as
-    midpoint_error_bound states; the terms are nonnegative, inf or nan."""
+    midpoint_error_bound states, one block of _BLOCK panels at a time.
+
+    slopes yields |f'| at the nodes of each block in turn, the node two
+    blocks share in both. The variant and the exponents are checked once
+    the first block's values are in. With a target, the fill stops at the
+    first block where the rough sum of the terms so far proves the exact
+    sum of all of them rounds above target, and None is returned; slopes is
+    not asked for the blocks after it. Otherwise the terms are returned:
+    nonnegative, inf or nan.
+    """
+    blocks = iter(slopes)
+    first = next(blocks)
     if variant not in ERROR_BOUND_VARIANTS:
         raise DomainError(
             f"unknown error-bound variant {variant!r}; "
             f"expected one of {ERROR_BOUND_VARIANTS}"
         )
-    dv = np.asarray(dvals, dtype=float)
-    if dv.shape != (len(d.nodes),):
-        raise DomainError(
-            f"need one |f'| value per node: got {dv.shape[0] if dv.ndim == 1 else dv.shape} "
-            f"values for {len(d.nodes)} nodes"
-        )
-    if not 0.0 <= dv.min() <= dv.max() < np.inf:  # NaN fails too; no bool array
-        raise DomainError("derivative magnitudes must be finite and nonnegative")
-
     theorem, fixed = _PANEL_BOUNDS[variant]
-    values = {**fixed, **_free_exponents(theorem, variant, p, q, fixed)}
+    values = dict(fixed)
     terms = np.empty(d.n_panels)
+    rough = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan reaches the result
-        for i in range(0, d.n_panels, _BLOCK):
+        for i, v in zip(range(0, d.n_panels, _BLOCK), itertools.chain([first], blocks)):
+            if not 0.0 <= v.min() <= v.max() < np.inf:  # NaN fails too; no bool array
+                raise DomainError("derivative magnitudes must be finite and nonnegative")
+            if not i:
+                values.update(_free_exponents(theorem, variant, p, q, fixed))
             values["width"] = w = np.diff(d.nodes[i : i + _BLOCK + 1])
-            v = dv[i : i + _BLOCK + 1]
             values["da"], values["db"] = v[:-1], v[1:]
-            np.multiply(theorem.bound(values), w, out=terms[i : i + _BLOCK])
+            block = terms[i : i + _BLOCK]
+            np.multiply(theorem.bound(values), w, out=block)
+            if target is not None:
+                rough += float(block.sum())
+                if _exceeds(rough, i + block.size, target):
+                    return None
     return terms
 
 
@@ -289,15 +311,35 @@ def midpoint_error_bound(
     precision makes the result inf or nan, with no numpy warning; finite
     panel bounds whose sum overflows raise OverflowError, as math.fsum does.
     """
-    return _fsum(_panel_terms(d, dvals, variant, p, q))
+    dv = np.asarray(dvals, dtype=float)
+    if dv.shape != (len(d.nodes),):
+        raise DomainError(
+            f"need one |f'| value per node: got {dv.shape[0] if dv.ndim == 1 else dv.shape} "
+            f"values for {len(d.nodes)} nodes"
+        )
+    blocks = (dv[i : i + _BLOCK + 1] for i in range(0, d.n_panels, _BLOCK))
+    return _fsum(_panel_terms(d, blocks, variant, p, q))
 
 
-def _exceeds(terms: np.ndarray, target: float) -> bool:
-    """True only if the exact sum of the nonnegative terms rounds above
-    target, decided from numpy's sum alone; False where it cannot tell."""
-    n = terms.size
-    with np.errstate(over="ignore"):  # an inf sum is undecided, below
-        rough = float(terms.sum())
+def _node_slopes(fn: Function1D, nodes: np.ndarray) -> Iterator[np.ndarray]:
+    """|f'| at the nodes of each block of _BLOCK panels in turn, each node
+    evaluated once: a block's last value is carried over as the next
+    block's first. Every block is yielded in the same buffer."""
+    buf = np.empty(min(nodes.size, _BLOCK + 1))
+    np.abs(fn.deriv(nodes[: buf.size]), out=buf)
+    yield buf
+    for i in range(buf.size, nodes.size, _BLOCK):
+        x = nodes[i : i + _BLOCK]
+        buf[0] = buf[-1]
+        v = buf[: x.size + 1]
+        np.abs(fn.deriv(x), out=v[1:])
+        yield v
+
+
+def _exceeds(rough: float, n: int, target: float) -> bool:
+    """True only if n nonnegative terms whose floating-point sum, in any
+    order, is rough have an exact sum that rounds above target; False where
+    rough cannot tell."""
     # the margin (1 + (2n+4)u) covers gamma_{n-1}, the step to the next
     # double after target, and the rounding of the product; see the module
     # docstring
@@ -331,9 +373,9 @@ def certified_integrate(
     n = 1
     while True:
         d = Partition.uniform(iv, n)
-        terms = _panel_terms(d, np.abs(fn.deriv(d.nodes)), variant, p, q)
         last = 2 * n > DEFAULT_PANEL_BUDGET
-        if last or not _exceeds(terms, target):
+        terms = _panel_terms(d, _node_slopes(fn, d.nodes), variant, p, q, None if last else target)
+        if terms is not None:
             bound = _fsum(terms)
             if bound <= target:
                 break

@@ -1,9 +1,12 @@
 """Composite midpoint rule, its certified error bounds, and the refinement
 loop."""
 
+import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -668,6 +671,12 @@ def reference_certify(fn, iv, target, variant, **kw):
         n *= 2
 
 
+def exceeds_whole(terms: np.ndarray, target: float) -> bool:
+    """_exceeds on numpy's sum of all the terms, read as one block."""
+    with np.errstate(over="ignore"):  # an inf sum is undecided
+        return _exceeds(float(terms.sum()), terms.size, target)
+
+
 class TestLevelDecision:
     """certified_integrate rejects a level from numpy's sum and a proven
     error bound; the exact sum runs only where that cannot decide."""
@@ -709,20 +718,20 @@ class TestLevelDecision:
                 targets = [total, math.nextafter(total, 0.0), math.nextafter(total, math.inf),
                            total * (1.0 - 1e-9), total * (1.0 - 1e-6), total / 2.0, 5e-324, tiny]
                 for target in targets:
-                    if target > 0.0 and _exceeds(terms, target):
+                    if target > 0.0 and exceeds_whole(terms, target):
                         assert exact > target and total > target, (n, scale, target)
         # far above a tiny or subnormal target, the rough sum decides
-        assert _exceeds(np.full(8, 1e-300), 5e-324)
-        assert _exceeds(np.full(8, 1e-300), 1e-310)
+        assert exceeds_whole(np.full(8, 1e-300), 5e-324)
+        assert exceeds_whole(np.full(8, 1e-300), 1e-310)
 
     def test_undecidable_sums_are_left_to_the_exact_sum(self):
-        assert not _exceeds(np.array([math.inf, 1.0]), 1.0)
-        assert not _exceeds(np.array([math.nan, 1.0]), 1.0)
-        assert not _exceeds(np.array([2.0**1023, 1.0]), 1.0)
-        assert not _exceeds(np.array([1e308, 1e308]), 1.0)  # the rough sum is inf
-        assert not _exceeds(np.array([1.0]), math.inf)
+        assert not exceeds_whole(np.array([math.inf, 1.0]), 1.0)
+        assert not exceeds_whole(np.array([math.nan, 1.0]), 1.0)
+        assert not exceeds_whole(np.array([2.0**1023, 1.0]), 1.0)
+        assert not exceeds_whole(np.array([1e308, 1e308]), 1.0)  # the rough sum is inf
+        assert not exceeds_whole(np.array([1.0]), math.inf)
         # within the margin of gamma_{n-1} above the target
-        assert not _exceeds(np.full(4, 0.25), math.nextafter(1.0, 0.0))
+        assert not exceeds_whole(np.full(4, 0.25), math.nextafter(1.0, 0.0))
 
     def test_exact_sum_past_the_largest_double_still_raises(self):
         # at one panel the bound is inf and the doubling goes on; at two the
@@ -759,6 +768,139 @@ class TestLevelDecision:
         assert report.panels == 2**19
         # the returned level's bound and composite_midpoint's sum
         assert calls == [2**19, 2**19]
+
+
+def multi_block_draw(seed: int):
+    """An integrand, interval, variant and exponents for one seeded draw, and
+    a panel count of 2^14 to 2^17: 2 to 16 blocks at the returned level."""
+    rng = random.Random(seed)
+    u = rng.uniform
+    family = ("poly", "breckner", "powabs")[seed % 3]
+    variant = ("p4", "p5", "p6")[seed // 3 % 3]
+    if family == "poly":
+        coeffs = [u(-2.0, 2.0) for _ in range(3)] + [u(0.5, 2.0) * rng.choice((-1, 1))]
+        spec = "poly:" + ",".join(repr(c) for c in coeffs)
+        a = u(-1.0, 0.0)
+        iv = Interval(a, a + u(1.0, 2.0))
+    elif family == "breckner":
+        w = u(0.0, 1.0)
+        spec = f"breckner:{w + u(0.0, 1.0)!r},{u(0.5, 2.0)!r},{w!r},{u(0.3, 0.9)!r}"
+        iv = Interval(u(0.25, 0.5), u(1.5, 2.5))
+    else:
+        spec = f"powabs:{u(1.5, 3.0)!r}"
+        iv = Interval(-u(0.5, 1.5), u(0.5, 1.5))
+    kw = {"p4": {"p": u(1.5, 4.0)}, "p5": {}, "p6": {"q": u(1.0, 3.0)}}[variant]
+    return parse_function_spec(spec), iv, variant, kw, 2 ** rng.randint(14, 17)
+
+
+def counting_levels(fn: Function1D, a: float, levels: list) -> Function1D:
+    """fn with an f' that appends, per doubling level, the number of nodes it
+    evaluates: a level's first call starts at the interval's left end a."""
+
+    def df(t):
+        if t[0] == a:
+            levels.append(0)
+        levels[-1] += t.size
+        return fn.df(t)
+
+    return Function1D(f=fn.f, df=df)
+
+
+def nan_slopes_at_level(n: int, lo: float, hi: float) -> Function1D:
+    """|f'| = 1 on [0, 1], except NaN at the nodes in [lo, hi] of the
+    n-panel uniform partition, told apart from other levels by its spacing."""
+
+    def df(t):
+        at_level = t.size > 1 and t[1] - t[0] == 1.0 / n
+        return np.where(at_level & (lo <= t) & (t <= hi), math.nan, 1.0)
+
+    return Function1D(f=lambda t: t, df=df)
+
+
+#: 2.4 times a block's share of the p5 bound of |f'| = 1 at 2^16 panels on
+#: [0, 1]. Every term of a level is the same, so a level of n > B panels is
+#: proven after the first k blocks with k B / n * bound(n) above this: one
+#: block at 2^14 and 2^15, 3 at 2^16 and 10 of 16 at 2^17. The bound at
+#: 2^18 panels, 2/8 of that at 2^16, meets it.
+UNIT_SLOPE_TARGET = 2.4 * midpoint_error_bound(
+    Partition.uniform(UNIT, 2**16), np.ones(2**16 + 1), "p5") * B / 2**16
+
+
+#: 2^e and then k copies of three quarters of its ulp: numpy's sum rounds
+#: up at each step, so the rough sum overshoots the exact one by about k/4 ulp
+UPWARD_ROUNDING = st.builds(
+    lambda e, k: [2.0**e] + [0.75 * 2.0 ** (e - 52)] * k, st.integers(-1000, 996), st.integers(1, 39))
+
+
+class TestBlockedLevels:
+    """certified_integrate reads each level one block at a time and stops at
+    the first block whose running rough sum proves the level too coarse."""
+
+    def test_benchmark_certify_operations_keep_their_bits(self):
+        # the inputs of perfbench's certify rounds at seeds 1 to 5, with the
+        # panels and output bits of the whole-level loop that read every block
+        rows = json.loads((Path(__file__).parent / "data" / "certify_hex.json").read_text())
+        assert len(rows) == 35
+        for row in rows:
+            fn = parse_function_spec(row["spec"])
+            report = certified_integrate(fn, Interval(row["a"], row["b"]), row["target"],
+                                         row["variant"], p=row["p"], q=row["q"])
+            got = (report.panels, report.approx.hex(), report.error_bound.hex())
+            assert got == (row["panels"], row["approx"], row["error_bound"]), row
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_multi_block_levels_keep_the_exact_bits(self, seed):
+        fn, iv, variant, kw, n = multi_block_draw(seed)
+        d = Partition.uniform(iv, n)
+        bound = midpoint_error_bound(d, np.abs(fn.deriv(d.nodes)), variant, **kw)
+        # where the benchmark places its targets, and a tie with the bound at n
+        for target in (math.sqrt(2.0) * bound, bound):
+            report = certified_integrate(fn, iv, target, variant, **kw)
+            approx, want, panels = reference_certify(fn, iv, target, variant, **kw)
+            assert panels == n
+            assert (report.approx.hex(), report.error_bound.hex(), report.panels) == (
+                approx.hex(), want.hex(), panels), (seed, target)
+
+    def test_levels_are_evaluated_only_up_to_the_proving_block(self):
+        levels = []
+        fn = counting_levels(parse_function_spec("poly:0,1"), 0.0, levels)
+        report = certified_integrate(fn, UNIT, UNIT_SLOPE_TARGET, "p5")
+        assert report.panels == 2**18
+        # levels of up to B panels are one block, read whole; the returned
+        # level is read whole; the others stop after k blocks, k B + 1 nodes
+        whole = [2**k + 1 for k in range(14)]
+        assert levels == whole + [B + 1, B + 1, 3 * B + 1, 10 * B + 1, 2**18 + 1]
+
+    def test_nan_slope_in_an_unread_block_does_not_raise(self):
+        # the 2^15-panel level is proven by its first block, [0, 1/4]
+        fn = nan_slopes_at_level(2**15, 0.5, 1.0)
+        assert certified_integrate(fn, UNIT, UNIT_SLOPE_TARGET, "p5").panels == 2**18
+
+    def test_nan_slope_in_a_read_block_raises(self):
+        fn = nan_slopes_at_level(2**15, 0.0, 0.125)
+        with pytest.raises(DomainError, match="^derivative magnitudes must be finite and nonnegative$"):
+            certified_integrate(fn, UNIT, UNIT_SLOPE_TARGET, "p5")
+
+    @given(
+        values=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=40)
+        | UPWARD_ROUNDING,
+        block=st.integers(1, 8),
+        cut=st.integers(1, 40),
+        steps=st.integers(-3, 3),
+    )
+    def test_running_prefix_never_claims_a_sum_at_or_below_target(self, values, block, cut, steps):
+        # a target at or beside the correctly rounded sum of some prefix
+        target = math.fsum(values[:cut])
+        for _ in range(abs(steps)):
+            target = math.nextafter(target, math.inf if steps > 0 else 0.0)
+        target = max(target, 5e-324)
+        x = np.array(values)
+        rough = 0.0
+        for i in range(0, x.size, block):
+            rough += float(x[i : i + block].sum())
+            k = min(i + block, x.size)
+            if _exceeds(rough, k, target):
+                assert exact_sum(values[:k]) > target and math.fsum(values[:k]) > target
 
 
 class TestQuadReport:
