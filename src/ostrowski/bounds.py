@@ -3,10 +3,11 @@ from derivative data, each stated once as a :class:`Theorem` record.
 
 A record holds a theorem's tag, the inputs it takes beyond [a, b] in the
 order its result echoes them, whether it needs a >= 0, and its array
-formula. :func:`evaluate` is the one way in: it checks each given input by
-its kind, calls the formula and echoes the inputs in a :class:`BoundResult`.
-The CLI, the domination sweep, the special-mean gap variants and the
-quadrature variants all take their formulas from :data:`THEOREMS`.
+formula. :func:`evaluate` checks each given input by its kind, calls the
+formula and echoes the inputs in a :class:`BoundResult`. The gap and the
+quadrature variants name their theorems in tables read by :func:`_variant`,
+with evaluate's own name and exponent checks. The CLI and the domination
+sweep take their formulas from :data:`THEOREMS` too.
 
   t20      |f'| s-convex; kernel moments integrated exactly
   t20-mid  its midpoint form
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter
-from typing import Callable, Collection, Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -319,13 +320,33 @@ THEOREMS = {t.tag: t for t in (
 )}
 
 
+def _choice(table: Mapping, name: str, what: str):
+    """table[name]; an unknown tag or variant raises DomainError listing the names."""
+    if name not in table:
+        raise DomainError(f"unknown {what} {name!r}; expected one of {tuple(table)}")
+    return table[name]
+
+
+def _exponents(theorem: Theorem, name: str, p, q) -> dict:
+    """The exponents theorem takes, from p and q, each one given checked
+    whether theorem takes it or not: p a ConjugatePair or a float made one, q
+    a finite exponent >= 1 (name says whose). With p, the pair's own q."""
+    if p is not None and not isinstance(p, ConjugatePair):
+        p = make_conjugate(p)
+    if q is not None:
+        q = _require_exponent(q, name)
+    if p is not None and "p" in theorem.inputs:
+        return {"p": p.p, "q": p.q}
+    return {"q": q} if q is not None and "q" in theorem.inputs else {}
+
+
 def evaluate(
     tag: str,
     iv: Interval,
     *,
     x: Optional[float] = None,
     s: Optional[float] = None,
-    p: Optional[ConjugatePair] = None,
+    p: Union[ConjugatePair, float, None] = None,
     q: Optional[float] = None,
     da: Optional[float] = None,
     db: Optional[float] = None,
@@ -335,14 +356,12 @@ def evaluate(
     """The bound THEOREMS[tag] on iv, its inputs echoed after a and b.
 
     Every given input is checked by its kind, whether the theorem reads it
-    or not: x must lie in [a, b], s in (0, 1], q must be a finite exponent
-    >= 1, and da, db, dx and M finite magnitudes >= 0. p is a ConjugatePair;
-    a theorem that takes p echoes and uses the pair's own q, never one given
-    apart or recomputed. A missing input the theorem needs raises
-    DomainError naming it; a bound beyond double precision raises
-    OverflowError.
+    or not: x must lie in [a, b], s in (0, 1], the exponents as
+    :func:`_exponents` states, and da, db, dx and M finite magnitudes >= 0.
+    An unknown tag or a missing input the theorem needs raises DomainError
+    naming it; a bound beyond double precision raises OverflowError.
     """
-    theorem = THEOREMS[tag]
+    theorem = _choice(THEOREMS, tag, "theorem tag")
     if theorem.nonnegative:
         iv.require_nonnegative()
     values = {"width": iv.width}
@@ -351,12 +370,7 @@ def evaluate(
         values["lam"], values["mu"] = _offsets(iv, x)
     if s is not None:
         values["s"] = _require_s(s)
-    if q is not None:
-        values["q"] = _require_exponent(q, tag)
-    if p is not None:
-        values["p"] = p.p
-        if "q" not in theorem.required:  # q comes with p
-            values["q"] = p.q
+    values.update(_exponents(theorem, tag, p, q))
     for key, value in zip(_MAGNITUDES, (da, db, dx, M)):
         if value is not None:
             values[key] = _require_magnitude(key, value)
@@ -369,25 +383,26 @@ def evaluate(
     return BoundResult(value=theorem.bound(values), theorem_id=tag, inputs=inputs)
 
 
-def _free_exponents(theorem: Theorem, variant: str, p, q, fixed: Collection[str] = ()) -> dict:
-    """The exponent a variant of theorem leaves to its caller, checked.
+_MIDPOINT = {"lam": 0.5, "mu": 0.5}  # the offsets of x = (a+b)/2
 
-    The variant fixes the inputs in ``fixed``. Where the theorem takes p and
-    the variant leaves it open, p is made a ConjugatePair and brings its own
-    q; else, where the theorem takes q and the variant leaves it open, q is
-    checked as an exponent. Other exponents given are not read. A missing
-    one raises DomainError.
-    """
-    if "p" in theorem.required and "p" not in fixed:
-        if p is None:
-            raise DomainError(f"variant {variant} requires the exponent p")
-        cp = make_conjugate(p)
-        return {"p": cp.p, "q": cp.q}
-    if "q" in theorem.required and "q" not in fixed:
-        if q is None:
-            raise DomainError(f"variant {variant} requires the exponent q")
-        return {"q": _require_exponent(q, f"variant {variant}")}
-    return {}
+
+def _missing(theorem: Theorem, fixed: Mapping, p, q) -> Optional[str]:
+    """The exponent, p or q, theorem needs that neither fixed nor the caller gives, or None."""
+    if p is None and "p" in theorem.required and "p" not in fixed:
+        return "p"
+    if q is None and "q" in theorem.required and "q" not in fixed:
+        return "q"
+    return None
+
+
+def _variant(table: Mapping, name: str, what: str, p, q) -> Tuple[Theorem, dict]:
+    """(theorem, values) of a variant in table, which maps each to (Theorem,
+    fixed inputs): the fixed inputs over the exponents given, checked as
+    _exponents checks them. An unknown name or a missing exponent raises."""
+    theorem, fixed = _choice(table, name, what)
+    if key := _missing(theorem, fixed, p, q):
+        raise DomainError(f"variant {name} requires the exponent {key}")
+    return theorem, {**_exponents(theorem, f"variant {name}", p, q), **fixed}
 
 
 def bound_sconvex_abs(iv: Interval, x: float, s: float, ep: EndpointData) -> BoundResult:

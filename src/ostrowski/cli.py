@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import THEOREMS, _offsets, evaluate
+from .bounds import THEOREMS, _missing, _offsets, evaluate
 from .core import (
     ConvergenceError,
     DomainError,
@@ -34,7 +34,7 @@ from .core import (
 )
 from .kernel import _montgomery_records
 from .means import GAP_VARIANTS, _mean_powers, means_gap, means_gap_bound
-from .quadrature import certified_integrate
+from .quadrature import _PANEL_BOUNDS, ERROR_BOUND_VARIANTS, certified_integrate
 from .toolkit import parse_function_spec, reference_integrate
 
 __all__ = ["main", "entrypoint", "SweepConfig", "run_sweep", "DEFAULT_IDENTITY_POLYS"]
@@ -311,10 +311,8 @@ def cmd_means(args: argparse.Namespace) -> int:
 
 
 def cmd_quad(args: argparse.Namespace) -> int:
-    if args.variant == "p4" and args.p is None:
-        raise DomainError("variant p4 requires --p")
-    if args.variant == "p6" and args.q is None:
-        raise DomainError("variant p6 requires --q")
+    if missing := _missing(*_PANEL_BOUNDS[args.variant], args.p, args.q):
+        raise DomainError(f"variant {args.variant} requires --{missing}")
     fn = parse_function_spec(args.fn)
     report = certified_integrate(
         fn,
@@ -422,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--a", type=float, required=True)
     p_quad.add_argument("--b", type=float, required=True)
     p_quad.add_argument("--target", type=float, required=True)
-    p_quad.add_argument("--variant", choices=("p4", "p5", "p6"), required=True)
+    p_quad.add_argument("--variant", choices=ERROR_BOUND_VARIANTS, required=True)
     p_quad.add_argument("--p", type=float, default=None)
     p_quad.add_argument("--q", type=float, default=None)
     p_quad.set_defaults(handler=cmd_quad)

@@ -122,7 +122,7 @@ def make_conjugate(p: float) -> ConjugatePair:
 
 
 def _require_exponent(q: float, what: str) -> float:
-    """The power-mean exponent q of t22 and its midpoint forms, checked finite and >= 1."""
+    """An exponent q given to a named bound, checked finite and >= 1; what names the bound."""
     q = float(q)
     if not (math.isfinite(q) and q >= 1.0):
         raise DomainError(f"{what} requires a finite q >= 1, got {q!r}")

@@ -23,7 +23,7 @@ from .core import (
     _require_s,
     validate_eval_point,
 )
-from .bounds import _offsets, evaluate
+from .bounds import THEOREMS, _choice, _offsets, evaluate
 from .toolkit import reference_integrate
 
 __all__ = [
@@ -173,7 +173,8 @@ def alomari_bound(
     return evaluate("ee", iv, x=x, s=s, p=cp, M=m)
 
 
-MIDPOINT_VARIANTS = ("eq14", "eq15", "eq16")
+_BASELINES = {tag: THEOREMS[tag] for tag in ("eq14", "eq15", "eq16")}
+MIDPOINT_VARIANTS = tuple(_BASELINES)
 
 
 def baseline_midpoint_bound(
@@ -193,8 +194,4 @@ def baseline_midpoint_bound(
     eq14 ignores cp; eq15/eq16 require it. The q exponent always comes from
     the stored conjugate pair, never recomputed from p.
     """
-    if variant not in MIDPOINT_VARIANTS:
-        raise DomainError(
-            f"unknown midpoint baseline {variant!r}; expected one of {MIDPOINT_VARIANTS}"
-        )
-    return evaluate(variant, iv, p=cp, da=da, db=db)
+    return evaluate(_choice(_BASELINES, variant, "midpoint baseline").tag, iv, p=cp, da=da, db=db)

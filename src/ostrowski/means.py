@@ -5,7 +5,8 @@ arithmetic mean and the s-th power mean of order s.
 That gap is exactly the deviation of f(t) = t^s at the midpoint of [a, b]
 from its average, so every midpoint bound specializes to a mean inequality
 by substituting |f'(t)| = s t^(s-1) at the required points. The three
-variants are exposed through :func:`means_gap_bound`.
+variants are exposed through :func:`means_gap_bound`, which checks every
+exponent given, whether its variant reads it or not, as evaluate does.
 
 The underlying midpoint bounds assume s-convexity of the slope magnitude
 (or a power of it); the gap statements inherit that hypothesis without
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from .bounds import THEOREMS, _free_exponents
+from .bounds import _MIDPOINT, THEOREMS, _variant
 from .core import (
     BoundResult,
     ConvergenceError,
@@ -176,10 +177,11 @@ def means_gap(a: float, b: float, s: float, oracle_tol: Optional[float] = 1e-10)
     return gap
 
 
-#: gap variant -> the midpoint bound it evaluates, at x = (a+b)/2 and with
-#: the slopes of t^s as its |f'| values
-_GAP_THEOREMS = {"p1": THEOREMS["t20-mid"], "p2": THEOREMS["t21"], "p3": THEOREMS["t22-mid"]}
-GAP_VARIANTS = tuple(_GAP_THEOREMS)
+#: gap variant -> (the midpoint bound it evaluates, the inputs it fixes: none,
+#: as each is fed x = (a+b)/2 and the slopes of t^s as its |f'| values)
+_GAP_BOUNDS = {"p1": (THEOREMS["t20-mid"], {}), "p2": (THEOREMS["t21"], {}),
+               "p3": (THEOREMS["t22-mid"], {})}
+GAP_VARIANTS = tuple(_GAP_BOUNDS)
 
 
 def means_gap_bound(
@@ -198,15 +200,9 @@ def means_gap_bound(
     p3: t22-mid (|f'|^q s-convex); needs q >= 1
     """
     a, b, s_val = _gap_args(a, b, s)
-    if variant not in _GAP_THEOREMS:
-        raise DomainError(
-            f"unknown gap bound variant {variant!r}; expected one of {GAP_VARIANTS}"
-        )
-    theorem = _GAP_THEOREMS[variant]
-    exponents = _free_exponents(theorem, variant, p, q)
+    theorem, exponents = _variant(_GAP_BOUNDS, variant, "gap bound variant", p, q)
     da, dx, db = _slopes(a, b, s_val)
-    values = {"width": b - a, "lam": 0.5, "mu": 0.5, "s": s_val, **exponents,
-              "da": da, "dx": dx, "db": db}
+    values = {"width": b - a, **_MIDPOINT, "s": s_val, **exponents, "da": da, "dx": dx, "db": db}
     return BoundResult(theorem.bound(values), variant, {"a": a, "b": b, "s": s_val, **exponents})
 
 

@@ -3,7 +3,8 @@
 The rule T(f, d) sums panel-width times the midpoint value over a
 partition d. Its error against the true integral is bounded per panel from
 the endpoint derivative magnitudes alone: panel i contributes its width
-times a midpoint deviation bound on that panel, in one of three variants:
+times a midpoint deviation bound on that panel, in one of three variants;
+as for every named bound, each exponent given is checked, read or not:
 
   p4: e5, p > 1
   p5: z at the midpoint with s = 1 and p = q = 2
@@ -73,7 +74,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bounds import THEOREMS, _free_exponents
+from .bounds import _MIDPOINT, THEOREMS, _variant
 from .core import (
     ConvergenceError,
     DomainError,
@@ -95,7 +96,7 @@ __all__ = [
 #: fixes); each panel gives its width and its endpoint |f'| values as da and db
 _PANEL_BOUNDS = {
     "p4": (THEOREMS["e5"], {}),
-    "p5": (THEOREMS["z"], {"lam": 0.5, "mu": 0.5, "s": 1.0, "p": 2.0, "q": 2.0}),
+    "p5": (THEOREMS["z"], {**_MIDPOINT, "s": 1.0, "p": 2.0, "q": 2.0}),
     "p6": (THEOREMS["t22-mid"], {}),
 }
 ERROR_BOUND_VARIANTS = tuple(_PANEL_BOUNDS)
@@ -263,29 +264,21 @@ def _panel_terms(
 
     slopes yields |f'| at the nodes of each block in turn, the node two
     blocks share in both. The variant and the exponents are checked once
-    the first block's values are in. With a target, the fill stops at the
-    first block where the rough sum of the terms so far proves the exact
-    sum of all of them rounds above target, and None is returned; slopes is
-    not asked for the blocks after it. Otherwise the terms are returned:
-    nonnegative, inf or nan.
+    the first block's values are in, before its magnitudes. With a target,
+    the fill stops at the first block where the rough sum of the terms so
+    far proves the exact sum of all of them rounds above target, and None is
+    returned; slopes is not asked for the blocks after it. Otherwise the
+    terms are returned: nonnegative, inf or nan.
     """
     blocks = iter(slopes)
     first = next(blocks)
-    if variant not in ERROR_BOUND_VARIANTS:
-        raise DomainError(
-            f"unknown error-bound variant {variant!r}; "
-            f"expected one of {ERROR_BOUND_VARIANTS}"
-        )
-    theorem, fixed = _PANEL_BOUNDS[variant]
-    values = dict(fixed)
+    theorem, values = _variant(_PANEL_BOUNDS, variant, "error-bound variant", p, q)
     terms = np.empty(d.n_panels)
     rough = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan reaches the result
         for i, v in zip(range(0, d.n_panels, _BLOCK), itertools.chain([first], blocks)):
             if not 0.0 <= v.min() <= v.max() < np.inf:  # NaN fails too; no bool array
                 raise DomainError("derivative magnitudes must be finite and nonnegative")
-            if not i:
-                values.update(_free_exponents(theorem, variant, p, q, fixed))
             values["width"] = w = np.diff(d.nodes[i : i + _BLOCK + 1])
             values["da"], values["db"] = v[:-1], v[1:]
             block = terms[i : i + _BLOCK]

@@ -33,11 +33,13 @@ from ostrowski.core import (
     ConjugatePair,
     DomainError,
     EndpointData,
+    Function1D,
     Interval,
     make_conjugate,
 )
 from ostrowski.kernel import alomari_bound, baseline_midpoint_bound, classic_ostrowski_bound
-from ostrowski.quadrature import Partition, midpoint_error_bound
+from ostrowski.means import means_gap_bound
+from ostrowski.quadrature import Partition, certified_integrate, midpoint_error_bound
 from ostrowski.toolkit import (
     check_sconvex,
     make_breckner,
@@ -724,6 +726,75 @@ class TestRegistry:
             evaluate("t20", UNIT, s=1.0, da=1.0, db=1.0)
         with pytest.raises(DomainError, match="eq11 requires the input 'M'"):
             evaluate("eq11", UNIT, x=0.5)
+
+
+class TestNamedBounds:
+    """Theorem tags and the gap, panel and baseline variants share one name
+    lookup and one exponent policy: every exponent given is checked by its
+    kind, whether the bound reads it or not."""
+
+    def test_unknown_tag_lists_the_tags(self):
+        # a bare KeyError before
+        with pytest.raises(DomainError, match="unknown theorem tag 'nope'; expected one of") as err:
+            evaluate("nope", UNIT, da=1.0, db=1.0)
+        assert all(repr(tag) in str(err.value) for tag in THEOREMS)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: means_gap_bound(1.0, 2.0, 0.5, "p9"),
+         "unknown gap bound variant 'p9'; expected one of ('p1', 'p2', 'p3')"),
+        (lambda: midpoint_error_bound(Partition.uniform(UNIT, 2), [1.0] * 3, "p9"),
+         "unknown error-bound variant 'p9'; expected one of ('p4', 'p5', 'p6')"),
+        (lambda: baseline_midpoint_bound("eq99", UNIT, None, 1.0, 1.0),
+         "unknown midpoint baseline 'eq99'; expected one of ('eq14', 'eq15', 'eq16')"),
+    ], ids=["gap", "panel", "baseline"])
+    def test_unknown_variant_named(self, call, message):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_float_p_is_made_a_conjugate_pair(self):
+        # an AttributeError before
+        kw = {"x": 0.3, "s": 0.5, "da": 1.0, "db": 2.0}
+        got = evaluate("z", UNIT, p=2.0, **kw)
+        want = evaluate("z", UNIT, p=make_conjugate(2.0), **kw)
+        assert got.value.hex() == want.value.hex()
+        assert got.inputs == want.inputs
+        with pytest.raises(DomainError, match="p must be finite"):
+            evaluate("eq14", UNIT, p=math.nan, da=1.0, db=1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: midpoint_error_bound(Partition.uniform(UNIT, 2), [1.0] * 3, "p4", p=2.0, q=math.inf),
+        lambda: means_gap_bound(1.0, 2.0, 0.5, "p1", q=math.nan),
+        lambda: means_gap_bound(1.0, 2.0, 0.5, "p3", p=math.inf, q=2.0),
+    ], ids=["p4-q", "p1-q", "p3-p"])
+    def test_unread_exponent_checked(self, capsys, call):
+        # each returned a bound before
+        with pytest.raises(DomainError, match="finite"):
+            call()
+        assert capsys.readouterr().out == ""
+
+    def test_fixed_exponent_given_is_checked_after_the_first_block(self, capsys):
+        # p5 fixes p = q = 2; a NaN p given doubled to the panel budget before
+        points = []
+        fn = parse_function_spec("poly:0,0,1")
+        counted = Function1D(f=fn.f, df=lambda t: points.append(np.size(t)) or fn.df(t))
+        with pytest.raises(DomainError, match="finite"):
+            certified_integrate(counted, UNIT, 1e-3, "p5", p=math.nan)
+        assert points == [2]
+        assert capsys.readouterr().out == ""
+
+    def test_exponent_checked_before_the_first_block_magnitudes(self):
+        d = Partition.uniform(UNIT, 2)
+        with pytest.raises(DomainError, match="p must be finite"):
+            midpoint_error_bound(d, [math.nan, 1.0, 1.0], "p4", p=math.nan)
+        with pytest.raises(DomainError, match="derivative magnitudes"):
+            midpoint_error_bound(d, [math.nan, 1.0, 1.0], "p4", p=2.0)
+
+    def test_missing_exponent_named(self):
+        with pytest.raises(DomainError, match="variant p4 requires the exponent p"):
+            midpoint_error_bound(Partition.uniform(UNIT, 2), [1.0] * 3, "p4", q=2.0)
+        with pytest.raises(DomainError, match="variant p3 requires the exponent q"):
+            means_gap_bound(1.0, 2.0, 0.5, "p3", p=2.0)
 
 
 # ----------------------------------------------------------------------

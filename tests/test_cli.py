@@ -814,6 +814,27 @@ class TestQuadCommand:
         assert "finite" in err
         assert points == [2]
 
+    @pytest.mark.parametrize("variant", [
+        ("p5", "--p", "nan"), ("p5", "--q", "0.5"), ("p4", "--p", "2", "--q", "0.5"),
+        ("p6", "--q", "2", "--p", "inf"),
+    ])
+    def test_unread_exponent_exits_2(self, capsys, variant):
+        # each exited 0 before, the exponent given unread
+        code, out, err = run(
+            capsys, "quad", "--fn", "poly:0,0,1", "--a", "0", "--b", "1",
+            "--target", "1e-3", "--variant", *variant,
+        )
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    def test_variant_choices_are_the_library_variants(self, capsys):
+        code, out, err = run(
+            capsys, "quad", "--fn", "poly:0,0,1", "--a", "0", "--b", "1",
+            "--target", "1e-3", "--variant", "p7",
+        )
+        assert (code, out) == (2, "")
+        assert all(repr(v) in err for v in quadrature.ERROR_BOUND_VARIANTS)
+
     def test_bad_function_spec(self, capsys):
         code, _, err = run(
             capsys, "quad", "--fn", "mystery:1", "--a", "0", "--b", "1",
