@@ -254,7 +254,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             raise DomainError(f"--theorem {args.theorem} requires --{name.lower()}")
     result = evaluate(
         args.theorem, Interval(args.a, args.b), x=args.x, s=args.s,
-        p=None if args.p is None else make_conjugate(args.p), q=args.q,
+        p=args.p, q=args.q,
         da=args.da, db=args.db, dx=args.dx, M=args.m,
     )
     payload = {"theorem": result.theorem_id, "value": result.value}

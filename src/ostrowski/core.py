@@ -49,6 +49,17 @@ class ConvergenceError(RuntimeError):
     """An iterative routine exhausted its budget before reaching its target."""
 
 
+def _raise_overflow(kind: str, flag: int) -> None:
+    raise OverflowError("a value overflowed double precision")
+
+
+def _overflow_raises() -> np.errstate:
+    """A context in which a numpy overflow raises OverflowError instead of
+    printing a RuntimeWarning; the other floating-point errors keep their
+    handling. Entered around an evaluator call, never per element."""
+    return np.errstate(over="call", call=_raise_overflow)
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):

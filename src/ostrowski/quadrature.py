@@ -4,7 +4,8 @@ The rule T(f, d) sums panel-width times the midpoint value over a
 partition d. Its error against the true integral is bounded per panel from
 the endpoint derivative magnitudes alone: panel i contributes its width
 times a midpoint deviation bound on that panel, in one of three variants;
-as for every named bound, each exponent given is checked, read or not:
+as for every named bound, each exponent given is checked, read or not,
+once per call and before any |f'| is evaluated:
 
   p4: e5, p > 1
   p5: z at the midpoint with s = 1 and p = q = 2
@@ -13,7 +14,8 @@ as for every named bound, each exponent given is checked, read or not:
 certified_integrate doubles a uniform partition until the selected bound
 meets the target, so the schedule is deterministic; adaptive splitting is
 deliberately out of scope. Derivative values at nodes always come from the
-exact derivative evaluator, never from differencing.
+exact derivative evaluator, never from differencing. A numpy overflow in an
+evaluator raises OverflowError; a NaN it returns is a DomainError.
 
 Both the panel bounds and the midpoint terms are summed by _fsum: error-free
 extraction over blocks of the array (ExtractVector in Rump, Ogita and Oishi,
@@ -66,7 +68,6 @@ are the same bits as in one pass.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -74,12 +75,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bounds import _MIDPOINT, THEOREMS, _variant
+from .bounds import _MIDPOINT, THEOREMS, Theorem, _variant
 from .core import (
     ConvergenceError,
     DomainError,
     Function1D,
     Interval,
+    _overflow_raises,
 )
 from .toolkit import reference_integrate
 
@@ -240,43 +242,40 @@ def composite_midpoint(fn: Function1D, d: Partition) -> float:
     """sum of f(panel midpoint) * panel width, rounded once as math.fsum
     rounds it. A term or a sum beyond double precision raises OverflowError."""
     terms = np.empty(d.n_panels)
-    for i in range(0, d.n_panels, _BLOCK):
-        x = d.nodes[i : i + _BLOCK + 1]
-        values = fn(0.5 * (x[1:] + x[:-1]))
-        with np.errstate(over="ignore"):  # checked below
+    with _overflow_raises():  # in the evaluator or in a term
+        for i in range(0, d.n_panels, _BLOCK):
+            x = d.nodes[i : i + _BLOCK + 1]
+            values = fn(0.5 * (x[1:] + x[:-1]))
             np.multiply(values, np.diff(x), out=terms[i : i + _BLOCK])
     del values  # the last block's values go before _fsum allocates its buffer
-    if not -np.inf < terms.min() <= terms.max() < np.inf:  # NaN fails too; no bool array
+    # an inf or NaN the evaluator returned itself; NaN fails too; no bool array
+    if not -np.inf < terms.min() <= terms.max() < np.inf:
         raise OverflowError("a composite midpoint term is not finite")
     return _fsum(terms)
 
 
-def _panel_terms(
+def _level_bound(
     d: Partition,
     slopes: Iterable[np.ndarray],
-    variant: str,
-    p: Optional[float],
-    q: Optional[float],
+    theorem: Theorem,
+    values: dict,
     target: Optional[float] = None,
-) -> Optional[np.ndarray]:
-    """Each panel's width times its midpoint bound, checked and filled as
-    midpoint_error_bound states, one block of _BLOCK panels at a time.
+) -> Optional[float]:
+    """The error bound of d, as midpoint_error_bound states it, for a variant
+    that _variant resolved into theorem and values. Each block of _BLOCK
+    panels writes its width, da and db into values.
 
     slopes yields |f'| at the nodes of each block in turn, the node two
-    blocks share in both. The variant and the exponents are checked once
-    the first block's values are in, before its magnitudes. With a target,
-    the fill stops at the first block where the rough sum of the terms so
-    far proves the exact sum of all of them rounds above target, and None is
-    returned; slopes is not asked for the blocks after it. Otherwise the
-    terms are returned: nonnegative, inf or nan.
+    blocks share in both. With a target, the fill stops at the first block
+    where the rough sum of the terms so far proves the exact sum of all of
+    them rounds above target, and None is returned; slopes is not asked for
+    the blocks after it. Otherwise the exact sum is returned: nonnegative,
+    inf or nan.
     """
-    blocks = iter(slopes)
-    first = next(blocks)
-    theorem, values = _variant(_PANEL_BOUNDS, variant, "error-bound variant", p, q)
     terms = np.empty(d.n_panels)
     rough = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan reaches the result
-        for i, v in zip(range(0, d.n_panels, _BLOCK), itertools.chain([first], blocks)):
+        for i, v in zip(range(0, d.n_panels, _BLOCK), slopes):
             if not 0.0 <= v.min() <= v.max() < np.inf:  # NaN fails too; no bool array
                 raise DomainError("derivative magnitudes must be finite and nonnegative")
             values["width"] = w = np.diff(d.nodes[i : i + _BLOCK + 1])
@@ -287,7 +286,7 @@ def _panel_terms(
                 rough += float(block.sum())
                 if _exceeds(rough, i + block.size, target):
                     return None
-    return terms
+    return _fsum(terms)
 
 
 def midpoint_error_bound(
@@ -304,6 +303,7 @@ def midpoint_error_bound(
     precision makes the result inf or nan, with no numpy warning; finite
     panel bounds whose sum overflows raise OverflowError, as math.fsum does.
     """
+    theorem, values = _variant(_PANEL_BOUNDS, variant, "error-bound variant", p, q)
     dv = np.asarray(dvals, dtype=float)
     if dv.shape != (len(d.nodes),):
         raise DomainError(
@@ -311,7 +311,7 @@ def midpoint_error_bound(
             f"values for {len(d.nodes)} nodes"
         )
     blocks = (dv[i : i + _BLOCK + 1] for i in range(0, d.n_panels, _BLOCK))
-    return _fsum(_panel_terms(d, blocks, variant, p, q))
+    return _level_bound(d, blocks, theorem, values)
 
 
 def _node_slopes(fn: Function1D, nodes: np.ndarray) -> Iterator[np.ndarray]:
@@ -319,13 +319,12 @@ def _node_slopes(fn: Function1D, nodes: np.ndarray) -> Iterator[np.ndarray]:
     evaluated once: a block's last value is carried over as the next
     block's first. Every block is yielded in the same buffer."""
     buf = np.empty(min(nodes.size, _BLOCK + 1))
-    np.abs(fn.deriv(nodes[: buf.size]), out=buf)
-    yield buf
-    for i in range(buf.size, nodes.size, _BLOCK):
-        x = nodes[i : i + _BLOCK]
-        buf[0] = buf[-1]
-        v = buf[: x.size + 1]
-        np.abs(fn.deriv(x), out=v[1:])
+    for i in range(0, nodes.size - 1, _BLOCK):
+        v = buf[: min(nodes.size - i, _BLOCK + 1)]
+        j = int(i > 0)  # a later block's first node ends the block before
+        buf[0] = buf[-1]  # so its value is carried; the first block overwrites it
+        with _overflow_raises():
+            np.abs(fn.deriv(nodes[i + j : i + v.size]), out=v[j:])
         yield v
 
 
@@ -362,24 +361,22 @@ def certified_integrate(
     """
     if not target > 0.0:
         raise DomainError(f"target must be positive, got {target!r}")
+    theorem, values = _variant(_PANEL_BOUNDS, variant, "error-bound variant", p, q)
 
     n = 1
     while True:
         d = Partition.uniform(iv, n)
         last = 2 * n > DEFAULT_PANEL_BUDGET
-        terms = _panel_terms(d, _node_slopes(fn, d.nodes), variant, p, q, None if last else target)
-        if terms is not None:
-            bound = _fsum(terms)
-            if bound <= target:
-                break
-            if last:
-                if not math.isfinite(bound):
-                    raise OverflowError(f"the midpoint error bound is still {bound} at n={n} panels")
-                raise ConvergenceError(
-                    f"certified bound still {bound:g} > target {target:g} at "
-                    f"n={n} panels (budget {DEFAULT_PANEL_BUDGET})"
-                )
-        del terms  # before the next level fills twice as many
+        bound = _level_bound(d, _node_slopes(fn, d.nodes), theorem, values, None if last else target)
+        if bound is not None and bound <= target:
+            break
+        if last:
+            if not math.isfinite(bound):
+                raise OverflowError(f"the midpoint error bound is still {bound} at n={n} panels")
+            raise ConvergenceError(
+                f"certified bound still {bound:g} > target {target:g} at "
+                f"n={n} panels (budget {DEFAULT_PANEL_BUDGET})"
+            )
         n *= 2
 
     approx = composite_midpoint(fn, d)

@@ -37,6 +37,7 @@ from .core import (
     DomainError,
     Function1D,
     Interval,
+    _overflow_raises,
     _require_s,
     validate_eval_point,
 )
@@ -148,7 +149,9 @@ def check_sconvex(
     exactly so the boundary equalities are exercised. Points where the
     inequality is an exact equality round each side independently, so a
     positive difference within a few ulps of the operand scale is treated
-    as equality, not as a violation.
+    as equality, not as a violation. That allowance is relative to the
+    operands alone, with no absolute floor: it scales with f, so a small
+    function is falsified as readily as a large one.
     """
     s_val = _require_s(s)
     if grid_n < 2:
@@ -175,7 +178,7 @@ def check_sconvex(
             raise DomainError(f"evaluator failed at a combination point: {exc}") from exc
         wfx = wx * fx
         raw = fz - (wfx + wfy)
-        noise = 8.0 * eps * np.maximum(1.0, np.maximum(np.abs(fz), np.abs(wfx) + np.abs(wfy)))
+        noise = 8.0 * eps * np.maximum(np.abs(fz), np.abs(wfx) + np.abs(wfy))
         # sub-rounding positives are equalities; a NaN point is skipped, as the
         # scalar `>` below skips it, so argmax cannot return it and hide the plane
         viol = np.where((raw > 0.0) & (raw <= noise), 0.0, np.where(np.isnan(raw), -math.inf, raw))
@@ -377,7 +380,8 @@ def _parse_floats(text: str, spec: str) -> list[float]:
 
 def _make_poly(coeffs: list[float]) -> Function1D:
     cs = np.asarray(coeffs, dtype=float)
-    ds = npoly.polyder(cs)
+    with _overflow_raises():
+        ds = npoly.polyder(cs)
     return Function1D(f=lambda t: npoly.polyval(t, cs), df=lambda t: npoly.polyval(t, ds),
                       label="poly:" + ",".join(f"{c:g}" for c in coeffs))
 

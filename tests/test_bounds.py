@@ -780,7 +780,7 @@ class TestNamedBounds:
         counted = Function1D(f=fn.f, df=lambda t: points.append(np.size(t)) or fn.df(t))
         with pytest.raises(DomainError, match="finite"):
             certified_integrate(counted, UNIT, 1e-3, "p5", p=math.nan)
-        assert points == [2]
+        assert points == []
         assert capsys.readouterr().out == ""
 
     def test_exponent_checked_before_the_first_block_magnitudes(self):

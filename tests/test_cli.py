@@ -206,6 +206,16 @@ class TestBoundCommand:
         assert code == 2
         assert "--dx" in err
 
+    def test_p_checked_with_the_other_inputs(self, capsys):
+        # --p is checked by evaluate in its turn, after --x: the message names
+        # the first bad input in evaluate's order
+        code, out, err = run(
+            capsys, "bound", "--theorem", "teo1", "--a", "0", "--b", "1",
+            "--x", "5", "--s", "0.5", "--p", "0.5", "--da", "1", "--db", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: evaluation point x=5.0 outside interval [0.0, 1.0]\n"
+
     def test_eq15_missing_p_named(self, capsys):
         code, _, err = run(
             capsys, "bound", "--theorem", "eq15", "--a", "0", "--b", "1",
@@ -597,6 +607,21 @@ class TestSweepConfig:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("flag,grid,message", [
+        ("--s-grid", "0.5,half", "error: could not parse --s-grid '0.5,half'\n"),
+        ("--p-grid", " , ", "error: --p-grid must list at least one value\n"),
+    ])
+    def test_unparsable_or_empty_grid_named(self, capsys, flag, grid, message):
+        assert run(capsys, "verify", flag, grid) == (2, "", message)
+
+    def test_overflowing_derivative_coefficient_exits_2(self, capsys):
+        # f' = 2e308 t: polyder and polyval each printed a RuntimeWarning, then
+        # "da must be a finite magnitude >= 0, got nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(capsys, "verify", "--functions", "poly:0,0,1e308")
+        assert result == (2, "", "error: a value overflowed double precision\n")
+
     def test_overflowing_bound_exits_2(self, capsys):
         # |f'| = 1e300 is finite, but the t20 bound over [0, 1e10] is not
         code, out, err = run(
@@ -697,6 +722,25 @@ class TestQuadCommand:
         assert code == 2
         assert out == ""
         assert err == "error: a value overflowed double precision\n"
+
+    @pytest.mark.parametrize("argv", [
+        # powabs's derivative overflows in its power at the nodes
+        ("powabs:3.0", "--a", "0.5", "--b", "1.7976931348623157e+308",
+         "--target", "1e-4", "--variant", "p6", "--q", "2"),
+        # the spec's derivative coefficient 2 * 1.8e308 overflows in polyder
+        ("poly:0,0,1.7976931348623157e+308", "--a", "-1", "--b", "1e154",
+         "--target", "1e-4", "--variant", "p5"),
+        # poly's derivative overflows in polyval at the nodes
+        ("poly:0,0,1.2279659373876204e+239", "--a", "0", "--b", "1.6145022289079834e+232",
+         "--target", "0.01", "--variant", "p4", "--p", "2"),
+    ], ids=["powabs-power", "poly-polyder", "poly-polyval"])
+    def test_evaluator_overflow_is_an_overflow(self, capsys, argv):
+        # each printed a numpy RuntimeWarning, then called the overflow a bad
+        # derivative magnitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(capsys, "quad", "--fn", *argv)
+        assert result == (2, "", "error: a value overflowed double precision\n")
 
     @pytest.mark.parametrize("variant", [("p4", "--p", "2"), ("p5",), ("p6", "--q", "2")])
     def test_overflowing_bound_exits_2(self, capsys, variant):
@@ -812,7 +856,7 @@ class TestQuadCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
-        assert points == [2]
+        assert points == []
 
     @pytest.mark.parametrize("variant", [
         ("p5", "--p", "nan"), ("p5", "--q", "0.5"), ("p4", "--p", "2", "--q", "0.5"),
@@ -884,6 +928,14 @@ class TestConfigFile:
         code, out, _ = run(capsys, "means", "--config", str(cfg), "--s", "0.25")
         assert code == 0
         assert strict_json(out)["s"] == 0.25  # explicit flag wins
+
+    def test_equals_spelling(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=1\nb=2\ns=0.5\n")
+        assert run(capsys, "means", f"--config={cfg}") == run(capsys, "means", "--config", str(cfg))
+        code, out, _ = run(capsys, "means", f"--config={cfg}", "--s", "0.25")
+        assert code == 0
+        assert strict_json(out)["s"] == 0.25
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "means", "--config", "/definitely/not/here",

@@ -53,6 +53,18 @@ CASES = (
       for variant in ("--variant p4 --p 2.5", "--variant p5", "--variant p6 --q 1.5")),
     *(f"bound --theorem {tag} --a 0.5 --b 2.5 {flags}".split()
       for tag, flags in _BOUND_FLAGS.items()),
+    # the flat formats: one command of each kind per format, the sweep with
+    # a failing check so the human report names its first failure
+    *(f"{command} --format {fmt}".split()
+      for fmt in ("csv", "human")
+      for command in (
+          "verify --functions poly:0,-3,0,1 --x-points 5 --s-grid 0.5",
+          "identity",
+          "means --a 1 --b 2 --s 0.5",
+          f"quad --fn poly:0.3,-1,0.5,1.2 {_QUAD_FUNCTIONS['poly:0.3,-1,0.5,1.2']} "
+          "--target 1e-3 --variant p5",
+          f"bound --theorem teo1 --a 0.5 --b 2.5 {_BOUND_FLAGS['teo1']}",
+      )),
 )
 
 

@@ -90,6 +90,10 @@ class TestConjugatePair:
         with pytest.raises(DomainError):
             make_conjugate(p)
 
+    def test_pair_rejects_an_exponent_at_most_one(self):
+        with pytest.raises(DomainError, match="require p > 1 and q > 1"):
+            ConjugatePair(0.5, 2.0)
+
     def test_rejects_non_conjugate(self):
         with pytest.raises(DomainError, match="not conjugate"):
             ConjugatePair(2.0, 3.0)

@@ -12,7 +12,7 @@ from ostrowski.bounds import (
     midpoint_power_mean,
     midpoint_sconvex_abs,
 )
-from ostrowski.core import DomainError, EndpointData, Interval, make_conjugate
+from ostrowski.core import ConvergenceError, DomainError, EndpointData, Interval, make_conjugate
 from ostrowski.means import (
     arithmetic_mean,
     logarithmic_mean,
@@ -199,6 +199,13 @@ class TestMeansGap:
         got = means_gap(1.0, 2.0, 0.5)
         assert points == [15, 1]
         assert got == means_gap(1.0, 2.0, 0.5, oracle_tol=None)
+
+    def test_closed_form_disagreeing_with_the_oracle_raises(self, monkeypatch):
+        from ostrowski import means
+
+        monkeypatch.setattr(means, "_mean_powers", lambda a, b, s: (1.0, 1.0, 0.5))
+        with pytest.raises(ConvergenceError, match="disagrees with oracle"):
+            means_gap(1.0, 2.0, 0.5)
 
     def test_s_one_rejected(self):
         with pytest.raises(DomainError):

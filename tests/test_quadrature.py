@@ -89,6 +89,13 @@ class TestCompositeMidpoint:
     def test_quadratic_single_panel(self):
         assert composite_midpoint(TSQ, Partition.uniform(UNIT, 1)) == 0.25
 
+    def test_evaluator_overflow_raises_overflow_error(self):
+        # f(2) overflows inside the evaluator; its numpy warning was the
+        # first thing printed
+        fn = Function1D(f=lambda t: t * 1e308)
+        with pytest.raises(OverflowError, match="overflowed double precision"):
+            composite_midpoint(fn, Partition.uniform(Interval(0.0, 4.0), 1))
+
 
 def exact_sum(values) -> Fraction:
     """The exact sum: every double is an integer multiple of 2**-1074."""
@@ -639,7 +646,20 @@ class TestCertifiedIntegrate:
         counted = Function1D(f=fn.f, df=lambda t: levels.append(np.size(t)) or fn.df(t))
         with pytest.raises(DomainError, match="finite"):
             certified_integrate(counted, UNIT, 0.1, variant, **kw)
-        assert levels == [2]
+        assert levels == []
+
+    def test_variant_resolved_once_per_call(self, monkeypatch):
+        # once at entry, not once per doubling level
+        calls = []
+        resolve = quadrature._variant
+
+        def spy(*args):
+            calls.append(args[1])
+            return resolve(*args)
+
+        monkeypatch.setattr(quadrature, "_variant", spy)
+        assert certified_integrate(TSQ, UNIT, 1e-4, "p4", p=2.0).panels > 1
+        assert calls == ["p4"]
 
     def test_subnormal_derivative_certifies_a_positive_bound(self):
         # |f'| is at most 5e-324 and the one panel 1e300 wide: the quartered
@@ -875,6 +895,12 @@ class TestBlockedLevels:
         # the 2^15-panel level is proven by its first block, [0, 1/4]
         fn = nan_slopes_at_level(2**15, 0.5, 1.0)
         assert certified_integrate(fn, UNIT, UNIT_SLOPE_TARGET, "p5").panels == 2**18
+
+    def test_derivative_overflow_in_a_read_block_raises_overflow_error(self):
+        # |f'| = 3 t^2 overflows in the power at the far node of the one panel
+        fn = parse_function_spec("powabs:3")
+        with pytest.raises(OverflowError, match="overflowed double precision"):
+            certified_integrate(fn, Interval(0.5, 1.7976931348623157e308), 1e-4, "p6", q=2.0)
 
     def test_nan_slope_in_a_read_block_raises(self):
         fn = nan_slopes_at_level(2**15, 0.0, 0.125)

@@ -151,6 +151,26 @@ class TestCheckSconvex:
         with pytest.raises(DomainError, match="evaluator failed"):
             check_sconvex(Function1D(f=bad), 0.5, Interval(0.0, 1.0), 5)
 
+    def test_combination_point_failure_reported(self):
+        # the grid's 1-D values evaluate; the 2-D combination points do not
+        def flat_only(t):
+            if np.ndim(t) > 1:
+                raise ValueError("flat arrays only")
+            return np.asarray(t, dtype=float)
+
+        with pytest.raises(DomainError, match="at a combination point: flat arrays only"):
+            check_sconvex(Function1D(f=flat_only), 0.5, Interval(0.0, 1.0), 5)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-10, 1e-14, 1e-200, 1e200])
+    def test_scaled_concave_function_falsified_at_every_scale(self, c):
+        # 1.5 c sqrt(t) is concave, so not convex; an absolute floor of 1 in
+        # the noise allowance reported it consistent for c <= 1e-14
+        fn = Function1D(f=lambda t: 1.5 * c * np.sqrt(t))
+        report = check_sconvex(fn, 1.0, Interval(0.5, 2.0))
+        assert not report.is_consistent
+        assert report.worst_violation == pytest.approx(0.0882890317634775 * c, rel=1e-13)
+        assert report.witness == (2.0, 0.5, 0.4)
+
     def test_breckner_membership_sweep(self):
         # members of the sufficient-condition region stay consistent
         rng = np.random.default_rng(42)
@@ -318,6 +338,15 @@ class TestReferenceIntegrate:
         fn = parse_function_spec("powabs:0.1")
         with pytest.raises(ConvergenceError, match="within 8 panels"):
             reference_integrate(fn, Interval(0.0, 1.0), 1e-13)
+
+    def test_jump_below_the_smallest_panel_raises(self):
+        # a unit jump at an irrational point keeps the estimate of the panel
+        # holding it near that panel's width, which stops at 1e-15 of the
+        # interval's
+        jump = math.sqrt(2.0) - 1.0
+        fn = Function1D(f=lambda t: np.where(t < jump, 0.0, 1.0), label="step")
+        with pytest.raises(ConvergenceError, match="cannot be subdivided further"):
+            reference_integrate(fn, Interval(0.0, 1.0), 1e-15)
 
     def test_non_finite_integrand(self):
         fn = Function1D(f=lambda t: math.nan, label="nan")
@@ -523,6 +552,11 @@ class TestFunctionRegistry:
         assert fn(-3.0) == 9.0
         assert fn.deriv(-3.0) == -6.0
         assert fn.deriv(0.0) == 0.0
+
+    def test_overflowing_derivative_coefficient_raises_overflow_error(self):
+        # polyder's 2 * 1.8e308 printed a numpy warning and left inf in f'
+        with pytest.raises(OverflowError, match="overflowed double precision"):
+            parse_function_spec("poly:0,0,1.7976931348623157e308")
 
     def test_powabs_kink(self):
         fn = parse_function_spec("powabs:1")
