@@ -24,7 +24,7 @@ from .core import (
     validate_eval_point,
 )
 from .bounds import THEOREMS, _choice, _offsets, evaluate
-from .toolkit import reference_integrate
+from .toolkit import ORACLE_EPSREL, oracle_excess, reference_integrate
 
 __all__ = [
     "montgomery_kernel",
@@ -56,8 +56,9 @@ def verify_montgomery_identity(
 
     Both sides are computed with the reference integrator, the right side
     split at the kernel breakpoint so each piece is smooth. The record's
-    lhs is |LHS - RHS| compared against 0 with slack tol; the raw side
-    values are kept in the context string.
+    lhs is |LHS - RHS| compared against 0 with slack tol, plus what the
+    pieces' relative oracle tolerance adds to the accuracy of the right
+    side; the raw side values are kept in the context string.
     """
     return _montgomery_records(fn, iv, (x,), tol)[0]
 
@@ -80,11 +81,15 @@ def _montgomery_records(fn: Function1D, iv: Interval, xs, tol: float) -> list:
         x = validate_eval_point(iv, x)
         lam = _offsets(iv, x)[0]
         # the f' side goes first, so a missing derivative raises at its first panel
-        rhs_val = 0.0
+        rhs_val = excess = 0.0
         if lam > 0.0:
-            rhs_val += reference_integrate(low, Interval(0.0, lam), piece_tol)
+            piece = reference_integrate(low, Interval(0.0, lam), piece_tol, epsrel=ORACLE_EPSREL)
+            rhs_val += piece
+            excess += oracle_excess(piece_tol, piece)
         if lam < 1.0:
-            rhs_val += reference_integrate(high, Interval(lam, 1.0), piece_tol)
+            piece = reference_integrate(high, Interval(lam, 1.0), piece_tol, epsrel=ORACLE_EPSREL)
+            rhs_val += piece
+            excess += oracle_excess(piece_tol, piece)
         rhs_val *= a - b
 
         if whole is None:
@@ -93,7 +98,7 @@ def _montgomery_records(fn: Function1D, iv: Interval, xs, tol: float) -> list:
         records.append(VerificationRecord.check(
             lhs=abs(lhs_val - rhs_val),
             rhs=0.0,
-            tol=tol,
+            tol=tol + excess * iv.width,
             context=(
                 f"montgomery identity fn={fn.label or '<anonymous>'} "
                 f"iv=[{a:g},{b:g}] x={x:.17g} lhs={lhs_val:.17g} rhs={rhs_val:.17g}"

@@ -29,7 +29,7 @@ from .core import (
     Interval,
     _require_s,
 )
-from .toolkit import make_breckner, true_deviation
+from .toolkit import ORACLE_EPSREL, make_breckner, true_deviation
 
 __all__ = [
     "arithmetic_mean",
@@ -133,7 +133,17 @@ def _mean_powers(a: float, b: float, s: float) -> Tuple[float, float, float]:
     L_s^s - A^s = m^s * sum_{k>=1} C(s+1, 2k+1)/(s+1) * u^(2k), whose terms
     all have the sign of s(s-1); for small u that sum replaces the
     difference of the two closed forms.
+
+    Each term is homogeneous of degree s in (a, b). Where b is outside
+    (2^-500, 2^500), so that b^(s+1) or the midpoint could leave the normal
+    range, a and b are scaled by the power of two 2^-k that brings b into
+    [1, 2), which is exact, and the three results by (2^k)^s.
     """
+    if not 2.0**-500 < b < 2.0**500:  # folded to constants when compiled
+        k = math.frexp(b)[1] - 1
+        mean_power, avg_ts, gap = _mean_powers(math.ldexp(a, -k), math.ldexp(b, -k), s)
+        scale = math.ldexp(1.0, k) ** s
+        return mean_power * scale, avg_ts * scale, gap * scale
     m = (a + b) / 2.0
     mean_power = m**s
     u = (b - a) / (b + a)
@@ -158,10 +168,11 @@ def means_gap(a: float, b: float, s: float, oracle_tol: Optional[float] = 1e-10)
     t^s. For near-equal endpoints the difference is summed from its series
     instead, which keeps it accurate to a few ulps where the two terms
     cancel. When oracle_tol is given the result is cross-checked against
-    the reference integrator and a disagreement raises ConvergenceError.
+    the reference integrator, to ten times the oracle's accuracy, and a
+    disagreement raises ConvergenceError.
     """
     a, b, s_val = _gap_args(a, b, s)
-    gap = _mean_powers(a, b, s_val)[2]
+    _, avg_ts, gap = _mean_powers(a, b, s_val)
     if oracle_tol is not None:
         oracle = true_deviation(
             make_breckner(0.0, 1.0, 0.0, s_val),
@@ -169,10 +180,13 @@ def means_gap(a: float, b: float, s: float, oracle_tol: Optional[float] = 1e-10)
             (a + b) / 2.0,
             tol=oracle_tol,
         )
-        if abs(gap - oracle) > 10.0 * oracle_tol:
+        # true_deviation is accurate to max(tol, ORACLE_EPSREL·|average|), and
+        # the average of t^s is avg_ts
+        miss = abs(gap - oracle)
+        if miss > 10.0 * oracle_tol and miss > 10.0 * ORACLE_EPSREL * avg_ts:
             raise ConvergenceError(
-                f"closed-form gap {gap!r} disagrees with oracle {oracle!r} "
-                f"beyond 10*tol={10.0 * oracle_tol:g}"
+                f"closed-form gap {gap!r} disagrees with oracle {oracle!r} beyond "
+                f"{10.0 * max(oracle_tol, ORACLE_EPSREL * avg_ts):g}, ten times the oracle's accuracy"
             )
     return gap
 

@@ -2,23 +2,28 @@
 integrator used as the brute-force oracle by the verification routines.
 
 The integrator is a globally adaptive scheme with a fixed high-order rule
-per panel (15-point Kronrod extension of 7-point Gauss) and the nested-rule
-difference as the per-panel error estimate. Refinement always bisects the
-worst panel at its exact midpoint, so results are deterministic for fixed
-inputs and reproducible across runs. One rule function, ``_rule``, serves
-the first panel and both halves of every bisection: one evaluator call on a
-flat array of all their nodes, and for a split one product for all their
-K15 and G7 sums. Per split, the cost is Python and numpy call overhead, not
-arithmetic, so two halves at once cost little more than one. Each panel
-keeps the bits, and a failing one the exception, of evaluating it alone.
+per panel (QUADPACK's 15-point Kronrod extension of 7-point Gauss, to full
+double precision) and the nested-rule difference as the per-panel error
+estimate, floored at the rounding the panel's K15 sum can carry. It meets
+max(tol, epsrel·|integral|), and when that target is below the roundoff
+floor bisection cannot lower, it says so at once instead of spending its
+panel budget. Refinement always bisects the worst panel at its exact
+midpoint, so results are deterministic for fixed inputs and reproducible
+across runs. One rule function, ``_rule``, serves the first panel and both
+halves of every bisection: one evaluator call on a flat array of all their
+nodes, and for a split one product for all their K15 and G7 sums and one
+reduction for their max|f|. Per split, the cost is Python and numpy call
+overhead, not arithmetic, so two halves at once cost little more than one.
+Each panel keeps the bits, and a failing one the exception, of evaluating
+it alone.
 
 Most oracle calls, such as the special-means cross-checks, end at their
 first panel, so that path is kept to its arithmetic: the lone panel returns
-from its 15 nodes, one evaluator call and two dot products, and a first
-panel that meets the tolerance is the result, with no heap or sort. The
-Breckner evaluator likewise takes a float with float arithmetic, and skips
-the multiply by v = 1 and the add of w = 0 on an array where those are
-exact identities.
+from its 15 nodes, one evaluator call and two dot products, with its floor
+from the max|f| that checks its values, and a first panel that meets the
+tolerance is the result, with no heap. The Breckner evaluator likewise
+takes a float with float arithmetic, and skips the multiply by v = 1 and
+the add of w = 0 on an array where those are exact identities.
 """
 
 from __future__ import annotations
@@ -204,22 +209,25 @@ def check_sconvex(
 # ----------------------------------------------------------------------
 
 # 15-point Kronrod rule with embedded 7-point Gauss on [-1, 1] (QUADPACK's
-# QK15; Piessens et al., 1983), typed to 15 digits. The rule is symmetric,
-# so each table holds one half, from the outermost node in to the centre,
-# and is mirrored below. The Gauss nodes are every other Kronrod node,
-# starting at the second; |K15 - G7| serves as the panel error estimate.
-# Full-precision digits alone would make that difference exactly 0 for a
-# constant, so they have to come with a roundoff floor on the estimate.
+# QK15; Piessens et al., 1983). Each value is the double nearest QUADPACK's
+# 33-digit one. Those digits solve the rule's equations, worked in 60 digits,
+# to within 3e-27: the Gauss nodes are roots of P_7, G7 is exact through
+# degree 13 and K15 through degree 22. The rule is symmetric, so each table
+# holds one half, from the outermost node in to the centre, and is mirrored
+# below. The Gauss nodes are every other Kronrod node, starting at the
+# second. |K15 - G7| estimates a panel's error; with full digits it is
+# exactly 0 on a constant, so the estimate has a roundoff floor as well
+# (_PANEL_FLOOR).
 _HALF_NODES = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
-    0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0,
+    0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+    0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0,
 ])
 _HALF_W_KRONROD = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782,
 ])
 _HALF_W_GAUSS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
+    0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694,
 ])
 
 _NODES = np.concatenate((-_HALF_NODES[:-1], _HALF_NODES[::-1]))  # +0.0 at the centre
@@ -231,33 +239,52 @@ _W_GAUSS[1::2] = np.concatenate((_HALF_W_GAUSS, _HALF_W_GAUSS[-2::-1]))
 _W = np.column_stack((_W_KRONROD, _W_GAUSS))  # (15, 2): one product gives K15 and G7
 _HUGE = 2.0**1023  # each weight sum is below 2, so |f| below this keeps both sums finite
 _max = np.maximum.reduce  # ndarray.max adds a Python-level call
+#: where each panel starts in the flat values, by panel count (a slice of one
+#: array would cost a view per split)
+_ROW_STARTS = {1: np.array([0]), 2: np.array([0, 15])}
+
+
+#: C·u, the roundoff floor's factor: C = 8 and u = 2**-53 (see reference_integrate)
+_ROUNDOFF = 2.0**-50
+#: a panel's floor C·u·R, R = 2·half·max|f|, is half·(max|f|·_PANEL_FLOOR)
+_PANEL_FLOOR = 2.0 * _ROUNDOFF
+#: the relative tolerance the library's own oracle calls give: twice C·u, so
+#: the floor of a one-signed integrand is at most half of it
+ORACLE_EPSREL = 2.0 * _ROUNDOFF
 
 
 def _rule(fn: Function1D, edges) -> list:
     """K15 and G7 on the adjacent panels between consecutive edges, from one
     evaluator call: a list of (integral, error estimate) per panel, left to
-    right.
+    right. edges holds two or three values: a lone panel or the two halves
+    of a split. The estimate is |K15 - G7|, floored at C·u·2·half·max|f| (see
+    reference_integrate).
 
     Each panel is exactly what it would be alone: its nodes are formed from
-    its own Python-float mid and half, and its K15 and G7 sums are the dot
-    products of its 15 values with the weights. For two panels or more, one
-    (k, 15) @ (15, 2) product gives each row those bits; a lone panel takes
-    the dot products themselves, because numpy sends a one-row product
-    through a matrix-vector kernel that sums in another order. A lone panel
-    whose values and sums are finite returns straight from them; any other
-    goes on to the general body below, with the values already evaluated. A
-    failure names the leftmost panel that fails, as evaluating the panels in
-    turn would.
+    its own Python-float mid and half, its K15 and G7 sums are the dot
+    products of its 15 values with the weights, and its max|f| is exact in
+    any order. For two panels or more, one (k, 15) @ (15, 2) product gives
+    each row those bits; a lone panel takes the dot products themselves,
+    because numpy sends a one-row product through a matrix-vector kernel
+    that sums in another order. A lone panel whose values and sums are
+    finite returns straight from them, its floor from the max|f| that
+    checks them; any other goes on to the general body below, with the
+    values already evaluated. A failure names the leftmost panel that fails,
+    as evaluating the panels in turn would.
     """
     if len(edges) == 2:  # a lone panel: its nodes, its dot products, no lists
         lo, hi = edges
         half = 0.5 * (hi - lo)
         halves = [half]
         fs = fn(0.5 * (lo + hi) + half * _NODES)
-        if _max(abs(fs), None) < _HUGE:  # NaN fails too
+        top = float(_max(abs(fs), None))  # a float: its compares and products are cheaper
+        if top < _HUGE:  # NaN fails too
             k15 = half * float(_W_KRONROD @ fs)
             g7 = half * float(_W_GAUSS @ fs)
             err = abs(k15 - g7)
+            floor = half * (top * _PANEL_FLOOR)
+            if err < floor:
+                err = floor
             if err < math.inf:
                 return [(k15, err)]
     else:
@@ -268,31 +295,37 @@ def _rule(fn: Function1D, edges) -> list:
             parts.append(0.5 * (lo + hi) + half * _NODES)
         fs = fn(np.concatenate(parts))  # flat: evaluators may assume 1-D
     k = len(halves)
+    tops = np.maximum.reduceat(abs(fs), _ROW_STARTS[k])
+    tops = tops.tolist()  # each panel's max|f|, exact in any order
     scales = [1.0] * k
     bad = k  # the first panel with a non-finite value
-    if not _max(abs(fs), None) < _HUGE:
-        rows = fs.reshape(k, 15)
-        tops = np.abs(rows).max(axis=1).tolist()
+    # a NaN or a top >= 2**1023 fails the sum; finite tops that only add up
+    # to 2**1023 take the branch and come out of it unchanged
+    if not sum(tops) < _HUGE:
         bad = next((j for j, top in enumerate(tops) if not math.isfinite(top)), bad)
         # sum a quarter of each panel with |f| >= 2**1023, exactly, and scale back;
         # only that panel, as quartering a subnormal neighbour would round it
         scales = [4.0 if top >= _HUGE else 1.0 for top in tops[:bad]]
-        fs = (rows[:bad] / np.array(scales)[:, None]).ravel()
+        fs = (fs.reshape(k, 15)[:bad] / np.array(scales)[:, None]).ravel()
     if len(fs) == 15:  # a lone panel: the dot products themselves, as above
         sums = [(float(_W_KRONROD @ fs), float(_W_GAUSS @ fs))]
     else:
         sums = (fs.reshape(-1, 15) @ _W).tolist()
     out = []
-    for (kd, gd), half, scale in zip(sums, halves, scales):
+    for (kd, gd), half, scale, top in zip(sums, halves, scales, tops):
         k15 = half * kd * scale
         g7 = half * gd * scale
         err = abs(k15 - g7)
-        if not err < math.inf:  # an overflowed k15 or g7 leaves err inf or nan
-            lo, hi = edges[len(out)], edges[len(out) + 1]
-            raise OverflowError(
-                f"the panel sums of {fn.label or '<anonymous>'} on [{lo:g}, {hi:g}] "
-                f"overflowed double precision"
-            )
+        floor = half * (top * _PANEL_FLOOR)
+        if not floor <= err < math.inf:  # at its floor, or not finite
+            if err < floor:
+                err = floor
+            if not err < math.inf:  # an overflowed k15 or g7 leaves err inf or nan
+                lo, hi = edges[len(out)], edges[len(out) + 1]
+                raise OverflowError(
+                    f"the panel sums of {fn.label or '<anonymous>'} on [{lo:g}, {hi:g}] "
+                    f"overflowed double precision"
+                )
         out.append((k15, err))
     if bad < k:
         raise ConvergenceError(
@@ -308,49 +341,122 @@ _LEFT_THEN_VALUE = itemgetter(1, 3)  # a heap entry is (-estimate, lo, hi, value
 DEFAULT_ORACLE_PANELS = 10_000
 
 
-def reference_integrate(fn: Function1D, iv: Interval, tol: float) -> float:
-    """Integrate fn over iv to absolute accuracy tol.
+def _panel_sum(heap) -> float:
+    """math.fsum of the panels' values. fsum rounds their exact sum once, so
+    the heap's order gives the bits that left to right would, unless a
+    partial sum overflows, which depends on the order. Then they are summed
+    again left to right, as the panels lie, so an overflow is raised only
+    where that order raises it too."""
+    try:
+        return math.fsum([entry[3] for entry in heap])
+    except OverflowError:
+        return math.fsum([entry[3] for entry in sorted(heap, key=_LEFT_THEN_VALUE)])
+
+
+def reference_integrate(fn: Function1D, iv: Interval, tol: float, *,
+                        epsrel: float = 0.0) -> float:
+    """Integrate fn over iv to within max(tol, epsrel·|integral|).
 
     Globally adaptive: the panel with the largest error estimate is bisected
-    at its exact midpoint until the summed estimates drop below tol. Raises
-    ConvergenceError once DEFAULT_ORACLE_PANELS panels exist without
-    convergence, which signals a pathological integrand rather than a
-    tolerance slightly out of reach, and OverflowError when a panel's sum or
-    error estimate is beyond double precision.
+    at its exact midpoint until the summed estimates meet that target, as
+    in QUADPACK's QAGS. |integral| is the panels' sum, taken again at each
+    check below and before returning. tol and epsrel must be >= 0, one of
+    them positive.
+
+    Each panel's estimate is max(|K15 - G7|, C·u·R), with u = 2**-53 and
+    R = 2·half·max|f| over its nodes. R is at least the panel's resabs,
+    half·Σ w_K·|f|, because the Kronrod weights sum to 2. The floor stands
+    for the rounding of the K15 sum, which |K15 - G7| cannot see where the
+    two rules agree, as on a constant. That sum is rounded in the stored
+    weights (together at most 0.35u·R), in the 15 products, in the 14
+    additions and in the final product with half. numpy's dot leaves the
+    order of the additions to the BLAS; in any order their first-order
+    worst case is γ15-like, about 16u·R, and that case needs every rounding
+    at its maximum in one direction. A compensated (Dot2) sum would leave
+    only the weights', about u·resabs, and make C = 2-4 provable, but it
+    costs more than the panel itself. Measured instead, against the exact
+    rule in rational arithmetic on the same values, the computed K15 of
+    random panels (constants, cubics, degree-13 polynomials) was off by at
+    most 4.7u·R over 60,000 of them, where C = 4 missed 6, and by 3.6u·R
+    over the 3,000 seeded ones that tests/test_toolkit.py checks against
+    the floor. C = 8 covers that with a margin, keeps C·u a power of two,
+    so that the floor is one exact scaling of half·max|f|, and leaves the
+    constant 1000 on [0, 1] its 1e-12 (floor 8.9e-13).
+
+    Bisection cannot take the floors below C·u·∫|f|. The panels' Σ|value|,
+    less the summed estimates, estimates ∫|f| from below, so once the target
+    is below C·u times it, ConvergenceError is raised at once and names that
+    floor, as QUADPACK's ier = 2 reports roundoff. That is checked at the
+    first panel, then at 64 and 4096 panels, with Σ|value| summed in
+    scaled terms, so that panels near the top of the double range give a
+    finite floor. Otherwise it is raised once DEFAULT_ORACLE_PANELS panels
+    exist without convergence, which signals a pathological integrand
+    rather than a tolerance slightly out of reach, or when the worst panel
+    is narrower than 1e-15 of the interval.
+    OverflowError is raised when a panel's sum or error estimate is beyond
+    double precision, or when the panels' sum overflows in their left to
+    right order (see _panel_sum).
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if not (tol > 0.0 and epsrel >= 0.0) and not (tol == 0.0 and epsrel > 0.0):
+        raise DomainError(f"tolerance must be positive, got tol={tol!r}, epsrel={epsrel!r}")
     ((value, err),) = _rule(fn, (iv.a, iv.b))
-    if not err > tol:  # the first panel converged: math.fsum([value]), which is value + 0.0
+    if not (err > tol and err > epsrel * abs(value)):
+        # the first panel converged: math.fsum([value]), which is value + 0.0
         return value + 0.0
     # heap orders by largest estimate; ties fall back to the left endpoint
     heap = [(-err, iv.a, iv.b, value)]
     total_err = err
+    target = tol  # max(tol, epsrel·|integral|), taken again at each check and at the end
+    budget = DEFAULT_ORACLE_PANELS
+    check = 1  # the panel count at the next roundoff and budget check: 1, 64, 4096, budget
     min_width = (iv.b - iv.a) * 1e-15
 
-    while total_err > tol:
-        if len(heap) >= DEFAULT_ORACLE_PANELS:
-            raise ConvergenceError(
-                f"integral of {fn.label or '<anonymous>'} did not reach "
-                f"tol={tol:g} within {DEFAULT_ORACLE_PANELS} panels (estimate {total_err:g})"
-            )
-        neg_err, lo, hi, _ = heap[0]
-        if hi - lo < min_width:
-            raise ConvergenceError(
-                f"panel [{lo!r}, {hi!r}] cannot be subdivided further; "
-                f"integrand is too irregular for tol={tol:g}"
-            )
-        mid = 0.5 * (lo + hi)
-        (v1, e1), (v2, e2) = _rule(fn, (lo, mid, hi))
-        total_err += e1 + e2 - (-neg_err)
-        # the worst panel gives its place to its left half: one sift, not a pop
-        # and a push; the heap holds the same entries, so later pops are the same
-        heapreplace(heap, (-e1, lo, mid, v1))
-        heappush(heap, (-e2, mid, hi, v2))
+    while True:
+        while total_err > target:
+            if len(heap) >= check:
+                target = max(tol, epsrel * abs(_panel_sum(heap)))
+                floor = sum(_ROUNDOFF * abs(entry[3]) for entry in heap) - _ROUNDOFF * total_err
+                if floor > target:
+                    raise ConvergenceError(
+                        f"integral of {fn.label or '<anonymous>'} did not reach "
+                        f"tol={target:g}: it is below the roundoff floor {floor:g} of the "
+                        f"panel sums (estimate {total_err:g})"
+                    )
+                if len(heap) >= budget:
+                    raise ConvergenceError(
+                        f"integral of {fn.label or '<anonymous>'} did not reach "
+                        f"tol={target:g} within {budget} panels (estimate {total_err:g})"
+                    )
+                check = min(64 * check, budget)
+                continue
+            neg_err, lo, hi, _ = heap[0]
+            if hi - lo < min_width:
+                raise ConvergenceError(
+                    f"panel [{lo!r}, {hi!r}] cannot be subdivided further; "
+                    f"integrand is too irregular for tol={target:g}"
+                )
+            mid = 0.5 * (lo + hi)
+            (v1, e1), (v2, e2) = _rule(fn, (lo, mid, hi))
+            total_err += e1 + e2 - (-neg_err)
+            # the worst panel gives its place to its left half: one sift, not a pop
+            # and a push; the heap holds the same entries, so later pops are the same
+            heapreplace(heap, (-e1, lo, mid, v1))
+            heappush(heap, (-e2, mid, hi, v2))
+        integral = _panel_sum(heap)
+        target = max(tol, epsrel * abs(integral))
+        if not total_err > target:
+            return integral
 
-    # deterministic compensated total: panels summed in left-to-right order
-    heap.sort(key=_LEFT_THEN_VALUE)
-    return math.fsum([entry[3] for entry in heap])
+
+def oracle_excess(tol: float, integral: float) -> float:
+    """What ORACLE_EPSREL adds to the accuracy of an integral the oracle
+    returned for tol. reference_integrate(fn, iv, tol, epsrel=ORACLE_EPSREL)
+    is within max(tol, ORACLE_EPSREL·|integral|), which is tol plus this, so
+    a check whose slack was sized for tol adds it. It is 0.0 wherever tol is
+    the larger, and it scales with both arguments: for a mean, pass the
+    tolerance and the integral divided by the width.
+    """
+    return max(0.0, ORACLE_EPSREL * abs(integral) - tol)
 
 
 def true_deviation(
@@ -359,11 +465,12 @@ def true_deviation(
     """|f(x) - average of f over [a, b]|, the left-hand side of every bound.
 
     The average is computed by the reference integrator with the integral
-    tolerance scaled by the width so the returned deviation is accurate to
-    roughly tol.
+    tolerance scaled by the width, and with ORACLE_EPSREL, so a tol below the
+    rounding of the average still converges. The returned deviation is
+    accurate to roughly tol + oracle_excess(tol, average).
     """
     x = validate_eval_point(iv, x)
-    integral = reference_integrate(fn, iv, tol * iv.width)
+    integral = reference_integrate(fn, iv, tol * iv.width, epsrel=ORACLE_EPSREL)
     return abs(float(fn(x)) - integral / iv.width)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -623,13 +624,43 @@ class TestSweepConfig:
         assert result == (2, "", "error: a value overflowed double precision\n")
 
     def test_overflowing_bound_exits_2(self, capsys):
-        # |f'| = 1e300 is finite, but the t20 bound over [0, 1e10] is not
+        # |f'| = 1e300 is finite, but the t20 bound over [0, 1e10] is not; it
+        # is reported as every other command reports an overflow
         code, out, err = run(
             capsys, "verify", "--functions", "poly:0,1e300", "--a", "0", "--b", "1e10"
         )
         assert code == 2
         assert out == ""
-        assert err.endswith("error: bound t20 produced invalid values for poly:0,1e+300\n")
+        assert err == "error: a value overflowed double precision\n"
+
+    @pytest.mark.parametrize("spec,b", [("powabs:3", "1e103"), ("poly:0,0,0,1e300", "1e3")])
+    def test_overflowing_bound_names_no_invalid_value(self, capsys, spec, b):
+        # these read "bound t20 produced invalid values for ..."
+        code, out, err = run(capsys, "verify", "--functions", spec, "--a", "0", "--b", b)
+        assert (code, out) == (2, "")
+        assert err == "error: a value overflowed double precision\n"
+
+    def test_bound_attained_near_the_top_of_the_range_holds(self, capsys):
+        # f = 1e308 t attains t20 at s = 1, x = 1, where the deviation comes
+        # out 1 ulp above the bound 5e307. The mean is met to ORACLE_EPSREL
+        # relative, 8.9e292, and the slack takes that on: a fixed 1e-9
+        # reported a violation (exit 1), and before the relative tolerance
+        # the oracle could not reach 1e-12 here (exit 3)
+        code, out, err = run(capsys, "verify", "--functions", "poly:0,1e308")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["failures"] == 0
+        (rec,) = [r for r in payload["records"]
+                  if r["context"].startswith("domination t20 fn=poly:0,1e+308 s=1 x=1 ")]
+        assert (rec["lhs"], rec["rhs"], rec["holds"]) == (5.000000000000001e307, 5e307, True)
+        assert rec["context"].endswith("[tol=8.88178e+292]")
+
+    def test_large_offset_meets_the_relative_tolerance(self, capsys):
+        # the mean's 1e-12 is below the roundoff floor of an integral of 1e6
+        code, out, err = run(capsys, "verify", "--functions", "poly:1e6,1", "--a", "0", "--b", "1")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert (payload["total"], payload["failures"]) == (220, 0)
 
     @pytest.mark.parametrize("spec,p_grid", [
         ("poly:0,0,1", "1.0000001"),  # |f'(b)|^q = 2^1e7 overflowed
@@ -691,6 +722,23 @@ class TestMeansCommand:
         assert code == 2
         assert out == ""
         assert err == "error: a value overflowed double precision\n"
+
+    def test_subnormal_endpoints_give_the_50_digit_gap(self, capsys):
+        # 1e-9 * (b - a) underflowed to 0 and the oracle refused it (exit 2);
+        # with a relative tolerance it ran, and the gap read A^s = 3.1e-162,
+        # as b^1.5 underflowed to 0. In 50 digits it is 1.2877e-164, below
+        # each of the three bounds
+        code, out, err = run(capsys, "means", "--a", "5e-324", "--b", "1e-323", "--s", "0.5")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, b, s = Decimal(5e-324), Decimal(1e-323), Decimal("0.5")
+            mean_power = ((a + b) / 2) ** s
+            avg = (b ** (s + 1) - a ** (s + 1)) / ((s + 1) * (b - a))
+        for key, want in (("A^s", mean_power), ("L_s^s", avg), ("gap", mean_power - avg)):
+            assert abs(Decimal(payload[key]) - want) <= Decimal(1e-12) * want, key
+        assert all(payload["gap"] < payload[v] for v in ("p1", "p2", "p3"))
 
     def test_invalid_inputs(self, capsys):
         code, _, err = run(capsys, "means", "--a", "2", "--b", "1", "--s", "0.5")
@@ -914,6 +962,19 @@ class TestIdentityCommand:
         assert payload["failures"] == 0
         # 7 polynomials x 3 intervals x 9 evaluation points
         assert payload["total"] == 7 * 3 * 9
+
+    def test_tolerance_below_the_roundoff_floor_exits_3_at_once(self, capsys, monkeypatch):
+        # it bisected poly:1 to 10,000 panels before; now the f' piece of
+        # poly:1 (zero) and the first panel of its integral are all it takes
+        rule, calls = toolkit._rule, []
+        monkeypatch.setattr(toolkit, "_rule", lambda fn, edges: calls.append(edges) or rule(fn, edges))
+        code, out, err = run(capsys, "identity", "--tol", "1e-300")
+        assert (code, out) == (3, "")
+        assert err == (
+            "oracle error: integral of poly:1 did not reach tol=1e-301: it is below the "
+            "roundoff floor 8.88178e-16 of the panel sums (estimate 8.88178e-16)\n"
+        )
+        assert calls == [(0.0, 1.0), (0.0, 1.0)]
 
 
 class TestConfigFile:

@@ -20,6 +20,7 @@ from ostrowski.kernel import (
 )
 from ostrowski.toolkit import (
     make_breckner,
+    oracle_excess,
     parse_function_spec,
     reference_integrate,
 )
@@ -129,6 +130,19 @@ class TestMontgomeryIdentity:
         records = _montgomery_records(fn, iv, xs, 1e-9)
         assert points == [15] + [1] * 9
         assert records == [verify_montgomery_identity(poly, iv, x, tol=1e-9) for x in xs]
+
+    def test_slack_takes_the_pieces_relative_accuracy(self):
+        # f = 2e5 (t - 1/2): at x = a the one piece is the integral of 2e5 t
+        # over [0, 1], 1e5, met to ORACLE_EPSREL * 1e5 = 1.8e-10 rather than
+        # the piece tolerance 1e-10; the record's slack grows by the
+        # difference. At x = 0.3 neither piece reaches that size.
+        fn = parse_function_spec("poly:-1e5,2e5")
+        edge = verify_montgomery_identity(fn, UNIT, 0.0, tol=1e-9)
+        assert edge.holds
+        assert edge.context.endswith(f"[tol={1e-9 + oracle_excess(1e-10, 1e5):g}]")
+        assert edge.context.endswith("[tol=1.07764e-09]")
+        inner = verify_montgomery_identity(fn, UNIT, 0.3, tol=1e-9)
+        assert inner.holds and inner.context.endswith("[tol=1e-09]")
 
 class TestClassicOstrowski:
     def test_midpoint(self):

@@ -14,6 +14,7 @@ from ostrowski.bounds import (
 )
 from ostrowski.core import ConvergenceError, DomainError, EndpointData, Interval, make_conjugate
 from ostrowski.means import (
+    _mean_powers,
     arithmetic_mean,
     logarithmic_mean,
     means_gap,
@@ -183,6 +184,53 @@ class TestMeansGap:
                 )
             got = means_gap(a, b, s)
             assert abs(Decimal(got) - exact) <= Decimal(1e-12) * exact, (a, b, s)
+
+    @staticmethod
+    def _gap_50_digits(a, b, s):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            da, db, ds = Decimal(a), Decimal(b), Decimal(s)
+            mean_power = ((da + db) / 2) ** ds
+            avg = (db ** (ds + 1) - da ** (ds + 1)) / ((ds + 1) * (db - da))
+            return mean_power, avg, abs(mean_power - avg)
+
+    @pytest.mark.parametrize("a,b", [
+        (5e-324, 1e-323),  # b^(s+1) underflowed to 0 and the gap read A^s, 3.1e-162
+        (1e-320, 3e-310),
+        (1e-200, 1e-160),
+        (1e300, 1e308),  # b^(s+1) overflowed
+    ])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+    def test_endpoints_far_from_1_against_50_digits(self, a, b, s):
+        want = self._gap_50_digits(a, b, s)
+        got = _mean_powers(a, b, s)
+        for g, w in zip(got, want):
+            assert abs(Decimal(g) - w) <= Decimal(1e-12) * w, (a, b, s)
+
+    @pytest.mark.parametrize("k", [-1070, -600, -499, 499, 600, 1000])
+    def test_gap_is_homogeneous_across_the_scaling(self, k):
+        # scaled or not, the gap of (2^k a, 2^k b) is (2^k)^s times that of (a, b)
+        for a, b, s in ((1.0, 2.0, 0.5), (1.0, 1.05, 0.3), (0.75, 1.5, 0.8)):
+            want = math.ldexp(1.0, k) ** s * means_gap(a, b, s, oracle_tol=None)
+            got = means_gap(math.ldexp(a, k), math.ldexp(b, k), s, oracle_tol=None)
+            assert got == pytest.approx(want, rel=1e-12), (k, a, b, s)
+
+    def test_subnormal_endpoints_pass_the_oracle_cross_check(self):
+        # 1e-9 * (b - a) underflows to 0: the relative tolerance lets the
+        # oracle run, and the gap is the 50-digit one
+        got = means_gap(5e-324, 1e-323, 0.5)
+        want = self._gap_50_digits(5e-324, 1e-323, 0.5)[2]
+        assert abs(Decimal(got) - want) <= Decimal(1e-12) * want
+
+    @pytest.mark.parametrize("a,b,s", [(1e14, 3e14, 0.9), (1e20, 3e20, 0.75), (1e200, 3e200, 0.5)])
+    def test_large_endpoints_pass_the_cross_check_at_the_oracles_accuracy(self, a, b, s):
+        # the average of t^s is met to ORACLE_EPSREL relative, far above the
+        # gap's 1e-10: the oracle and the closed form differ by 0.028 at
+        # (1e14, 3e14, 0.9), which the cross-check must allow. The closed form
+        # cancels there too, A^s being 450 times the gap: 1e-11 relative
+        got = means_gap(a, b, s)
+        want = self._gap_50_digits(a, b, s)[2]
+        assert abs(Decimal(got) - want) <= Decimal(1e-11) * want
 
     def test_oracle_evaluates_through_make_breckner(self, monkeypatch):
         # the cross-check evaluates t^s built by make_breckner, where callers

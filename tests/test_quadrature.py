@@ -42,6 +42,7 @@ from ostrowski.quadrature import (
 )
 from ostrowski.toolkit import (
     make_breckner,
+    oracle_excess,
     parse_function_spec,
     reference_integrate,
 )
@@ -671,6 +672,17 @@ class TestCertifiedIntegrate:
         # the panel's width times e5 at |f'(a)| = 2**-1074 and |f'(b)| = 0
         assert report.error_bound == pytest.approx(1e300 * (1e300 * 2.0**-1074) / 4.0 / math.sqrt(3.0), rel=1e-14)
 
+    def test_large_constant_is_judged_at_the_oracles_accuracy(self):
+        # the bound of a constant is 0 and the midpoint rule exact; the oracle
+        # meets 1e-12 only relatively here, and its reference is off by more
+        # than the fixed 1e-9, which warned of a violated certificate
+        report = certified_integrate(parse_function_spec("poly:1e7"), UNIT, 1e-3, "p4", p=2.0,
+                                     verify=True)
+        assert report.error_bound == 0.0 and report.approx == 1e7
+        assert 1e-9 < abs(report.true_error) <= report.slack
+        assert report.slack == 1e-9 + oracle_excess(1e-12, report.approx + report.true_error)
+        assert report.certified_ok
+
     def test_lying_derivative_triggers_warning(self):
         # a derivative evaluator that claims f' == 0 produces a zero bound;
         # verification mode must flag the broken certificate
@@ -934,3 +946,8 @@ class TestQuadReport:
         assert QuadReport(1.0, 0.5, "p5", 2, true_error=0.4).certified_ok
         assert not QuadReport(1.0, 0.5, "p5", 2, true_error=0.6).certified_ok
         assert QuadReport(1.0, 0.5, "p5", 2).certified_ok is None
+
+    def test_slack_is_added_to_the_bound(self):
+        assert QuadReport(1.0, 0.5, "p5", 2, true_error=0.6, slack=0.1).certified_ok
+        assert not QuadReport(1.0, 0.5, "p5", 2, true_error=0.6, slack=0.05).certified_ok
+        assert QuadReport(1.0, 0.5, "p5", 2).slack == 1e-9

@@ -1,7 +1,9 @@
 """Breckner family, s-convexity falsification, and the reference integrator."""
 
 import math
+import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -250,11 +252,38 @@ class TestCheckSconvex:
         assert sum(points) == 7 + 7**3
 
 
-# The rule's constants are typed to 15 digits, so each is off by up to half
-# a unit in the 15th digit. Full-precision constants, which ROADMAP.md's
-# oracle item asks for, tighten both bounds to a few ulps.
-RULE_DIGITS = 1e-15  # a node or weight against its full-precision value
-RULE_EXACTNESS = 1e-14  # a monomial's rule sum against its exact integral
+# QUADPACK's QK15 values to 33 digits (Piessens et al., 1983), outermost first:
+# nodes, Kronrod weights, Gauss weights
+QK15_NODES = (
+    "0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+    "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+    "0.586087235467691130294144845693013", "0.405845151377397166906606412076961",
+    "0.207784955007898467600689403773245", "0",
+)
+QK15_W_KRONROD = (
+    "0.022935322010529224963732008058970", "0.063092092629978553290700663189204",
+    "0.104790010322250183839876322541518", "0.140653259715525918745189590510238",
+    "0.169004726639267902826583426598550", "0.190350578064785409913256402421014",
+    "0.204432940075298892414161999234649", "0.209482141084727828012999174891714",
+)
+QK15_W_GAUSS = (
+    "0.129484966168869693270611432679082", "0.279705391489276667901467771423780",
+    "0.381830050505118944950369775488975", "0.417959183673469387755102040816327",
+)
+
+# each stored constant is the double nearest its full-precision value, so
+# within half an ulp: leggauss(7), itself rounded, differs by at most 2 ulps
+# of 1/8, and a monomial's rule sum misses its exact integral by at most u/2
+RULE_DIGITS = 2.5e-16  # a Gauss node or weight against numpy's leggauss(7)
+RULE_EXACTNESS = 6e-17  # a monomial's rule sum against its exact integral
+
+
+def test_rule_table_is_quadpacks_to_the_last_bit():
+    # float() of a decimal string is correctly rounded
+    for table, digits in ((toolkit._HALF_NODES, QK15_NODES),
+                          (toolkit._HALF_W_KRONROD, QK15_W_KRONROD),
+                          (toolkit._HALF_W_GAUSS, QK15_W_GAUSS)):
+        assert _hex_list(table) == _hex_list(float(v) for v in digits)
 
 
 def test_kronrod_gauss_rule_table():
@@ -342,11 +371,21 @@ class TestReferenceIntegrate:
     def test_jump_below_the_smallest_panel_raises(self):
         # a unit jump at an irrational point keeps the estimate of the panel
         # holding it near that panel's width, which stops at 1e-15 of the
-        # interval's
+        # interval's. The floors of the panels on either side add up to
+        # C·u·(2 - sqrt 2) = 5.2e-16 whatever their number, so a tolerance
+        # just above that is met only once the jump's panel is below 1e-16
         jump = math.sqrt(2.0) - 1.0
         fn = Function1D(f=lambda t: np.where(t < jump, 0.0, 1.0), label="step")
         with pytest.raises(ConvergenceError, match="cannot be subdivided further"):
-            reference_integrate(fn, Interval(0.0, 1.0), 1e-15)
+            reference_integrate(fn, Interval(0.0, 1.0), 5.5e-16)
+
+    def test_jump_converges_above_its_floor(self):
+        # with the full digits the constant panels carry no spurious error,
+        # so 1e-15 is met, and met in fact
+        jump = math.sqrt(2.0) - 1.0
+        fn = Function1D(f=lambda t: np.where(t < jump, 0.0, 1.0), label="step")
+        got = reference_integrate(fn, Interval(0.0, 1.0), 1e-15)
+        assert abs(Fraction(got) - (2 - Fraction(math.sqrt(2.0)))) <= 1e-15
 
     def test_non_finite_integrand(self):
         fn = Function1D(f=lambda t: math.nan, label="nan")
@@ -376,7 +415,12 @@ class TestReferenceIntegrate:
         with np.errstate(over="raise"):
             k15 = float(toolkit._W_KRONROD @ fs)
             g7 = float(toolkit._W_GAUSS @ fs)
-        assert toolkit._rule(fn, (-1.0, 1.0))[0] == (k15, abs(k15 - g7))
+        # a linear f: both rules are exact, so the estimate is the floor
+        floor = float(np.abs(fs).max()) * toolkit._PANEL_FLOOR
+        assert abs(k15 - g7) < floor
+        assert toolkit._rule(fn, (-1.0, 1.0))[0] == (k15, floor)
+        assert toolkit._rule(fn, (-1.0, 0.0, 1.0)) == [_lone_panel(fn, -1.0, 0.0),
+                                                        _lone_panel(fn, 0.0, 1.0)]
 
     def test_overflowing_panel_sum_raises_instead_of_returning_inf(self):
         # the integral 2e308 is beyond double precision: the panel used to
@@ -415,12 +459,204 @@ class TestReferenceIntegrate:
         assert a == b
 
 
+def _counting(fn):
+    points = []
+    return Function1D(f=lambda t: points.append(np.size(t)) or fn(t), label=fn.label), points
+
+
+def _exact_poly(coeffs, a, b):
+    """The integral of the polynomial with these double coefficients over
+    [a, b], exactly."""
+    a, b = Fraction(a), Fraction(b)
+    return sum(Fraction(c) * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
+
+
+class TestRoundoffFloor:
+    """Each panel's estimate is at least C·u·2·half·max|f|, and a target below
+    what the floors can reach fails at once, naming the floor."""
+
+    def test_floor_factor(self):
+        # C = 8, u = 2**-53; a panel's floor is half·(max|f|·2·C·u)
+        assert toolkit._PANEL_FLOOR == 2 * 8 * 2.0**-53
+        assert toolkit.ORACLE_EPSREL == 2 * 8 * 2.0**-53
+
+    def test_constant_meets_1e_12_on_its_first_panel(self):
+        # the 15-digit weights summed to 2 - 3.4e-15, and the constant 1000
+        # bisected to the panel budget with its estimate stuck at 3.4e-12
+        counting, points = _counting(parse_function_spec("poly:1000"))
+        got = reference_integrate(counting, Interval(0.0, 1.0), 1e-12)
+        assert points == [15]
+        assert abs(got - 1000.0) <= 1e-12
+
+    @pytest.mark.parametrize("spec,floor", [
+        ("poly:1", "8.88178e-16"), ("poly:1000", "8.88178e-13"), ("poly:3.3e+307", "2.93099e+292"),
+    ])
+    def test_tolerance_below_the_floor_raises_at_once(self, spec, floor):
+        counting, points = _counting(parse_function_spec(spec))
+        with pytest.raises(ConvergenceError, match="^" + re.escape(
+            f"integral of {spec} did not reach tol=1e-300: it is below the "
+            f"roundoff floor {floor} of the panel sums"
+        )):
+            reference_integrate(counting, Interval(0.0, 1.0), 1e-300)
+        assert points == [15]
+
+    def test_huge_constant_claims_no_more_than_its_sums_carry(self):
+        # with full digits alone |K15 - G7| is 0 here, and the oracle returned
+        # 3.2999999999999994e+307 "to 1e-12", 5e291 from the integral
+        fn = parse_function_spec("poly:3.3e307")
+        with pytest.raises(ConvergenceError, match="did not reach tol=1e-12"):
+            reference_integrate(fn, Interval(0.0, 1.0), 1e-12)
+        got = reference_integrate(fn, Interval(0.0, 1.0), 1e293)
+        assert abs(Fraction(got) - Fraction(3.3e307)) <= 1e293
+
+    def test_cancelling_integrand_raises_at_the_first_check_after_the_first_panel(self):
+        # the first panel's K15 of sin over [0, 2 pi] is near 0; the values of
+        # the smaller panels show the floor C·u·4
+        counting, points = _counting(Function1D(f=np.sin, label="sin"))
+        with pytest.raises(ConvergenceError, match="roundoff floor 3.55271e-15"):
+            reference_integrate(counting, Interval(0.0, 2.0 * math.pi), 1e-20)
+        assert points == [15] + [30] * 63  # 64 panels
+
+    def test_relative_tolerance_reaches_what_the_absolute_cannot(self):
+        # poly:1e6,1 at 1e-12: the floor is 8.9e-10; relative to the integral
+        # 1e6 + 0.5 the target is 1.8e-9, met on the first panel
+        fn = parse_function_spec("poly:1e6,1")
+        with pytest.raises(ConvergenceError, match="roundoff floor 8.88179e-10"):
+            reference_integrate(fn, Interval(0.0, 1.0), 1e-12)
+        counting, points = _counting(fn)
+        got = reference_integrate(counting, Interval(0.0, 1.0), 1e-12, epsrel=toolkit.ORACLE_EPSREL)
+        assert points == [15]
+        exact = _exact_poly([1e6, 1.0], 0.0, 1.0)
+        assert abs(Fraction(got) - exact) <= toolkit.ORACLE_EPSREL * exact
+
+    @pytest.mark.parametrize("epsrel", [1e-3, 1e-6])
+    def test_relative_tolerance_is_met_on_the_final_integral(self, epsrel):
+        # the first panel puts a narrow peak's integral at 0.105, six times
+        # its value: epsrel alone must end where the absolute tolerance
+        # epsrel·|integral| ends, not where the first panel's would
+        exact = 0.01 * math.sqrt(math.pi) * math.erf(50.0)
+        peak = Function1D(f=lambda t: np.exp(-((t - 0.5) / 0.01) ** 2), label="peak")
+        by_epsrel, points = _counting(peak)
+        got = reference_integrate(by_epsrel, Interval(0.0, 1.0), 0.0, epsrel=epsrel)
+        by_tol, points_tol = _counting(peak)
+        reference_integrate(by_tol, Interval(0.0, 1.0), epsrel * exact)
+        assert points == points_tol
+        assert abs(got - exact) <= epsrel * exact
+
+    def test_floor_covers_the_rounding_of_the_k15_sum(self):
+        # the K15 sum as computed, against the same rule on the same values
+        # in rational arithmetic, with QUADPACK's 33-digit weights and the
+        # exact half-width: the miss stays within the floor C·u·2·half·max|f|
+        # (at most 3.6u·2·half·max|f| on these panels, against C = 8)
+        half_w = [Fraction(Decimal(v)) for v in QK15_W_KRONROD]
+        weights = half_w[:-1] + half_w[::-1]
+        rng = np.random.default_rng(31)
+        for i in range(3000):
+            degree = (0, 3, 13)[i % 3]  # constants, cubics, degree-13 polynomials
+            coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+            lo = float(rng.uniform(-3.0, 3.0))
+            hi = lo + float(10.0 ** rng.uniform(-3.0, 1.0))
+            fn = Function1D(f=lambda t, c=coeffs: np.polynomial.polynomial.polyval(t, c))
+            k15, _ = _lone_panel(fn, lo, hi)
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            fs = fn(mid + half * toolkit._NODES)
+            exact = (Fraction(hi) - Fraction(lo)) / 2 * sum(
+                w * Fraction(v) for w, v in zip(weights, fs.tolist()))
+            floor = half * (float(np.abs(fs).max()) * toolkit._PANEL_FLOOR)
+            assert abs(Fraction(k15) - exact) <= floor, (degree, lo, hi)
+
+    def test_floor_of_panels_near_the_top_of_the_range_is_finite(self):
+        # each hump of 5e307 sin holds 1e308; their |values| add up past the
+        # double range, and the floor read inf
+        fn = Function1D(f=lambda t: 5e307 * np.sin(t), label="big-sin")
+        with pytest.raises(ConvergenceError, match=re.escape("roundoff floor 3.55271e+293 ")):
+            reference_integrate(fn, Interval(0.0, 4.0 * math.pi), 1e-12)
+
+    def test_panel_sum_order_only_matters_for_an_overflow(self):
+        # heap entries are (-estimate, lo, hi, value); this heap lists the two
+        # panels of 1e308 first, and fsum overflows in that order
+        heap = [(-3.0, 0.0, 1.0, 1e308), (-2.0, 2.0, 3.0, 1e308), (-1.0, 1.0, 2.0, -1e308)]
+        with pytest.raises(OverflowError):
+            math.fsum([entry[3] for entry in heap])
+        assert toolkit._panel_sum(heap) == 1e308  # left to right: 1e308, -1e308, 1e308
+        # where left to right overflows as well, the overflow is raised
+        heap = [(-3.0, 0.0, 1.0, 1e308), (-2.0, 1.0, 2.0, 1e308), (-1.0, 2.0, 3.0, -1e308)]
+        with pytest.raises(OverflowError):
+            toolkit._panel_sum(heap)
+        # otherwise the heap's order is summed, to the same bits
+        rng = np.random.default_rng(37)
+        values = (rng.standard_normal(200) * 10.0 ** rng.uniform(-8.0, 8.0, 200)).tolist()
+        heap = [(-float(i % 7), float(i), float(i + 1), v) for i, v in enumerate(values)]
+        rng.shuffle(heap)
+        assert toolkit._panel_sum(heap).hex() == math.fsum(values).hex()
+
+    @pytest.mark.parametrize("tol,epsrel", [(0.0, 0.0), (-1e-9, 1e-3), (1e-9, -1e-3),
+                                            (math.nan, 1e-3), (1e-9, math.nan)])
+    def test_bad_tolerances(self, tol, epsrel):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            reference_integrate(parse_function_spec("poly:1"), Interval(0, 1), tol, epsrel=epsrel)
+
+    def test_one_signed_polynomials_meet_the_relative_tolerance_exactly(self):
+        # nonnegative coefficients on [a, b] with a >= 0: |f| = f, so the
+        # floors sum to C·u·|integral|, half of ORACLE_EPSREL's target; the
+        # result is within that target of the exact integral
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            coeffs = (np.abs(rng.standard_normal(int(rng.integers(1, 8))))
+                      * 10.0 ** rng.uniform(-3.0, 3.0)).tolist()
+            a = float(rng.uniform(0.0, 2.0))
+            b = a + float(10.0 ** rng.uniform(-3.0, 1.0))
+            fn = parse_function_spec("poly:" + ",".join(map(repr, coeffs)))
+            got = reference_integrate(fn, Interval(a, b), 0.0, epsrel=toolkit.ORACLE_EPSREL)
+            exact = _exact_poly(coeffs, a, b)
+            assert abs(Fraction(got) - exact) <= toolkit.ORACLE_EPSREL * exact, (coeffs, a, b)
+
+
+class TestAgainstExactIntegrals:
+    def test_polynomials_against_exact_fractions(self):
+        # mixed signs, degree <= 8, on intervals in [-1, 1], so |f| <= 18 and
+        # the roundoff floor is below 4e-14: within tol of the exact integral
+        # of the double coefficients
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            coeffs = rng.uniform(-2.0, 2.0, int(rng.integers(1, 10))).tolist()
+            a = float(rng.uniform(-1.0, 0.9))
+            b = float(rng.uniform(a + 0.01, 1.0))
+            fn = parse_function_spec("poly:" + ",".join(map(repr, coeffs)))
+            got = reference_integrate(fn, Interval(a, b), 1e-12)
+            assert abs(Fraction(got) - _exact_poly(coeffs, a, b)) <= 1e-12, (coeffs, a, b)
+
+    @pytest.mark.parametrize("spec,a,b,tol", [
+        ("breckner:0,1,0,0.5", 0.0, 1.7, 1e-12),
+        ("breckner:2,1.3,0.25,0.25", 0.0, 0.9, 1e-12),
+        ("breckner:1,0.7,0.5,0.75", 0.5, 3.0, 1e-13),
+        ("powabs:0.5", -1.3, 1.1, 1e-12),
+        ("powabs:0.25", -0.4, 2.0, 1e-11),
+        ("powabs:1.5", -0.6, 1.4, 1e-13),
+        ("powabs:3", -2.0, 0.5, 1e-13),
+    ])
+    def test_power_families_against_50_digit_mpmath(self, spec, a, b, tol):
+        mp = pytest.importorskip("mpmath").mp
+        kind, params = spec.split(":")
+        vals = [mp.mpf(v) for v in params.split(",")]
+        with mp.workdps(50):
+            if kind == "breckner":  # f(0) = u is one point: v t^s + w everywhere else
+                _, v, w, s = vals
+                exact = mp.quad(lambda t: v * t**s + w, [a, b])
+            else:  # |t|^k, split at its kink
+                exact = mp.quad(lambda t: abs(t) ** vals[0], [a, 0, b] if a < 0 < b else [a, b])
+            got = reference_integrate(parse_function_spec(spec), Interval(a, b), tol)
+            assert abs(mp.mpf(got) - exact) <= tol
+
+
 def _lone_panel(fn, lo, hi):
-    """One panel of the rule, written out with a dot product per weight table."""
+    """One panel of the rule, written out with a dot product per weight table
+    and the estimate's floor C·u·2·half·max|f|."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fs = fn(mid + half * toolkit._NODES)
     k15 = half * float(toolkit._W_KRONROD @ fs)
-    return k15, abs(k15 - half * float(toolkit._W_GAUSS @ fs))
+    floor = half * (float(np.abs(fs).max()) * toolkit._PANEL_FLOOR)
+    return k15, max(abs(k15 - half * float(toolkit._W_GAUSS @ fs)), floor)
 
 
 def _hex(pairs):
@@ -458,11 +694,15 @@ class TestRule:
             vals[tiny] = rng.integers(-2**20, 2**20, int(tiny.sum())) * 2.0**-1074
             lo = float(rng.uniform(-3.0, 3.0))
             hi = lo + float(10.0 ** rng.uniform(-12.0, 2.0))
+            if rng.random() < 0.2:  # a constant: the floor is the estimate
+                vals[:] = vals[0]
             fn = Function1D(f=lambda t, vals=vals: vals, label="table")
             half = 0.5 * (hi - lo)
             k15 = half * float(np.dot(toolkit._W_KRONROD, vals))
             g7 = half * float(np.dot(toolkit._W_GAUSS, vals))
-            assert _hex(toolkit._rule(fn, (lo, hi))) == _hex([(k15, abs(k15 - g7))]), (lo, hi)
+            floor = half * (float(np.abs(vals).max()) * toolkit._PANEL_FLOOR)
+            want = (k15, max(abs(k15 - g7), floor))
+            assert _hex(toolkit._rule(fn, (lo, hi))) == _hex([want]), (lo, hi)
 
     def test_huge_half_leaves_a_subnormal_neighbour_unrounded(self):
         # |f| >= 2**1023 on the left half: only that panel is summed a
@@ -476,6 +716,9 @@ class TestRule:
         fs = fn(0.5 + 0.5 * toolkit._NODES)
         quartered = 0.5 * float(toolkit._W_KRONROD @ (fs / 4.0)) * 4.0
         assert 0.0 < split[1][0] != quartered
+        # the quartered panel's floor is taken from its own values, unscaled
+        top = float(np.abs(fn(-0.5 + 0.5 * toolkit._NODES)).max())
+        assert split[0][1] >= 0.5 * (top * toolkit._PANEL_FLOOR) > 0.0
 
     def test_non_finite_right_half_names_that_panel(self):
         fn = Function1D(f=lambda t: np.where(t > 0.5, math.nan, t * t), label="half-nan")
