@@ -57,7 +57,7 @@ def verify_montgomery_identity(
     Both sides are computed with the reference integrator, the right side
     split at the kernel breakpoint so each piece is smooth. The record's
     lhs is |LHS - RHS| compared against 0 with slack tol, plus what the
-    pieces' relative oracle tolerance adds to the accuracy of the right
+    relative oracle tolerance of each integral adds to the accuracy of its
     side; the raw side values are kept in the context string.
     """
     return _montgomery_records(fn, iv, (x,), tol)[0]
@@ -93,12 +93,13 @@ def _montgomery_records(fn: Function1D, iv: Interval, xs, tol: float) -> list:
         rhs_val *= a - b
 
         if whole is None:
-            whole = reference_integrate(fn, iv, tol * iv.width / 10.0)
+            whole = reference_integrate(fn, iv, tol * iv.width / 10.0, epsrel=ORACLE_EPSREL)
+            whole_excess = oracle_excess(tol / 10.0, whole / iv.width)
         lhs_val = fn(x) - whole / iv.width
         records.append(VerificationRecord.check(
             lhs=abs(lhs_val - rhs_val),
             rhs=0.0,
-            tol=tol + excess * iv.width,
+            tol=tol + excess * iv.width + whole_excess,
             context=(
                 f"montgomery identity fn={fn.label or '<anonymous>'} "
                 f"iv=[{a:g},{b:g}] x={x:.17g} lhs={lhs_val:.17g} rhs={rhs_val:.17g}"
@@ -142,10 +143,15 @@ def hadamard_sconvex_bounds(
     s: float,
     tol: float = 1e-9,
 ) -> HadamardBounds:
-    """Check 2^(s-1) f(mid) <= average(f) <= (f(a) + f(b))/(s+1)."""
+    """Check 2^(s-1) f(mid) <= average(f) <= (f(a) + f(b))/(s+1).
+
+    Each record's slack is tol, plus what the oracle's relative tolerance
+    adds to the accuracy of the average.
+    """
     iv.require_nonnegative()
     s_val = _require_s(s)
-    mean = reference_integrate(fn, iv, tol * iv.width / 10.0) / iv.width
+    mean = reference_integrate(fn, iv, tol * iv.width / 10.0, epsrel=ORACLE_EPSREL) / iv.width
+    slack = tol + oracle_excess(tol / 10.0, mean)
     lower = 2.0 ** (s_val - 1.0) * fn(iv.midpoint)
     upper = (fn(iv.a) + fn(iv.b)) / (s_val + 1.0)
     base = f"fn={fn.label or '<anonymous>'} iv=[{iv.a:g},{iv.b:g}] s={s_val:g}"
@@ -154,10 +160,10 @@ def hadamard_sconvex_bounds(
         mean=mean,
         upper=upper,
         lower_record=VerificationRecord.check(
-            lower, mean, tol, context=f"hadamard lower {base}"
+            lower, mean, slack, context=f"hadamard lower {base}"
         ),
         upper_record=VerificationRecord.check(
-            mean, upper, tol, context=f"hadamard upper {base}"
+            mean, upper, slack, context=f"hadamard upper {base}"
         ),
     )
 

@@ -126,6 +126,13 @@ def _gap_args(a: float, b: float, s: float) -> Tuple[float, float, float]:
 _SERIES_BELOW = 0.1
 
 
+def _scale_exponent(b: float) -> int:
+    """The k with 2^-k b in [1, 2) where b is outside (2^-500, 2^500), so
+    that a power of b or of the midpoint could leave the normal range; 0
+    inside, where nothing is scaled."""
+    return 0 if 2.0**-500 < b < 2.0**500 else math.frexp(b)[1] - 1  # bounds folded when compiled
+
+
 def _mean_powers(a: float, b: float, s: float) -> Tuple[float, float, float]:
     """(A^s, L_s^s, |A^s - L_s^s|) for 0 < a < b and s in (0, 1).
 
@@ -139,8 +146,8 @@ def _mean_powers(a: float, b: float, s: float) -> Tuple[float, float, float]:
     range, a and b are scaled by the power of two 2^-k that brings b into
     [1, 2), which is exact, and the three results by (2^k)^s.
     """
-    if not 2.0**-500 < b < 2.0**500:  # folded to constants when compiled
-        k = math.frexp(b)[1] - 1
+    k = _scale_exponent(b)
+    if k:
         mean_power, avg_ts, gap = _mean_powers(math.ldexp(a, -k), math.ldexp(b, -k), s)
         scale = math.ldexp(1.0, k) ** s
         return mean_power * scale, avg_ts * scale, gap * scale
@@ -174,11 +181,16 @@ def means_gap(a: float, b: float, s: float, oracle_tol: Optional[float] = 1e-10)
     a, b, s_val = _gap_args(a, b, s)
     _, avg_ts, gap = _mean_powers(a, b, s_val)
     if oracle_tol is not None:
-        oracle = true_deviation(
+        # the integral of t^s can overflow where its average does not: far
+        # from 1, integrate on [a, b] scaled as _mean_powers scales it, with
+        # the tolerance scaled alike, and scale the deviation back
+        k = _scale_exponent(b)
+        a_k, b_k, scale = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(1.0, k) ** s_val
+        oracle = scale * true_deviation(
             make_breckner(0.0, 1.0, 0.0, s_val),
-            Interval(a, b),
-            (a + b) / 2.0,
-            tol=oracle_tol,
+            Interval(a_k, b_k),
+            (a_k + b_k) / 2.0,
+            tol=oracle_tol / scale,
         )
         # true_deviation is accurate to max(tol, ORACLE_EPSREL·|average|), and
         # the average of t^s is avg_ts

@@ -57,13 +57,23 @@ level's unread blocks are neither evaluated nor checked: a NaN |f'| there,
 or an exact sum that would overflow only past the proving prefix, raises
 nothing.
 
-composite_midpoint and midpoint_error_bound fill their per-panel terms in
-blocks of _BLOCK panels. Whole-partition temporaries, four to eight per
-doubling level, would each be fresh memory that page-faults on first touch;
-a block's temporaries are small enough for the allocator to recycle while
-they are still in cache. Every term is elementwise, and so is every
-evaluator, so the terms, their sums and every certified_integrate result
-are the same bits as in one pass.
+The per-panel terms are filled in blocks of _BLOCK panels, from a stream of
+each block's nodes (with |f'| at them, for the bound). Whole-partition
+temporaries, four to eight per doubling level, would each be fresh memory
+that page-faults on first touch; a block's temporaries are small enough for
+the allocator to recycle while they are still in cache. composite_midpoint
+and midpoint_error_bound cut their blocks from a Partition's nodes.
+certified_integrate builds no Partition: each block of a level's nodes is
+formed when it is read, with np.linspace's arithmetic, so the nodes are
+Partition.uniform's to the bit, and formed again for the returned level's
+midpoint sum. Before any |f'| of a level is evaluated, its nodes are proved
+finite and strictly increasing from (a, b, n) alone, which holds wherever a
+panel spans more than 8 ulps of max(|a|, |b|); where that proof does not
+apply, one pass forms and checks the nodes block by block, without keeping
+them, and raises as Partition.uniform would. Every term is elementwise, and
+so is every evaluator, so the terms, their sums and every
+certified_integrate result are the same bits as in one pass over a
+Partition.uniform.
 """
 
 from __future__ import annotations
@@ -71,7 +81,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,10 +121,7 @@ def _frozen_nodes(nodes: np.ndarray) -> np.ndarray:
     """nodes, checked to be valid partition nodes and made read-only."""
     if nodes.ndim != 1 or len(nodes) < 2:
         raise DomainError("a partition needs at least two nodes")
-    if not np.all(np.isfinite(nodes)):
-        raise DomainError("partition nodes must be finite")
-    if np.any(nodes[1:] <= nodes[:-1]):
-        raise DomainError("partition nodes must be strictly increasing")
+    _check_nodes(_slices(nodes))
     nodes.flags.writeable = False
     return nodes
 
@@ -194,6 +201,63 @@ _FSUM_M = (_FSUM_BLOCK + 1).bit_length()
 _BLOCK = 8192
 
 
+def _slices(x: np.ndarray) -> Iterator[np.ndarray]:
+    """x cut into the nodes of each block of _BLOCK panels in turn: views of
+    _BLOCK + 1 values or fewer, each starting at the last of the one before."""
+    return (x[i : i + _BLOCK + 1] for i in range(0, x.size - 1, _BLOCK))
+
+
+def _uniform_blocks(iv: Interval, n: int) -> Iterator[np.ndarray]:
+    """The blocks _slices cuts from np.linspace(iv.a, iv.b, n + 1), each
+    formed when it is asked for, with linspace's own arithmetic, so bit for
+    bit: node k is k * step + a with step = (b - a) / n, or k / n * (b - a) + a
+    where step underflows to 0, and the last node is b."""
+    a, b = iv.a, iv.b
+    delta = b - a
+    step = delta / n
+    for i in range(0, n, _BLOCK):
+        x = np.arange(i, min(i + _BLOCK, n) + 1, dtype=float)
+        if step:
+            x *= step
+        else:
+            x /= n
+            x *= delta
+        x += a
+        if i + _BLOCK >= n:
+            x[-1] = b
+        yield x
+
+
+def _check_nodes(blocks: Iterable[np.ndarray]) -> None:
+    """Raise DomainError unless the nodes of all blocks are finite and, then,
+    strictly increasing; each block starts at the last node of the one before."""
+    increasing = True
+    for x in blocks:
+        if not -np.inf < x.min() <= x.max() < np.inf:  # NaN fails too; no bool array
+            raise DomainError("partition nodes must be finite")
+        increasing = increasing and not np.any(x[1:] <= x[:-1])
+    if not increasing:
+        raise DomainError("partition nodes must be strictly increasing")
+
+
+def _check_uniform(iv: Interval, n: int) -> None:
+    """Raise as Partition.uniform(iv, n) would, without storing its nodes.
+
+    With M = max(|a|, |b|) in (2**-960, 2**1020) and G = 4 ulp(M), every
+    value _uniform_blocks forms is below 4M in magnitude, where doubles are
+    at most G apart, so its two roundings leave node k within G of
+    k * step + a. step is (b - a) / n rounded twice in the normal range, so
+    n * step <= b - a + G. Where step > 2G, node k + 1 < n then exceeds
+    node k by at least step - 2G > 0, and node n - 1 is at most
+    b + 2G - step < b: the nodes lie in [a, b] and increase strictly, as the
+    pass over them would find. Otherwise that pass runs: the nodes are
+    formed block by block and checked, unstored.
+    """
+    m = max(abs(iv.a), abs(iv.b))
+    if not (2.0**-960 < m < 2.0**1020 and (iv.b - iv.a) / n > 8.0 * math.ulp(m)):
+        _check_nodes(_uniform_blocks(iv, n))
+
+
 def _fsum(x: np.ndarray) -> float:
     """math.fsum(x) for a writable 1-D float64 array, without a Python float
     per value. x is consumed: each block of it is overwritten in place.
@@ -244,10 +308,15 @@ def _fsum(x: np.ndarray) -> float:
 def composite_midpoint(fn: Function1D, d: Partition) -> float:
     """sum of f(panel midpoint) * panel width, rounded once as math.fsum
     rounds it. A term or a sum beyond double precision raises OverflowError."""
-    terms = np.empty(d.n_panels)
+    return _midpoint_sum(fn, d.n_panels, _slices(d.nodes))
+
+
+def _midpoint_sum(fn: Function1D, n: int, blocks: Iterable[np.ndarray]) -> float:
+    """composite_midpoint of the n panels whose nodes blocks yields, _BLOCK
+    panels at a time, as _slices cuts them."""
+    terms = np.empty(n)
     with _overflow_raises():  # in the evaluator or in a term
-        for i in range(0, d.n_panels, _BLOCK):
-            x = d.nodes[i : i + _BLOCK + 1]
+        for i, x in zip(range(0, n, _BLOCK), blocks):
             values = fn(0.5 * (x[1:] + x[:-1]))
             np.multiply(values, np.diff(x), out=terms[i : i + _BLOCK])
     del values  # the last block's values go before _fsum allocates its buffer
@@ -258,30 +327,30 @@ def composite_midpoint(fn: Function1D, d: Partition) -> float:
 
 
 def _level_bound(
-    d: Partition,
-    slopes: Iterable[np.ndarray],
+    n: int,
+    blocks: Iterable[Tuple[np.ndarray, np.ndarray]],
     theorem: Theorem,
     values: dict,
     target: Optional[float] = None,
 ) -> Optional[float]:
-    """The error bound of d, as midpoint_error_bound states it, for a variant
-    that _variant resolved into theorem and values. Each block of _BLOCK
-    panels writes its width, da and db into values.
+    """The error bound of n panels, as midpoint_error_bound states it, for a
+    variant that _variant resolved into theorem and values. Each block of
+    _BLOCK panels writes its width, da and db into values.
 
-    slopes yields |f'| at the nodes of each block in turn, the node two
-    blocks share in both. With a target, the fill stops at the first block
+    blocks yields the nodes of each block in turn, as _slices cuts them, with
+    |f'| at those nodes. With a target, the fill stops at the first block
     where the rough sum of the terms so far proves the exact sum of all of
-    them rounds above target, and None is returned; slopes is not asked for
+    them rounds above target, and None is returned; blocks is not asked for
     the blocks after it. Otherwise the exact sum is returned: nonnegative,
     inf or nan.
     """
-    terms = np.empty(d.n_panels)
+    terms = np.empty(n)
     rough = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan reaches the result
-        for i, v in zip(range(0, d.n_panels, _BLOCK), slopes):
+        for i, (x, v) in zip(range(0, n, _BLOCK), blocks):
             if not 0.0 <= v.min() <= v.max() < np.inf:  # NaN fails too; no bool array
                 raise DomainError("derivative magnitudes must be finite and nonnegative")
-            values["width"] = w = np.diff(d.nodes[i : i + _BLOCK + 1])
+            values["width"] = w = np.diff(x)
             values["da"], values["db"] = v[:-1], v[1:]
             block = terms[i : i + _BLOCK]
             np.multiply(theorem.bound(values), w, out=block)
@@ -313,22 +382,25 @@ def midpoint_error_bound(
             f"need one |f'| value per node: got {dv.shape[0] if dv.ndim == 1 else dv.shape} "
             f"values for {len(d.nodes)} nodes"
         )
-    blocks = (dv[i : i + _BLOCK + 1] for i in range(0, d.n_panels, _BLOCK))
-    return _level_bound(d, blocks, theorem, values)
+    return _level_bound(d.n_panels, zip(_slices(d.nodes), _slices(dv)), theorem, values)
 
 
-def _node_slopes(fn: Function1D, nodes: np.ndarray) -> Iterator[np.ndarray]:
-    """|f'| at the nodes of each block of _BLOCK panels in turn, each node
+def _node_slopes(
+    fn: Function1D, blocks: Iterable[np.ndarray]
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Each block of nodes in turn, with |f'| at its nodes, each node
     evaluated once: a block's last value is carried over as the next
-    block's first. Every block is yielded in the same buffer."""
-    buf = np.empty(min(nodes.size, _BLOCK + 1))
-    for i in range(0, nodes.size - 1, _BLOCK):
-        v = buf[: min(nodes.size - i, _BLOCK + 1)]
-        j = int(i > 0)  # a later block's first node ends the block before
-        buf[0] = buf[-1]  # so its value is carried; the first block overwrites it
+    block's first. Every block's values are yielded in the same buffer."""
+    buf = None
+    for x in blocks:
+        if buf is None:  # the first block, the longest
+            buf, j = np.empty(x.size), 0
+        else:  # its first node ends the block before, so its value is carried
+            buf[0], j = buf[-1], 1
+        v = buf[: x.size]
         with _overflow_raises():
-            np.abs(fn.deriv(nodes[i + j : i + v.size]), out=v[j:])
-        yield v
+            np.abs(fn.deriv(x[j:]), out=v[j:])
+        yield x, v
 
 
 def _exceeds(rough: float, n: int, target: float) -> bool:
@@ -368,9 +440,10 @@ def certified_integrate(
 
     n = 1
     while True:
-        d = Partition.uniform(iv, n)
+        _check_uniform(iv, n)
         last = 2 * n > DEFAULT_PANEL_BUDGET
-        bound = _level_bound(d, _node_slopes(fn, d.nodes), theorem, values, None if last else target)
+        slopes = _node_slopes(fn, _uniform_blocks(iv, n))
+        bound = _level_bound(n, slopes, theorem, values, None if last else target)
         if bound is not None and bound <= target:
             break
         if last:
@@ -382,7 +455,7 @@ def certified_integrate(
             )
         n *= 2
 
-    approx = composite_midpoint(fn, d)
+    approx = _midpoint_sum(fn, n, _uniform_blocks(iv, n))
     true_error = None
     slack = 1e-9
     if verify:

@@ -717,11 +717,25 @@ class TestMeansCommand:
             assert row[variant] == pytest.approx(exact, rel=1e-15)
 
     def test_overflow_exits_2(self, capsys):
-        # b^(s+1) overflows in L_s^s
-        code, out, err = run(capsys, "means", "--a", "1", "--b", "1e300", "--s", "0.9")
+        # the gap is 2.4e28, but each bound multiplies the width 1e300 by the
+        # slope 0.1 a^-0.9 = 1e269
+        code, out, err = run(capsys, "means", "--a", "1e-300", "--b", "1e300", "--s", "0.1")
         assert code == 2
         assert out == ""
         assert err == "error: a value overflowed double precision\n"
+
+    @pytest.mark.parametrize("a,b,s", [("1e300", "1e308", "0.5"), ("1", "1e300", "0.9")])
+    def test_large_endpoints_give_the_50_digit_gap(self, capsys, a, b, s):
+        # the oracle's integral of t^s, 6.7e461 and 5.3e569, overflowed (exit
+        # 2); it is now taken on [a, b] scaled into range
+        code, out, err = run(capsys, "means", "--a", a, "--b", b, "--s", s)
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, b, s = Decimal(float(a)), Decimal(float(b)), Decimal(s)
+            gap = ((a + b) / 2) ** s - (b ** (s + 1) - a ** (s + 1)) / ((s + 1) * (b - a))
+        assert abs(Decimal(payload["gap"]) - gap) <= Decimal(1e-12) * gap
 
     def test_subnormal_endpoints_give_the_50_digit_gap(self, capsys):
         # 1e-9 * (b - a) underflowed to 0 and the oracle refused it (exit 2);
@@ -964,17 +978,19 @@ class TestIdentityCommand:
         assert payload["total"] == 7 * 3 * 9
 
     def test_tolerance_below_the_roundoff_floor_exits_3_at_once(self, capsys, monkeypatch):
-        # it bisected poly:1 to 10,000 panels before; now the f' piece of
-        # poly:1 (zero) and the first panel of its integral are all it takes
+        # without a floor it bisected poly:1 to 10,000 panels. Every integral
+        # meets ORACLE_EPSREL where 1e-300 is out of reach, but that of 2 - t
+        # over [1, 3] is 0: it stops at its first check past one panel, at 64
         rule, calls = toolkit._rule, []
         monkeypatch.setattr(toolkit, "_rule", lambda fn, edges: calls.append(edges) or rule(fn, edges))
         code, out, err = run(capsys, "identity", "--tol", "1e-300")
         assert (code, out) == (3, "")
         assert err == (
-            "oracle error: integral of poly:1 did not reach tol=1e-301: it is below the "
-            "roundoff floor 8.88178e-16 of the panel sums (estimate 8.88178e-16)\n"
+            "oracle error: integral of poly:2,-1 did not reach tol=2.61926e-32: it is below the "
+            "roundoff floor 8.88178e-16 of the panel sums (estimate 9.29886e-16)\n"
         )
-        assert calls == [(0.0, 1.0), (0.0, 1.0)]
+        last = len(calls) - calls[::-1].index((1.0, 3.0))
+        assert len(calls) - last == 63  # the splits to 64 panels
 
 
 class TestConfigFile:

@@ -144,6 +144,18 @@ class TestMontgomeryIdentity:
         inner = verify_montgomery_identity(fn, UNIT, 0.3, tol=1e-9)
         assert inner.holds and inner.context.endswith("[tol=1e-09]")
 
+    def test_slack_takes_the_integral_of_fs_relative_accuracy(self):
+        # f = 5e5 t^2: the integral of f over [0, 1], 1.7e5, cannot meet
+        # tol / 10 = 1e-10 under its roundoff floor 1.5e-10, and raised. It is
+        # met to ORACLE_EPSREL, and the slack grows by what that adds to the
+        # average, as it does by the low piece's excess (the integral of
+        # 1e6 t (1 - t) over [0, 0.7]); the high piece is too small to add any
+        rec = verify_montgomery_identity(parse_function_spec("poly:0,0,5e5"), UNIT, 0.3, tol=1e-9)
+        assert rec.holds
+        slack = 1e-9 + oracle_excess(1e-10, 1e6 * (0.7**2 / 2 - 0.7**3 / 3)) + oracle_excess(1e-10, 5e5 / 3)
+        assert rec.context.endswith(f"[tol={slack:g}]")
+        assert rec.context.endswith("[tol=1.32817e-09]")
+
 class TestClassicOstrowski:
     def test_midpoint(self):
         assert classic_ostrowski_bound(UNIT, 0.5, 1.0).value == 0.25
@@ -212,6 +224,16 @@ class TestHadamardBounds:
         assert (res.lower, res.upper) == (pytest.approx(0.25), pytest.approx(0.5))
         assert res.mean == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert res.holds
+
+    def test_slack_takes_the_averages_relative_accuracy(self):
+        # the average of 5e5 t^2 over [0, 1] cannot meet tol / 10 = 1e-10
+        # under its roundoff floor 1.5e-10, and raised; it is met to
+        # ORACLE_EPSREL, and both records' slack grows by the excess
+        res = hadamard_sconvex_bounds(parse_function_spec("poly:0,0,5e5"), UNIT, 1.0)
+        assert res.holds and res.mean == pytest.approx(5e5 / 3, rel=1e-15)
+        slack = f"[tol={1e-9 + oracle_excess(1e-10, 5e5 / 3):g}]"
+        assert slack == "[tol=1.19606e-09]"
+        assert res.lower_record.context.endswith(slack) and res.upper_record.context.endswith(slack)
 
     def test_negative_interval_rejected(self):
         with pytest.raises(DomainError):

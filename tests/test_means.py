@@ -222,12 +222,15 @@ class TestMeansGap:
         want = self._gap_50_digits(5e-324, 1e-323, 0.5)[2]
         assert abs(Decimal(got) - want) <= Decimal(1e-12) * want
 
-    @pytest.mark.parametrize("a,b,s", [(1e14, 3e14, 0.9), (1e20, 3e20, 0.75), (1e200, 3e200, 0.5)])
+    @pytest.mark.parametrize("a,b,s", [(1e14, 3e14, 0.9), (1e20, 3e20, 0.75), (1e200, 3e200, 0.5),
+                                       (1e300, 1e308, 0.5), (1.0, 1e300, 0.9)])
     def test_large_endpoints_pass_the_cross_check_at_the_oracles_accuracy(self, a, b, s):
         # the average of t^s is met to ORACLE_EPSREL relative, far above the
         # gap's 1e-10: the oracle and the closed form differ by 0.028 at
         # (1e14, 3e14, 0.9), which the cross-check must allow. The closed form
-        # cancels there too, A^s being 450 times the gap: 1e-11 relative
+        # cancels there too, A^s being 450 times the gap: 1e-11 relative.
+        # The integral of t^s over the last two, 6.7e461 and 5.3e569, is
+        # taken on [a, b] scaled into range; unscaled, it overflowed
         got = means_gap(a, b, s)
         want = self._gap_50_digits(a, b, s)[2]
         assert abs(Decimal(got) - want) <= Decimal(1e-11) * want

@@ -34,8 +34,11 @@ from ostrowski.core import EndpointData
 from ostrowski.quadrature import (
     Partition,
     QuadReport,
+    _check_uniform,
     _exceeds,
     _fsum,
+    _slices,
+    _uniform_blocks,
     certified_integrate,
     composite_midpoint,
     midpoint_error_bound,
@@ -502,6 +505,62 @@ class TestBlocks:
             assert got == whole_array_bound(d, dv, variant, **kw) == math.inf, (variant, kw)
 
 
+#: negative, far from zero, a subnormal width, and one whose step underflows
+#: to 0 from 2,000 panels on, where linspace divides before it multiplies
+UNIFORM_IVS = (
+    Interval(-3.7, -1.1),
+    Interval(1e8, 1e8 + 1.0),
+    Interval(-1e300, 1.5e300),
+    Interval(-1e-310, 2e-310),
+    Interval(0.0, 1000 * 5e-324),
+)
+
+
+def partition_error(call):
+    """The message of the DomainError call() raises, or None."""
+    try:
+        call()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestUniformBlocks:
+    """certified_integrate forms each block of a level's nodes where it reads
+    it, and proves or checks the nodes without storing them."""
+
+    @pytest.mark.parametrize("iv", UNIFORM_IVS, ids=lambda iv: f"[{iv.a:g},{iv.b:g}]")
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5, 2**20])
+    def test_blocks_are_linspace_bit_for_bit(self, iv, n):
+        want = np.linspace(iv.a, iv.b, n + 1)
+        got = list(_uniform_blocks(iv, n))
+        assert len(got) == len(list(_slices(want)))
+        for x, w in zip(got, _slices(want)):
+            assert x.tobytes() == w.tobytes()
+        # and the nodes are refused, or not, with Partition.uniform's message
+        assert partition_error(lambda: _check_uniform(iv, n)) == partition_error(
+            lambda: Partition.uniform(iv, n))
+
+    def test_last_interval_takes_the_underflow_branch(self):
+        iv = UNIFORM_IVS[-1]
+        assert (iv.b - iv.a) / 1999 > 0.0 == (iv.b - iv.a) / 2001
+
+    @given(
+        a=st.floats(-1e300, 1e300, allow_subnormal=True),
+        steps=st.floats(0.5, 40.0),
+        n=st.integers(1, 3000),
+    )
+    def test_node_proof_never_passes_nodes_the_pass_refuses(self, a, steps, n):
+        # steps ulps of |a| per panel: the proof applies above 8 ulps of the
+        # larger endpoint, and nodes collide below about 1
+        b = a + steps * n * math.ulp(a)
+        if not (a < b and math.isfinite(b - a)):
+            return
+        iv = Interval(a, b)
+        assert partition_error(lambda: _check_uniform(iv, n)) == partition_error(
+            lambda: Partition.uniform(iv, n))
+
+
 def peak_panel_arrays(call, n: int) -> float:
     """Peak memory that call() allocates, in units of an n-element float array.
     tracemalloc sees numpy's data buffers as well as Python objects."""
@@ -544,6 +603,18 @@ class TestMemory:
         # eight panels need nine distinct doubles; [1, 1 + 4e-16] holds three
         with pytest.raises(DomainError, match="strictly increasing"):
             Partition.uniform(Interval(1.0, 1.0 + 4e-16), 8)
+
+    @pytest.mark.parametrize("row,bound", [(6, 1.25), (2, 1.75), (3, 1.75)])
+    def test_certify_peak(self, row, bound):
+        # the benchmark's 2^19 p4 operation and its 2^17 p5 and p6 ones read
+        # 1.13, 1.57 and 1.63 arrays: a level's terms, _fsum's buffers and a
+        # block's temporaries. A whole-level node array made them 2.10, 2.50
+        # and 2.57
+        r = json.loads((Path(__file__).parent / "data" / "certify_hex.json").read_text())[row]
+        fn, iv = parse_function_spec(r["spec"]), Interval(r["a"], r["b"])
+        n = r["panels"]
+        call = lambda: certified_integrate(fn, iv, r["target"], r["variant"], p=r["p"], q=r["q"])
+        assert peak_panel_arrays(call, n) <= bound
 
     def test_constructor_still_copies(self):
         mine = np.array([0.0, 0.5, 1.0])
@@ -902,6 +973,21 @@ class TestBlockedLevels:
         # level is read whole; the others stop after k blocks, k B + 1 nodes
         whole = [2**k + 1 for k in range(14)]
         assert levels == whole + [B + 1, B + 1, 3 * B + 1, 10 * B + 1, 2**18 + 1]
+
+    def test_nodes_are_checked_before_the_level_is_evaluated(self):
+        # the step of 2^20 panels on [1 - 1e-10, 1 + 1e-10], 0.86 ulp of 1,
+        # gives equal nodes from block 64 of 128 on; the levels below need
+        # the pass too (2^19 panels: 1.7 ulp), and it finds them increasing
+        iv = Interval(1.0 - 1e-10, 1.0 + 1e-10)
+        nodes = np.linspace(iv.a, iv.b, 2**20 + 1)
+        assert np.flatnonzero(nodes[1:] <= nodes[:-1])[0] // B == 64
+        levels = []
+        fn = counting_levels(parse_function_spec("poly:0,1"), iv.a, levels)
+        with pytest.raises(DomainError, match="^partition nodes must be strictly increasing$"):
+            certified_integrate(fn, iv, 1e-300, "p5")
+        # every level up to 2^19 is proven too coarse by its first block
+        assert levels == [2**k + 1 for k in range(14)] + [B + 1] * 6
+        assert sum(levels) == 65555
 
     def test_nan_slope_in_an_unread_block_does_not_raise(self):
         # the 2^15-panel level is proven by its first block, [0, 1/4]
