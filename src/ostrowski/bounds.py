@@ -116,6 +116,26 @@ def _scaled_powers(u, v, q):
     return c, (u / c) ** q, (v / c) ** q
 
 
+def _max_power(u, v, q):
+    """(max(u, v), r^q) with r = min(u, v) / max(u, v, 2**-1074) elementwise: the
+    _scaled_powers of a bracket symmetric in u and v, for one power instead of two.
+    Of (u/c)^q and (v/c)^q one is (c/c)^q = 1.0 exactly unless both are 0, and the
+    other is r^q, so a sum of the two, or a sum of their two weighted swaps, is the
+    same double either way round; the factor is max(u, v), not the clamped c, so a
+    row of two zeros stays 0. u and v are finite and >= 0, as every caller checks,
+    and an array holds no -0.0 (the quadrature panels take np.abs); two float
+    zeros give the sign the two powers gave, -0.0 only for two -0.0 at q = 1."""
+    if isinstance(u, float) and isinstance(v, float):
+        hi, lo = (u, v) if u >= v else (v, u)
+        if hi > 0.0:
+            return hi, (lo / hi) ** q
+        return ((u + v) ** q) ** (1.0 / q), 0.0
+    hi = np.maximum(u, v)
+    r = np.minimum(u, v)
+    r /= np.maximum(hi, _LEAST)
+    return hi, r**q
+
+
 def _holder_split(width, lam, mu, s, p, q, da, db):
     c, daq, dbq = _scaled_powers(da, db, q)
     term_low = lam ** (1.0 + 1.0 / p) * (
@@ -146,12 +166,12 @@ def _e5(width, p, da, db):
 
 
 def _holder_global(width, lam, mu, s, p, q, da, db):
-    c, daq, dbq = _scaled_powers(da, db, q)
+    c, rq = _max_power(da, db, q)
     return (
         width
         / (p + 1.0) ** (1.0 / p)
         * (lam ** (p + 1.0) + mu ** (p + 1.0)) ** (1.0 / p)
-        * c * ((daq + dbq) / (s + 1.0)) ** (1.0 / q)
+        * c * ((1.0 + rq) / (s + 1.0)) ** (1.0 / q)
     )
 
 
@@ -172,12 +192,12 @@ def _power_mean(width, lam, mu, s, q, da, db):
 
 
 def _power_mean_mid(width, q, da, db):
-    c, daq, dbq = _scaled_powers(da, db, q)
+    c, rq = _max_power(da, db, q)
     return (
         width
         / 8.0
         * (1.0 / 3.0) ** (1.0 / q) * c
-        * ((daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q))
+        * ((1.0 + 3.0 * rq) ** (1.0 / q) + (3.0 + rq) ** (1.0 / q))
     )
 
 
@@ -201,8 +221,8 @@ def _eq14(width, da, db):
 
 
 def _eq15(width, p, q, da, db):
-    c, daq, dbq = _scaled_powers(da, db, q)
-    inner = (daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q)
+    c, rq = _max_power(da, db, q)
+    inner = (1.0 + 3.0 * rq) ** (1.0 / q) + (3.0 + rq) ** (1.0 / q)
     return width / 16.0 * (4.0 / (p + 1.0)) ** (1.0 / p) * c * inner
 
 

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -362,6 +363,20 @@ def _parse_functions(text: str) -> tuple:
     return specs
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading a token such as -1e-3 as a negative number, as it
+    reads -0.001. Python 3.11's argparse takes a token that starts with '-'
+    for a value only if it matches -digits or -digits.digits, so a negative
+    number with an exponent, given as its own token, was taken for an
+    unknown option and its option reported as missing its argument."""
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+|(\d+\.?\d*|\.\d+)[eE][+-]?\d+)$")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="json",
@@ -374,7 +389,7 @@ def _common_parser() -> argparse.ArgumentParser:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # subparsers take its class
         prog="ostrowski",
         description=(
             "Position-dependent error bounds for function averages under "

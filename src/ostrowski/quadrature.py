@@ -20,10 +20,22 @@ evaluator raises OverflowError; a NaN it returns is a DomainError.
 Both the panel bounds and the midpoint terms are summed by _fsum: error-free
 extraction over blocks of the array (ExtractVector in Rump, Ogita and Oishi,
 "Accurate floating-point summation part I: faithful rounding", SIAM J. Sci.
-Comput. 31:189, 2008), each step summed exactly by numpy, and one math.fsum
-over the few step totals. The result is math.fsum's to the bit, correctly
-rounded, at numpy speed, with one block-sized buffer and without a Python
-list the length of the partition.
+Comput. 31:189, 2008), each step summed exactly by numpy. The sum stops at
+the first step that decides its rounding, as the algorithms of that paper
+and its part II (31:1269) do: the first step splits every block by one
+constant sigma, from the largest magnitude of the array, and also sums
+each block's remainders, each at most 2**-53 sigma, in numpy. Those sums
+are the only inexact ones, off by at most E = sum over blocks of
+2 k**2 2**-106 sigma in all (Higham's gamma_{k-1}, k the block size); E is
+formed from the integer sum of the 2 k**2 by one ldexp, so it does not
+underflow, and taken one double up. If math.fsum rounds the totals and
+remainder sums less E, and plus E, to the same double, the exact sum,
+which lies between the two, rounds to it as well: rounding is monotone.
+Otherwise each block is split again until its remainder is zero, and one
+math.fsum over the step totals rounds the exact total. Either way the
+result is math.fsum's to the bit, correctly rounded, at numpy speed, with
+one block-sized buffer and without a Python list the length of the
+partition; the proof is in _fsum's docstring.
 
 certified_integrate fills each level's panel terms as midpoint_error_bound
 does, one block of _BLOCK panels at a time, and evaluates |f'| at a block's
@@ -263,9 +275,8 @@ def _fsum(x: np.ndarray) -> float:
     per value. x is consumed: each block of it is overwritten in place.
 
     Each block of _FSUM_BLOCK values is split, exactly, into a part whose
-    sum numpy computes exactly and a remainder that takes the block's place,
-    until the remainder is all zero. With m = max|block| < 2**e and
-    sigma = 2**(e + M), M = _FSUM_M:
+    sum numpy computes exactly and a remainder that takes the block's place.
+    With m >= max|block|, m < 2**e and sigma = 2**(e + M), M = _FSUM_M:
 
     - fl(sigma + x) lies in [sigma - 2**e, sigma + 2**e], within a factor
       of 2 of sigma, so q = fl(fl(sigma + x) - sigma) is exact (Sterbenz),
@@ -279,8 +290,27 @@ def _fsum(x: np.ndarray) -> float:
       2**-1074 apart, as every x is, so sigma + x is exact, the remainder
       is 0, and the loop ends there without a special case.
 
-    The step totals hold the exact total of x, and one math.fsum over them
-    rounds it as math.fsum(x) does.
+    The first step takes sigma from the largest magnitude of the whole
+    array, and each block adds numpy's sum of its k remainders. Those sums
+    are the only inexact ones: each remainder is at most 2**-53 sigma, so a
+    block's is off by at most gamma_{k-1} k 2**-53 sigma <= 2 k**2 2**-106
+    sigma in any order of addition (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 4.2; gamma_k = ku/(1 - ku) <= 2ku for
+    ku <= 1/2, u = 2**-53; an addition whose result is subnormal is exact,
+    so underflow adds no error). E, their total over the blocks, is
+    formed from the integer sum of the 2 k**2 by one ldexp, so it is exact
+    in the normal range, and taken one double up, so it does not fall
+    below the bound where it rounds or underflows. The exact sum S then
+    lies in [T - E, T + E], T the step totals plus the remainder sums, and
+    math.fsum rounds exactly once: if the rounded T - E and the rounded
+    T + E are the same double, monotone rounding makes it the rounding of
+    S, math.fsum(x). That double is never 0: with E >= 2**-1074, T - E and
+    T + E cannot both round to 0, so an exact sum of 0, whose sign only
+    math.fsum's own rule gives, is always left to the extraction. Otherwise the
+    extraction goes on, block by block, until every remainder is zero, and
+    one math.fsum over the step totals, which hold the exact total of x,
+    rounds it as math.fsum(x) does (Rump, Ogita and Oishi stop at the step
+    that decides the rounding in the same way).
 
     Two escapes send x whole to math.fsum, so the result or the exception
     is exactly math.fsum's: x holds inf or nan, or n * max|x| >= 2**1023,
@@ -289,20 +319,34 @@ def _fsum(x: np.ndarray) -> float:
     """
     n = x.size
     limit = 2.0**1023 / max(n, 2**_FSUM_M)
-    if n <= _FSUM_DIRECT or not max(-float(x.min()), float(x.max())) < limit:
+    if n <= _FSUM_DIRECT or not (m := max(-float(x.min()), float(x.max()))) < limit:
         return math.fsum(x.tolist())
-    totals = []
+    e = math.frexp(m)[1] + _FSUM_M
     buf = np.empty(min(n, _FSUM_BLOCK))
-    for i in range(0, n, _FSUM_BLOCK):
-        block = x[i : i + _FSUM_BLOCK]
-        q = buf[: block.size]
+    blocks = [x[i : i + _FSUM_BLOCK] for i in range(0, n, _FSUM_BLOCK)]
+    totals, rests = [], []
+    for block in blocks:  # each block summed while it is in cache
+        totals.append(_split(block, e, buf))
+        rests.append(float(block.sum()))
+    full, last = divmod(n, _FSUM_BLOCK)
+    error = math.nextafter(math.ldexp(2 * (full * _FSUM_BLOCK**2 + last**2), e - 106), math.inf)
+    if (low := math.fsum(totals + rests + [-error])) == math.fsum(totals + rests + [error]):
+        return low
+    for block in blocks:
         while m := max(-float(block.min()), float(block.max())):
-            sigma = math.ldexp(1.0, math.frexp(m)[1] + _FSUM_M)
-            np.add(block, sigma, out=q)
-            np.subtract(q, sigma, out=q)
-            np.subtract(block, q, out=block)
-            totals.append(float(q.sum()))
+            totals.append(_split(block, math.frexp(m)[1] + _FSUM_M, buf))
     return math.fsum(totals)
+
+
+def _split(block: np.ndarray, e: int, buf: np.ndarray) -> float:
+    """One extraction step of _fsum with sigma = 2**e: block keeps its
+    remainder, and the exact sum of the part taken from it is returned."""
+    sigma = math.ldexp(1.0, e)
+    q = buf[: block.size]
+    np.add(block, sigma, out=q)
+    np.subtract(q, sigma, out=q)
+    np.subtract(block, q, out=block)
+    return float(q.sum())
 
 
 def composite_midpoint(fn: Function1D, d: Partition) -> float:

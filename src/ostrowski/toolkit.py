@@ -359,7 +359,8 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float, *,
 
     Globally adaptive: the panel with the largest error estimate is bisected
     at its exact midpoint until the summed estimates meet that target, as
-    in QUADPACK's QAGS. |integral| is the panels' sum, taken again at each
+    in QUADPACK's QAG with key 1: the 15-point rule, and no epsilon-algorithm
+    extrapolation, which QAGS adds. |integral| is the panels' sum, taken again at each
     check below and before returning. tol and epsrel must be >= 0, one of
     them positive.
 
@@ -486,6 +487,11 @@ def _parse_floats(text: str, spec: str) -> list[float]:
 
 
 def _make_poly(coeffs: list[float]) -> Function1D:
+    # an inf coefficient (say 1.8e308 read as inf) would make numpy's
+    # derivative and Horner steps multiply it by 0 and warn on stderr
+    for c in coeffs:
+        if not math.isfinite(c):
+            raise DomainError(f"poly coefficients must be finite, got {c!r}")
     cs = np.asarray(coeffs, dtype=float)
     with _overflow_raises():
         ds = npoly.polyder(cs)

@@ -6,6 +6,7 @@ here; equality checks between algebraically identical forms run at relative
 1e-12.
 """
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from ostrowski.bounds import (
     THEOREMS,
     Theorem,
+    _scaled_powers,
     bound_holder_global,
     bound_holder_hadamard,
     bound_holder_split,
@@ -949,3 +951,109 @@ class TestWideIntervals:
             want = ((B - X) ** 2 * mp.sqrt((mp.mpf(dx) ** 2 + mp.mpf(db) ** 2) / (S + 1))
                     + X**2 * mp.sqrt((mp.mpf(da) ** 2 + mp.mpf(dx) ** 2) / (S + 1))) / (B * mp.sqrt(3))
             assert abs(mp.mpf(got) - want) <= 4 * math.ulp(float(want)), (got, want)
+
+
+# The two-power forms of the symmetric brackets, as the registry held them
+# before each took one power per row: the reference the one-power forms must
+# match bit for bit. _scaled_powers itself stays in the registry for teo1,
+# t21 and t22.
+
+def _holder_global_two_powers(width, lam, mu, s, p, q, da, db):
+    c, daq, dbq = _scaled_powers(da, db, q)
+    return (
+        width
+        / (p + 1.0) ** (1.0 / p)
+        * (lam ** (p + 1.0) + mu ** (p + 1.0)) ** (1.0 / p)
+        * c * ((daq + dbq) / (s + 1.0)) ** (1.0 / q)
+    )
+
+
+def _power_mean_mid_two_powers(width, q, da, db):
+    c, daq, dbq = _scaled_powers(da, db, q)
+    return (
+        width
+        / 8.0
+        * (1.0 / 3.0) ** (1.0 / q) * c
+        * ((daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q))
+    )
+
+
+def _eq15_two_powers(width, p, q, da, db):
+    c, daq, dbq = _scaled_powers(da, db, q)
+    inner = (daq + 3.0 * dbq) ** (1.0 / q) + (3.0 * daq + dbq) ** (1.0 / q)
+    return width / 16.0 * (4.0 / (p + 1.0)) ** (1.0 / p) * c * inner
+
+
+#: each one-power theorem and its two-power reference, with the same scaling
+#: of narrow widths and small magnitudes by Theorem.bound
+TWO_POWERS = {
+    tag: (THEOREMS[tag], dataclasses.replace(THEOREMS[tag], formula=formula))
+    for tag, formula in (("z", _holder_global_two_powers),
+                         ("t22-mid", _power_mean_mid_two_powers),
+                         ("eq15", _eq15_two_powers))
+}
+
+#: magnitudes: zeros, subnormals, the scaling threshold 2**-960 of
+#: Theorem.bound on either side, ordinary values and the top of the range
+SPECIAL_MAGNITUDES = (0.0, 5e-324, 1e-320, 2.0**-1022, 2.0**-961, 2.0**-960, 1e-300,
+                      1e-154, 0.3, 1.0, 3.0, 1e154, 1e300, 1.7976931348623157e308)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+class TestOnePowerBrackets:
+    """z, t22-mid and eq15 take one power per row where the two-power form
+    took two; every bit, sign of zero included, is the two-power form's."""
+
+    @staticmethod
+    def values(width, q, da, db):
+        return {"width": width, "lam": 0.5, "mu": 0.5, "s": 0.7, "p": 2.5, "q": q, "da": da, "db": db}
+
+    @pytest.mark.parametrize("tag", TWO_POWERS)
+    @pytest.mark.parametrize("q", [1.0, 1.0000001, 1.5, 2.0, 3.0, 40.0])
+    @pytest.mark.parametrize("width", [1e-310, 2.0**-961, 1e-300, 1.0, 2.5, 1e300])
+    def test_arrays_bit_for_bit(self, tag, q, width):
+        rng = np.random.default_rng(hash((tag, q, width)) % 2**32)
+        n = 4000
+        da = np.where(rng.random(n) < 0.3, rng.choice(SPECIAL_MAGNITUDES, n),
+                      10.0 ** rng.uniform(-323.0, 307.0, n))
+        db = np.where(rng.random(n) < 0.3, rng.choice(SPECIAL_MAGNITUDES, n), da * rng.uniform(0.0, 1.0, n))
+        swap = rng.random(n) < 0.5
+        da[swap], db[swap] = db[swap], da[swap].copy()
+        db[::5] = da[::5]  # equal pairs
+        da[1::7] = db[1::7] = 0.0  # rows of two zeros
+        one, two = TWO_POWERS[tag]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = one.bound(self.values(width, q, da, db)), two.bound(self.values(width, q, da, db))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("tag", TWO_POWERS)
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 40.0])
+    def test_floats_bit_for_bit(self, tag, q):
+        # every pair of special magnitudes, each sign of zero, and seeded
+        # pairs: a row of two -0.0 keeps the two-power form's sign of zero
+        rng = np.random.default_rng(int(q * 10))
+        pairs = [(u, v) for u in SPECIAL_MAGNITUDES + (-0.0,) for v in SPECIAL_MAGNITUDES + (-0.0,)]
+        pairs += list(zip(10.0 ** rng.uniform(-323.0, 307.0, 500), 10.0 ** rng.uniform(-323.0, 307.0, 500)))
+        one, two = TWO_POWERS[tag]
+        for width in (1e-310, 1.0, 1e300):
+            for u, v in pairs:
+                outcome = []
+                for theorem in (one, two):
+                    try:
+                        outcome.append(_bits(theorem.bound(self.values(width, q, float(u), float(v)))))
+                    except OverflowError:
+                        outcome.append("overflow")
+                assert outcome[0] == outcome[1], (tag, q, width, u, v)
+
+    def test_q_grid_of_the_sweep_with_float_magnitudes(self):
+        # run_sweep feeds float |f'| values and an array of q, one per p
+        q = np.array([make_conjugate(p).q for p in (1.5, 2.0, 3.0, 40.0)])
+        for da, db in ((0.0, 0.0), (0.0, 2.0), (1.5, 0.5), (2.0, 2.0), (1e-320, 3e-321)):
+            values = {"width": 1.5, "lam": np.array([[0.0], [0.3], [1.0]]), "mu": np.array([[1.0], [0.7], [0.0]]),
+                      "s": np.array([0.25, 1.0])[:, None, None], "p": np.array([1.5, 2.0, 3.0, 40.0]),
+                      "q": q, "da": da, "db": db}
+            one, two = TWO_POWERS["z"]
+            assert np.array_equal(_bits(one.bound(values)), _bits(two.bound(values)))

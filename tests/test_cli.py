@@ -187,6 +187,45 @@ class TestBoundCommand:
         assert out == ""
         assert err == "error: interval width b - a must be finite, got inf\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--theorem", "eq14", "--a", "-1e-3", "--b", "1", "--da", "1", "--db", "1"),
+        ("bound", "--theorem", "eq14", "--a", "-1e308", "--b", "1e308", "--da", "1", "--db", "1"),
+        ("bound", "--theorem", "eq14", "--a", "-.5E+1", "--b", "1", "--da", "1", "--db", "1"),
+        ("bound", "--theorem", "eq11", "--a", "-2.5e-1", "--b", "1", "--x", "0", "--m", "1"),
+        ("quad", "--fn", "poly:0,0,1", "--a", "-1e0", "--b", "1", "--target", "1e-2",
+         "--variant", "p6", "--q", "2"),
+        ("quad", "--fn", "poly:0,0,1", "--a", "0", "--b", "1", "--target", "-1e-2", "--variant", "p5"),
+        ("means", "--a", "1", "--b", "2", "--s", "-5e-1"),
+        ("verify", "--functions", "poly:0,1", "--a", "-1e-3", "--b", "1", "--tol", "-1e-9"),
+    ])
+    def test_negative_number_with_an_exponent_is_a_value(self, capsys, argv):
+        # a token like -1e-3 is read as -0.001 is: the same bytes and exit
+        # code as the value joined to its option by "="
+        joined, i = list(argv), 0
+        while i < len(joined) - 1:
+            if joined[i].startswith("--") and joined[i + 1].startswith("-"):
+                joined[i : i + 2] = [f"{joined[i]}={joined[i + 1]}"]
+            i += 1
+        assert joined != list(argv)
+        got, want = run(capsys, *argv), run(capsys, *joined)
+        assert got == want
+        assert "expected one argument" not in got[2]
+
+    @pytest.mark.parametrize("token", ["-5.", "-inf", "-nan", "-1e", "-e5", "-1e5x"])
+    def test_other_dash_tokens_still_parse_as_before(self, capsys, token):
+        # only negative numbers with an exponent changed how they parse
+        code, out, err = run(capsys, "bound", "--theorem", "eq14", "--a", token,
+                             "--b", "1", "--da", "1", "--db", "1")
+        assert (code, out) == (2, "")
+        assert "argument --a: expected one argument" in err
+
+    def test_negative_number_with_an_exponent_in_a_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theorem=eq14\na=-1e-3\nb=1\nda=1\ndb=1\n")
+        got = run(capsys, "bound", "--config", str(cfg))
+        want = run(capsys, "bound", "--theorem", "eq14", "--a=-1e-3", "--b", "1", "--da", "1", "--db", "1")
+        assert got == want and got[0] == 0
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         # the OSError from opening --out used to escape as a traceback, exit 1
         path = tmp_path / "missing" / "x.json"
@@ -773,6 +812,23 @@ class TestMeansCommand:
 
 
 class TestQuadCommand:
+    @pytest.mark.parametrize("argv,value", [
+        (("quad", "--variant", "p5", "--fn", "poly:1.798e+308", "--a", "0", "--b", "1", "--target", "1"), "inf"),
+        (("quad", "--variant", "p5", "--fn", "poly:0,0,-inf", "--a", "0", "--b", "1", "--target", "1"), "-inf"),
+        (("quad", "--variant", "p6", "--q", "2", "--fn", "poly:1,nan", "--a", "0", "--b", "1",
+          "--target", "1"), "nan"),
+        (("verify", "--functions", "poly:inf,1"), "inf"),
+    ])
+    def test_non_finite_poly_coefficient_is_refused_at_the_spec(self, capsys, argv, value):
+        # numpy's derivative and Horner steps multiplied the inf by 0 and printed
+        # "invalid value encountered in multiply" before the CLI's own line;
+        # verify took the inf integrand for an oracle failure and exited 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: poly coefficients must be finite, got {value}\n")
+        assert not caught
+
     def test_overflow_exits_2(self, capsys):
         # f(m) * w = 2e308 at one panel printed "approx": Infinity and exited 0
         with warnings.catch_warnings():

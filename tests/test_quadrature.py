@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ostrowski import quadrature
@@ -148,6 +148,43 @@ def fsum_data(kind: str, n: int, rng) -> np.ndarray:
     x = np.concatenate([half, pairs, 1e-12 * rng.uniform(-1.0, 1.0, n % 2)])
     rng.shuffle(x)
     return x
+
+
+def near_tie(rng, n: int, top: int, side: float):
+    """(x, its exact sum): n values whose exact sum is a rounding midpoint
+    plus side * 2**(top - 99) (2**-1074 where that is smaller; top >= -1000,
+    so that the doubles around the sum are more than 2**-1074 apart): half
+    of them in [2**top, 2**(top + 1)), the rest in [0, 2**(top - 36)) with
+    their low bits set: they pass whole into the first step's remainders,
+    whose numpy sums then grow with the block and round, by far more than
+    the distance to the midpoint."""
+    fine = max(top - 86, -1074)
+    x = np.concatenate([
+        rng.uniform(1.0, 2.0, n // 2) * 2.0**top,
+        rng.integers(0, 2**50, n - n // 2 - 2) * 2.0**fine,
+        [0.0, 0.0],
+    ])
+    total = exact_sum(x.tolist())
+    below = float(total)
+    if below > total:
+        below = math.nextafter(below, -math.inf)
+    middle = (Fraction(below) + Fraction(math.nextafter(below, math.inf))) / 2
+    x[-2] = float(middle - total)
+    assert Fraction(x[-2]) == middle - total  # a multiple of 2**fine below 2**(top - 36)
+    x[-1] = side * 2.0 ** max(top - 99, -1074)
+    rng.shuffle(x)
+    return x, middle + Fraction(side * 2.0 ** max(top - 99, -1074))
+
+
+def fsum_calls(monkeypatch, x: np.ndarray):
+    """(_fsum(x), the number of math.fsum calls it made): 2 where the first
+    extraction step decides the rounding, 3 where the extraction goes on."""
+    calls = []
+    monkeypatch.setattr(math, "fsum", lambda v, fsum=math.fsum: calls.append(len(v)) or fsum(v))
+    try:
+        return _fsum(x), len(calls)
+    finally:
+        monkeypatch.undo()
 
 
 class TestFsum:
@@ -326,6 +363,84 @@ class TestFsum:
         assert x.size > 2 * FB
         np.random.default_rng(seed).shuffle(x)
         assert _fsum(x.copy()).hex() == math.fsum(x.tolist()).hex()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([513, 1000, 4097]),
+        st.integers(-1074, 1000),  # the largest exponent: up to near the escape, 2**1023 / 2**16
+        st.integers(0, 1100),
+        st.sampled_from(["positive", "signed", "cancelling", "tie"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stop_rule_gives_fsum_and_the_exact_sum(self, n, top, spread, kind, seed):
+        # the first step's decision, or the extraction after it, against
+        # math.fsum and the exact rational sum, at magnitudes across the range
+        rng = np.random.default_rng(seed)
+        if kind == "tie":
+            x, _ = near_tie(rng, n, max(top, -1000), rng.choice([-1.0, 1.0]))
+        else:
+            x = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(max(top - spread, -1074), top + 1, n))
+            if kind == "signed":
+                x *= rng.choice([-1.0, 1.0], n)
+            elif kind == "cancelling":  # pairs that cancel, and one sign for each pair
+                x[n // 2 : 2 * (n // 2)] = -x[: n // 2]
+                rng.shuffle(x)
+        want = math.fsum(x.tolist())
+        assert _fsum(x.copy()).hex() == want.hex()
+        assert want == float(exact_sum(x.tolist()))
+
+    @pytest.mark.parametrize("top", [-1000, -990, -988, -980, -960, -500, -1, 0, 52, 900, 1000])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_near_ties_are_left_to_the_extraction(self, monkeypatch, top, side):
+        # the exact sum lies next to a rounding midpoint, closer than the
+        # first step's remainder sums can tell: the stop test does not
+        # decide, and the extraction after it rounds to the side the sum is on
+        rng = np.random.default_rng(top + 2000)
+        for n in (600, 4097) + ((2 * FB + 1,) if top in (-988, 0) else ()):
+            x, exact = near_tie(rng, n, top, side)
+            got, calls = fsum_calls(monkeypatch, x.copy())
+            assert got.hex() == math.fsum(x.tolist()).hex() == float(exact).hex(), (n, top, side)
+            assert calls == 3, (n, top, side)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_near_ties_where_the_remainder_sums_round_in_the_underflow_band(self, monkeypatch, seed):
+        # sigma in (2**-1000, 2**-960): 2**-106 sigma underflows to 0, so an
+        # error bound formed from it first would be 0, yet the sums of the
+        # remainders, below 2**(top - 36) with every low bit, round there;
+        # with a zero bound the stop test passes and returns the rounding of
+        # the inexact sum, on the wrong side of the midpoint about half the time
+        rng = np.random.default_rng(seed)
+        top = int(rng.integers(-990, -986))
+        sigma = 2.0 ** (top + 1 + quadrature._FSUM_M)
+        assert 2.0**-1000 < sigma < 2.0**-960 and math.ldexp(sigma, -106) == 0.0
+        for side in (-1.0, 1.0):
+            x, exact = near_tie(rng, 4097, top, side)
+            got, calls = fsum_calls(monkeypatch, x.copy())
+            assert got.hex() == math.fsum(x.tolist()).hex() == float(exact).hex()
+            assert calls == 3
+
+    @pytest.mark.parametrize("kind", ["positive", "signed"])
+    def test_first_step_decides_ordinary_sums(self, monkeypatch, kind):
+        # no second extraction step on the sums a level makes
+        rng = np.random.default_rng(4)
+        for n in (513, 4097, 2**19):
+            x = rng.uniform(0.0, 1.0, n) * (rng.choice([-1.0, 1.0], n) if kind == "signed" else 1.0)
+            got, calls = fsum_calls(monkeypatch, x.copy())
+            assert (got, calls) == (math.fsum(x.tolist()), 2)
+
+    def test_cancellation_to_zero_and_negative_zero(self, monkeypatch):
+        # an exact sum of 0 is never decided by the first step (its bound is
+        # at least 2**-1074 on each side): the extraction gives fsum's zero
+        rng = np.random.default_rng(6)
+        for n in (513, 4097, 2 * FB + 1):
+            half = np.ldexp(rng.uniform(0.5, 1.0, n // 2), rng.integers(-1074, 1000, n // 2))
+            for x in (np.concatenate([half, -half, np.zeros(n % 2)]),
+                      np.concatenate([half, -half, np.full(n % 2, -0.0)]),
+                      np.full(n, -0.0)):
+                rng.shuffle(x)
+                got, calls = fsum_calls(monkeypatch, x.copy())
+                assert got.hex() == math.fsum(x.tolist()).hex() == "0x0.0p+0"
+                assert calls == 3
 
     def test_allocates_at_most_one_block_buffer(self):
         x = np.random.default_rng(5).standard_normal(2**17) * 10.0 ** np.arange(-8, 8).repeat(2**13)
