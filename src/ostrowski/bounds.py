@@ -104,27 +104,16 @@ def _sconvex_abs_mid(width, s, da, db):
 _LEAST = 2.0**-1074  # the least positive double
 
 
-def _scaled_powers(u, v, q):
-    """(c, (u/c)^q, (v/c)^q), c = max(u, v) elementwise, or _LEAST where both are 0: a
-    bracket (alpha u^q + beta v^q)^(1/q) = c (alpha U + beta V)^(1/q) then over- or underflows
-    only with its value. Floats skip numpy and builtin max, either dearer than the two powers."""
-    if isinstance(u, float) and isinstance(v, float):
-        c = u if u >= v and u >= _LEAST else v if v >= _LEAST else _LEAST
-    else:
-        c = np.maximum(u, v)
-        np.maximum(c, _LEAST, out=c)
-    return c, (u / c) ** q, (v / c) ** q
-
-
 def _max_power(u, v, q):
-    """(max(u, v), r^q) with r = min(u, v) / max(u, v, 2**-1074) elementwise: the
-    _scaled_powers of a bracket symmetric in u and v, for one power instead of two.
-    Of (u/c)^q and (v/c)^q one is (c/c)^q = 1.0 exactly unless both are 0, and the
-    other is r^q, so a sum of the two, or a sum of their two weighted swaps, is the
-    same double either way round; the factor is max(u, v), not the clamped c, so a
-    row of two zeros stays 0. u and v are finite and >= 0, as every caller checks,
-    and an array holds no -0.0 (the quadrature panels take np.abs); two float
-    zeros give the sign the two powers gave, -0.0 only for two -0.0 at q = 1."""
+    """(max(u, v), r^q), r = min(u, v) / max(u, v, 2**-1074) elementwise: one power
+    scales a bracket (alpha u^q + beta v^q)^(1/q) to max(u, v) (alpha U + beta V)^(1/q),
+    which over- or underflows only with its value. Of U = (u/c)^q and V = (v/c)^q,
+    c = max(u, v), one is (c/c)^q = 1.0 exactly and the other is r^q, so one power
+    gives both; a row of two zeros has the factor 0, whatever U and V are.
+
+    u and v are finite and >= 0, as every caller checks, and an array holds no
+    -0.0 (the quadrature panels take np.abs); two float zeros give the factor the
+    sign that u^q and v^q gave the bracket, -0.0 only for two -0.0 at q = 1."""
     if isinstance(u, float) and isinstance(v, float):
         hi, lo = (u, v) if u >= v else (v, u)
         if hi > 0.0:
@@ -134,6 +123,18 @@ def _max_power(u, v, q):
     r = np.minimum(u, v)
     r /= np.maximum(hi, _LEAST)
     return hi, r**q
+
+
+def _scaled_powers(u, v, q):
+    """(c, U, V) with c (alpha U + beta V)^(1/q) the bracket of an asymmetric
+    weight pair: _max_power's factor, and its ratios 1.0 and r^q in the order
+    of u and v. As there, u and v are finite and >= 0 and an array holds no
+    -0.0. A comparison u >= v that is no array (floats, mpmath) picks plainly."""
+    c, rq = _max_power(u, v, q)
+    first = u >= v
+    if isinstance(first, np.ndarray):
+        return c, np.where(first, 1.0, rq), np.where(first, rq, 1.0)
+    return (c, 1.0, rq) if first else (c, rq, 1.0)
 
 
 def _holder_split(width, lam, mu, s, p, q, da, db):
@@ -152,11 +153,11 @@ def _holder_hadamard(width, lam, mu, s, p, q, da, dx, db):
     # (lam c) (lam (b-a) B / (p+1)^(1/p)): with one offset on each scale, no
     # product leaves the range of its term, even where the scale c of a
     # bracket B is subnormal or the two scales lie far apart
-    c_high, dxq, dbq = _scaled_powers(dx, db, q)
-    c_low, daq, dxq_low = _scaled_powers(da, dx, q)
+    c_high, rq_high = _max_power(dx, db, q)
+    c_low, rq_low = _max_power(da, dx, q)
     kp = (p + 1.0) ** (1.0 / p)
-    high = lam * width * (((dxq + dbq) / (s + 1.0)) ** (1.0 / q) / kp)
-    low = mu * width * (((daq + dxq_low) / (s + 1.0)) ** (1.0 / q) / kp)
+    high = lam * width * (((1.0 + rq_high) / (s + 1.0)) ** (1.0 / q) / kp)
+    low = mu * width * (((1.0 + rq_low) / (s + 1.0)) ** (1.0 / q) / kp)
     return lam * c_high * high + mu * c_low * low
 
 

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -364,17 +363,17 @@ def _parse_functions(text: str) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, reading a token such as -1e-3 as a negative number, as it
-    reads -0.001. Python 3.11's argparse takes a token that starts with '-'
-    for a value only if it matches -digits or -digits.digits, so a negative
-    number with an exponent, given as its own token, was taken for an
-    unknown option and its option reported as missing its argument."""
+    """argparse, reading a token as a value wherever float() reads it, so that
+    --a -1e-3, --a -inf and --a -5. mean what --a=-1e-3, --a=-inf and --a=-5.
+    mean. Python 3.11's argparse reads a token that starts with '-' as a value
+    only if it is -digits or -digits.digits, and took any other for an option."""
 
-    _NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+|(\d+\.?\d*|\.\d+)[eE][+-]?\d+)$")
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = self._NEGATIVE_NUMBER
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None  # a value, not an option
 
 
 def _common_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,6 @@ __all__ = [
     "hadamard_sconvex_bounds",
     "alomari_bound",
     "baseline_midpoint_bound",
-    "MIDPOINT_VARIANTS",
 ]
 
 def montgomery_kernel(t: float, iv: Interval, x: float) -> float:
@@ -185,7 +184,6 @@ def alomari_bound(
 
 
 _BASELINES = {tag: THEOREMS[tag] for tag in ("eq14", "eq15", "eq16")}
-MIDPOINT_VARIANTS = tuple(_BASELINES)
 
 
 def baseline_midpoint_bound(

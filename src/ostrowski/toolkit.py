@@ -43,6 +43,7 @@ from .core import (
     Function1D,
     Interval,
     _overflow_raises,
+    _require_finite,
     _require_s,
     validate_eval_point,
 )
@@ -78,6 +79,8 @@ class BrecknerFunction:
     s: float
 
     def __post_init__(self) -> None:
+        for name in ("u", "v", "w"):
+            _require_finite(f"breckner {name}", getattr(self, name))
         _require_s(self.s)
 
     @property
@@ -500,6 +503,7 @@ def _make_poly(coeffs: list[float]) -> Function1D:
 
 
 def _make_powabs(k: float) -> Function1D:
+    _require_finite("powabs exponent", k)
     if not k > 0.0:
         raise DomainError(f"powabs exponent must be positive, got {k!r}")
 

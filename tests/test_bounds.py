@@ -7,7 +7,9 @@ here; equality checks between algebraically identical forms run at relative
 """
 
 import dataclasses
+import itertools
 import math
+import zlib
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -19,7 +21,6 @@ from hypothesis import strategies as st
 from ostrowski.bounds import (
     THEOREMS,
     Theorem,
-    _scaled_powers,
     bound_holder_global,
     bound_holder_hadamard,
     bound_holder_split,
@@ -953,10 +954,42 @@ class TestWideIntervals:
             assert abs(mp.mpf(got) - want) <= 4 * math.ulp(float(want)), (got, want)
 
 
-# The two-power forms of the symmetric brackets, as the registry held them
-# before each took one power per row: the reference the one-power forms must
-# match bit for bit. _scaled_powers itself stays in the registry for teo1,
-# t21 and t22.
+# The two-power bracket algorithm, as the registry held it before every
+# bracket took _max_power's one power per row, and the six bracket formulas
+# on it: the reference the registry must match bit for bit.
+
+_LEAST = 2.0**-1074
+
+
+def _scaled_powers(u, v, q):
+    """(c, (u/c)^q, (v/c)^q), c = max(u, v) elementwise, or 2**-1074 where both are 0."""
+    if isinstance(u, float) and isinstance(v, float):
+        c = u if u >= v and u >= _LEAST else v if v >= _LEAST else _LEAST
+    else:
+        c = np.maximum(u, v)
+        np.maximum(c, _LEAST, out=c)
+    return c, (u / c) ** q, (v / c) ** q
+
+
+def _holder_split_two_powers(width, lam, mu, s, p, q, da, db):
+    c, daq, dbq = _scaled_powers(da, db, q)
+    term_low = lam ** (1.0 + 1.0 / p) * (
+        lam ** (s + 1.0) * daq + (1.0 - mu ** (s + 1.0)) * dbq
+    ) ** (1.0 / q)
+    term_high = mu ** (1.0 + 1.0 / p) * (
+        (1.0 - lam ** (s + 1.0)) * daq + mu ** (s + 1.0) * dbq
+    ) ** (1.0 / q)
+    return width * c / (p + 1.0) ** (1.0 / p) / (s + 1.0) ** (1.0 / q) * (term_low + term_high)
+
+
+def _holder_hadamard_two_powers(width, lam, mu, s, p, q, da, dx, db):
+    c_high, dxq, dbq = _scaled_powers(dx, db, q)
+    c_low, daq, dxq_low = _scaled_powers(da, dx, q)
+    kp = (p + 1.0) ** (1.0 / p)
+    high = lam * width * (((dxq + dbq) / (s + 1.0)) ** (1.0 / q) / kp)
+    low = mu * width * (((daq + dxq_low) / (s + 1.0)) ** (1.0 / q) / kp)
+    return lam * c_high * high + mu * c_low * low
+
 
 def _holder_global_two_powers(width, lam, mu, s, p, q, da, db):
     c, daq, dbq = _scaled_powers(da, db, q)
@@ -966,6 +999,18 @@ def _holder_global_two_powers(width, lam, mu, s, p, q, da, db):
         * (lam ** (p + 1.0) + mu ** (p + 1.0)) ** (1.0 / p)
         * c * ((daq + dbq) / (s + 1.0)) ** (1.0 / q)
     )
+
+
+def _power_mean_two_powers(width, lam, mu, s, q, da, db):
+    c1_lam, c1_mu = lam ** (s + 2.0) / (s + 2.0), mu ** (s + 2.0) / (s + 2.0)
+    tail = 1.0 / ((s + 1.0) * (s + 2.0))
+    c2_lam = np.maximum(0.0, c1_lam - lam ** (s + 1.0) / (s + 1.0) + tail)
+    c2_mu = np.maximum(0.0, c1_mu - mu ** (s + 1.0) / (s + 1.0) + tail)
+    c, daq, dbq = _scaled_powers(da, db, q)
+    exp_out = 2.0 * (1.0 - 1.0 / q)
+    term_low = lam**exp_out * (c1_lam * daq + c2_mu * dbq) ** (1.0 / q)
+    term_high = mu**exp_out * (c1_mu * dbq + c2_lam * daq) ** (1.0 / q)
+    return width * c * 0.5 ** (1.0 - 1.0 / q) * (term_low + term_high)
 
 
 def _power_mean_mid_two_powers(width, q, da, db):
@@ -984,11 +1029,14 @@ def _eq15_two_powers(width, p, q, da, db):
     return width / 16.0 * (4.0 / (p + 1.0)) ** (1.0 / p) * c * inner
 
 
-#: each one-power theorem and its two-power reference, with the same scaling
+#: each bracket theorem and its two-power reference, with the same scaling
 #: of narrow widths and small magnitudes by Theorem.bound
 TWO_POWERS = {
     tag: (THEOREMS[tag], dataclasses.replace(THEOREMS[tag], formula=formula))
-    for tag, formula in (("z", _holder_global_two_powers),
+    for tag, formula in (("teo1", _holder_split_two_powers),
+                         ("t21", _holder_hadamard_two_powers),
+                         ("z", _holder_global_two_powers),
+                         ("t22", _power_mean_two_powers),
                          ("t22-mid", _power_mean_mid_two_powers),
                          ("eq15", _eq15_two_powers))
 }
@@ -1004,18 +1052,19 @@ def _bits(value):
 
 
 class TestOnePowerBrackets:
-    """z, t22-mid and eq15 take one power per row where the two-power form
-    took two; every bit, sign of zero included, is the two-power form's."""
+    """Every bracket takes one power per row where the two-power form took
+    two; every bit, sign of zero included, is the two-power form's."""
 
     @staticmethod
-    def values(width, q, da, db):
-        return {"width": width, "lam": 0.5, "mu": 0.5, "s": 0.7, "p": 2.5, "q": q, "da": da, "db": db}
+    def values(width, q, da, db, dx, lam=0.5):
+        return {"width": width, "lam": lam, "mu": 1.0 - lam, "s": 0.7, "p": 2.5, "q": q,
+                "da": da, "db": db, "dx": dx}
 
     @pytest.mark.parametrize("tag", TWO_POWERS)
     @pytest.mark.parametrize("q", [1.0, 1.0000001, 1.5, 2.0, 3.0, 40.0])
     @pytest.mark.parametrize("width", [1e-310, 2.0**-961, 1e-300, 1.0, 2.5, 1e300])
     def test_arrays_bit_for_bit(self, tag, q, width):
-        rng = np.random.default_rng(hash((tag, q, width)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(repr((tag, q, width)).encode()))
         n = 4000
         da = np.where(rng.random(n) < 0.3, rng.choice(SPECIAL_MAGNITUDES, n),
                       10.0 ** rng.uniform(-323.0, 307.0, n))
@@ -1024,36 +1073,70 @@ class TestOnePowerBrackets:
         da[swap], db[swap] = db[swap], da[swap].copy()
         db[::5] = da[::5]  # equal pairs
         da[1::7] = db[1::7] = 0.0  # rows of two zeros
+        dx = np.where(rng.random(n) < 0.3, da, rng.permutation(db))  # t21's middle magnitude
+        lam = np.where(rng.random(n) < 0.2, rng.choice([0.0, 1.0], n), rng.random(n))
         one, two = TWO_POWERS[tag]
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = one.bound(self.values(width, q, da, db)), two.bound(self.values(width, q, da, db))
+            got = one.bound(self.values(width, q, da, db, dx, lam))
+            want = two.bound(self.values(width, q, da, db, dx, lam))
         assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("tag", TWO_POWERS)
-    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 40.0])
+    @pytest.mark.parametrize("q", [1.0, 1.0000001, 1.5, 2.0, 3.0, 40.0])
     def test_floats_bit_for_bit(self, tag, q):
         # every pair of special magnitudes, each sign of zero, and seeded
-        # pairs: a row of two -0.0 keeps the two-power form's sign of zero
+        # pairs: a row of two -0.0 keeps the two-power form's sign of zero;
+        # t21's dx runs through the special magnitudes too
         rng = np.random.default_rng(int(q * 10))
-        pairs = [(u, v) for u in SPECIAL_MAGNITUDES + (-0.0,) for v in SPECIAL_MAGNITUDES + (-0.0,)]
-        pairs += list(zip(10.0 ** rng.uniform(-323.0, 307.0, 500), 10.0 ** rng.uniform(-323.0, 307.0, 500)))
+        special = SPECIAL_MAGNITUDES + (-0.0,)
+        middles = special if tag == "t21" else (1.0,)
+        triples = list(itertools.product(special, special, middles))
+        triples += [(u, v, 1.0) for u, v in zip(10.0 ** rng.uniform(-323.0, 307.0, 500),
+                                                10.0 ** rng.uniform(-323.0, 307.0, 500))]
         one, two = TWO_POWERS[tag]
-        for width in (1e-310, 1.0, 1e300):
-            for u, v in pairs:
+        for width, lam in ((1e-310, 0.3), (1.0, 0.0), (1.0, 0.3), (1.0, 1.0), (1e300, 0.3)):
+            for u, v, w in triples:
                 outcome = []
                 for theorem in (one, two):
                     try:
-                        outcome.append(_bits(theorem.bound(self.values(width, q, float(u), float(v)))))
+                        outcome.append(_bits(theorem.bound(self.values(width, q, float(u), float(v), w, lam))))
                     except OverflowError:
                         outcome.append("overflow")
-                assert outcome[0] == outcome[1], (tag, q, width, u, v)
+                assert outcome[0] == outcome[1], (tag, q, width, lam, u, v, w)
 
     def test_q_grid_of_the_sweep_with_float_magnitudes(self):
         # run_sweep feeds float |f'| values and an array of q, one per p
-        q = np.array([make_conjugate(p).q for p in (1.5, 2.0, 3.0, 40.0)])
-        for da, db in ((0.0, 0.0), (0.0, 2.0), (1.5, 0.5), (2.0, 2.0), (1e-320, 3e-321)):
+        p = np.array([1.5, 2.0, 3.0, 40.0])
+        q = np.array([make_conjugate(v).q for v in p])
+        for da, db in ((0.0, 0.0), (0.0, 2.0), (1.5, 0.5), (2.0, 2.0), (1e-320, 3e-321), (-0.0, -0.0)):
             values = {"width": 1.5, "lam": np.array([[0.0], [0.3], [1.0]]), "mu": np.array([[1.0], [0.7], [0.0]]),
-                      "s": np.array([0.25, 1.0])[:, None, None], "p": np.array([1.5, 2.0, 3.0, 40.0]),
-                      "q": q, "da": da, "db": db}
-            one, two = TWO_POWERS["z"]
-            assert np.array_equal(_bits(one.bound(values)), _bits(two.bound(values)))
+                      "s": np.array([0.25, 1.0])[:, None, None], "p": p, "q": q, "da": da, "db": db, "dx": db}
+            for tag, (one, two) in TWO_POWERS.items():
+                assert np.array_equal(_bits(one.bound(values)), _bits(two.bound(values))), (tag, da, db)
+
+
+def exact(tag, values):
+    """THEOREMS[tag] at the named values, each read exactly from its double,
+    in 200-bit mpmath arithmetic; the registry formula itself runs, so no
+    test restates it. Skips the calling test without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.mp.workprec(200):
+        return THEOREMS[tag].bound({key: mpmath.mpf(value) for key, value in values.items()})
+
+
+class TestExactArithmetic:
+    @pytest.mark.parametrize("tag", THEOREMS)
+    def test_every_formula_runs_on_mpf_and_agrees_with_its_double(self, tag):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(zlib.crc32(tag.encode()))
+        for _ in range(100):
+            lam = float(rng.random())
+            cp = make_conjugate(float(1.0 + 10.0 ** rng.uniform(-1.0, 1.5)))
+            values = {"width": float(10.0 ** rng.uniform(-3.0, 3.0)), "lam": lam, "mu": 1.0 - lam,
+                      "s": float(rng.uniform(0.05, 1.0)), "p": cp.p, "q": cp.q,
+                      **{key: float(10.0 ** rng.uniform(-3.0, 3.0)) for key in ("da", "db", "dx", "M")}}
+            got, want = THEOREMS[tag].bound(values), exact(tag, values)
+            assert isinstance(want, mpmath.mpf)
+            with mpmath.mp.workprec(200):
+                ulps = abs(mpmath.mpf(got) - want) / math.ulp(float(want))
+            assert ulps <= 8, (tag, values, got, want)

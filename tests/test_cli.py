@@ -211,13 +211,24 @@ class TestBoundCommand:
         assert got == want
         assert "expected one argument" not in got[2]
 
-    @pytest.mark.parametrize("token", ["-5.", "-inf", "-nan", "-1e", "-e5", "-1e5x"])
+    @pytest.mark.parametrize("token", ["-1e", "-e5", "-1e5x"])
     def test_other_dash_tokens_still_parse_as_before(self, capsys, token):
-        # only negative numbers with an exponent changed how they parse
+        # a token float() does not read is taken for an option, as argparse takes it
         code, out, err = run(capsys, "bound", "--theorem", "eq14", "--a", token,
                              "--b", "1", "--da", "1", "--db", "1")
         assert (code, out) == (2, "")
         assert "argument --a: expected one argument" in err
+
+    @pytest.mark.parametrize("token", ["-5.", "-inf", "-nan"])
+    def test_dash_tokens_that_float_reads_are_values(self, capsys, token):
+        # the same bytes and exit code as the token joined to its option by "="
+        argv = ("--b", "1", "--da", "1", "--db", "1")
+        got = run(capsys, "bound", "--theorem", "eq14", "--a", token, *argv)
+        assert got == run(capsys, "bound", "--theorem", "eq14", f"--a={token}", *argv)
+        if math.isfinite(float(token)):
+            assert got[0] == 0
+        else:
+            assert got == (2, "", f"error: a must be finite, got {float(token)!r}\n")
 
     def test_negative_number_with_an_exponent_in_a_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -828,6 +839,24 @@ class TestQuadCommand:
             code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: poly coefficients must be finite, got {value}\n")
         assert not caught
+
+    @pytest.mark.parametrize("argv,message", [
+        (("quad", "--fn", "breckner:0,1,nan,0.5", "--a", "0.5", "--b", "1", "--target", "1", "--variant", "p5"),
+         "breckner w must be finite, got nan"),
+        (("verify", "--functions", "breckner:0,1,nan,0.5"), "breckner w must be finite, got nan"),
+        (("verify", "--functions", "breckner:inf,1,0,0.5"), "breckner u must be finite, got inf"),
+        (("verify", "--functions", "breckner:0,-inf,0,0.5"), "breckner v must be finite, got -inf"),
+    ])
+    def test_non_finite_breckner_parameter_is_refused_at_the_spec(self, capsys, argv, message):
+        # quad reported "a value overflowed double precision", verify an oracle
+        # failure (exit 3) for the nan, and verify ran u = inf to exit 0
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("k", ["inf", "nan"])
+    def test_non_finite_powabs_exponent_is_refused_at_the_spec(self, capsys, k):
+        # k = inf was reported as non-finite "derivative magnitudes"
+        argv = ("quad", "--fn", f"powabs:{k}", "--a", "0.5", "--b", "1", "--target", "1", "--variant", "p5")
+        assert run(capsys, *argv) == (2, "", f"error: powabs exponent must be finite, got {k}\n")
 
     def test_overflow_exits_2(self, capsys):
         # f(m) * w = 2e308 at one panel printed "approx": Infinity and exited 0

@@ -1,9 +1,10 @@
 """A seeded contract fuzzer for the CLI, in process.
 
-It draws commands for the formulas with a single-power form (bound z, eq15
-and t22; means, whose p3 row is t22-mid; quad p5 and p6) from extreme
-floats and plausible ones, each written as its own token, a negative one
-often in scientific notation, and asserts the contract the CLI states:
+It draws commands for every bound tag, for means, for quad p4, p5 and p6
+and for verify on one function with 2-point grids, from extreme floats and
+plausible ones, each written as its own token, a negative one often in
+scientific notation; a function spec's parameters are drawn from the
+extremes too, nan and inf included. It asserts the contract the CLI states:
 
 - the exit code is 0, 1, 2 or 3, and no exception leaves main;
 - nothing reaches stderr but the CLI's own error line (argparse's usage
@@ -66,16 +67,34 @@ CONJUGATE = token(st.floats(1.025, 50.0))
 #: are in order unless an extreme is drawn
 LEFT, MIDDLE, RIGHT = token(st.floats(0.0, 1.0)), token(st.floats(1.0, 3.0)), token(st.floats(3.0, 4.0))
 SLOPE = token(st.floats(0.0, 10.0))
+#: the inputs of each bound tag, as the CLI's table of tags states them
 BOUND_INPUTS = {
+    "t20": {"x": MIDDLE, "s": UNIT, "da": SLOPE, "db": SLOPE},
+    "teo1": {"x": MIDDLE, "s": UNIT, "p": CONJUGATE, "da": SLOPE, "db": SLOPE},
+    "t21": {"x": MIDDLE, "s": UNIT, "p": CONJUGATE, "da": SLOPE, "dx": SLOPE, "db": SLOPE},
     "z": {"x": MIDDLE, "s": UNIT, "p": CONJUGATE, "da": SLOPE, "db": SLOPE},
-    "eq15": {"p": CONJUGATE, "da": SLOPE, "db": SLOPE},
     "t22": {"x": MIDDLE, "s": UNIT, "q": EXPONENT, "da": SLOPE, "db": SLOPE},
+    "eq11": {"x": MIDDLE, "m": SLOPE},
+    "ee": {"x": MIDDLE, "s": UNIT, "p": CONJUGATE, "m": SLOPE},
+    "eq14": {"da": SLOPE, "db": SLOPE},
+    "eq15": {"p": CONJUGATE, "da": SLOPE, "db": SLOPE},
+    "eq16": {"p": CONJUGATE, "da": SLOPE, "db": SLOPE},
 }
-COEFFICIENT = token(st.floats(-3.0, 3.0))
+
+
+def parameter(plausible):
+    """A spec parameter: a token(plausible) seven times in eight, else nan or
+    a signed inf, which the spec must refuse by the parameter's name."""
+    return st.builds(lambda pick, bad, good: bad if pick == 0 else good,
+                     st.integers(0, 7), st.sampled_from(("nan", "inf", "-inf")), token(plausible))
+
+
+COEFFICIENT = parameter(st.floats(-3.0, 3.0))
 SPECS = st.one_of(
     st.builds(lambda c: "poly:" + ",".join(c), st.lists(COEFFICIENT, min_size=1, max_size=4)),
-    st.builds(lambda k: "powabs:" + k, token(st.floats(1.0, 4.0))),
-    st.builds(lambda u, v, w, s: f"breckner:{u},{v},{w},{s}", COEFFICIENT, COEFFICIENT, COEFFICIENT, UNIT),
+    st.builds(lambda k: "powabs:" + k, parameter(st.floats(1.0, 4.0))),
+    st.builds(lambda u, v, w, s: f"breckner:{u},{v},{w},{s}", COEFFICIENT, COEFFICIENT, COEFFICIENT,
+              parameter(st.floats(0.0, 1.0))),
 )
 #: a target of 1e-4 or more meets a bound of order one within 2^14 panels,
 #: so most commands take a few milliseconds; the extremes still reach the
@@ -102,10 +121,31 @@ def means_commands():
 def quad_commands():
     common = {"fn": SPECS, "a": LEFT, "b": RIGHT, "target": TARGET}
     return st.one_of(
+        st.builds(lambda inputs: ["quad", "--variant", "p4"] + flags(inputs),
+                  st.fixed_dictionaries({**common, "p": CONJUGATE})),
         st.builds(lambda inputs: ["quad", "--variant", "p5"] + flags(inputs),
                   st.fixed_dictionaries(common)),
         st.builds(lambda inputs: ["quad", "--variant", "p6"] + flags(inputs),
                   st.fixed_dictionaries({**common, "q": EXPONENT})),
+    )
+
+
+def grid(plausible):
+    """A 2-point grid, written as one token: each point an extreme one time
+    in eight, else a plausible one. A grid is no number, so argparse takes
+    one that starts with '-' for an option; its points are drawn >= 0."""
+    point = st.builds(lambda pick, extreme, plain: repr(extreme if pick == 0 else plain),
+                      st.integers(0, 7), st.sampled_from(EXTREMES), plausible)
+    return st.builds(lambda u, v: f"{u},{v}", point, point)
+
+
+def verify_commands():
+    inputs = {"functions": SPECS, "s-grid": grid(st.floats(0.01, 1.0)), "x-points": st.just("2"),
+              "p-grid": grid(st.floats(1.025, 50.0))}
+    return st.one_of(
+        st.builds(lambda values: ["verify"] + flags(values), st.fixed_dictionaries(inputs)),
+        st.builds(lambda values: ["verify"] + flags(values), st.fixed_dictionaries(
+            {**inputs, "a": LEFT, "b": RIGHT, "tol": TARGET})),
     )
 
 
@@ -175,3 +215,7 @@ def test_means_keeps_the_contract():
 
 def test_quad_keeps_the_contract():
     assert fuzz(quad_commands()) == {0, 2, 3}
+
+
+def test_verify_keeps_the_contract():
+    assert fuzz(verify_commands()) == {0, 2}

@@ -111,6 +111,17 @@ class TestBrecknerFunction:
         with pytest.raises(DomainError):
             make_breckner(0.0, 1.0, 0.0, 1.5)
 
+    @pytest.mark.parametrize("name", ["u", "v", "w"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_refused_by_name(self, name, bad):
+        # the record itself checks, so make_breckner and a direct build alike
+        params = {"u": 0.0, "v": 1.0, "w": 0.0, "s": 0.5, name: bad}
+        message = re.escape(f"breckner {name} must be finite, got {bad!r}")
+        with pytest.raises(DomainError, match=message):
+            BrecknerFunction(**params)
+        with pytest.raises(DomainError, match=message):
+            make_breckner(**params)
+
 
 class TestCheckSconvex:
     def test_sqrt_consistent(self):
@@ -795,6 +806,11 @@ class TestFunctionRegistry:
         assert fn(-3.0) == 9.0
         assert fn.deriv(-3.0) == -6.0
         assert fn.deriv(0.0) == 0.0
+
+    @pytest.mark.parametrize("k", ["inf", "-inf", "nan"])
+    def test_non_finite_powabs_exponent_is_refused(self, k):
+        with pytest.raises(DomainError, match=f"powabs exponent must be finite, got {k}"):
+            parse_function_spec(f"powabs:{k}")
 
     def test_overflowing_derivative_coefficient_raises_overflow_error(self):
         # polyder's 2 * 1.8e308 printed a numpy warning and left inf in f'
