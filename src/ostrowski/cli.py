@@ -29,6 +29,7 @@ from .core import (
     EndpointData,
     Interval,
     VerificationRecord,
+    _overflow_raises,
     _require_s,
     make_conjugate,
 )
@@ -131,24 +132,25 @@ def run_sweep(cfg: SweepConfig) -> list:
         iv = _sweep_interval(fn.label, cfg)
         iv.require_nonnegative()
         xs = np.linspace(iv.a, iv.b, cfg.x_grid_points)
-        ep = EndpointData(da=abs(fn.deriv(iv.a)), db=abs(fn.deriv(iv.b)))
-        dx = np.abs(fn.deriv(xs))[:, None]
-        if not np.all(np.isfinite(dx)):
-            raise DomainError(f"dx must be finite on the sweep grid of {fn.label}")
-        lam, mu = _offsets(iv, xs[:, None])
-        values = {"width": iv.width, "lam": lam, "mu": mu, "s": s, "p": p, "q": q,
-                  "da": ep.da, "db": ep.db, "dx": dx}
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            bounds = {tag: THEOREMS[tag].bound(values) for tag in SWEEP_THEOREMS}
-        for theorem, value in bounds.items():
-            if np.any(value == np.inf):  # finite inputs reach inf only by overflowing
-                raise OverflowError(f"bound {theorem} overflowed for {fn.label}")
-            if not np.all(value >= 0.0):  # NaN fails too
-                raise DomainError(f"bound {theorem} produced invalid values for {fn.label}")
-        # after the bound checks, so that a bound that overflows is reported
-        # even where the oracle cannot reach its tolerance
-        mean = reference_integrate(fn, iv, 1e-12 * iv.width, epsrel=ORACLE_EPSREL) / iv.width
-        grid = list(zip(xs.tolist(), np.abs(fn(xs) - mean).tolist()))
+        with _overflow_raises():  # in f', in f or in the oracle
+            ep = EndpointData(da=abs(fn.deriv(iv.a)), db=abs(fn.deriv(iv.b)))
+            dx = np.abs(fn.deriv(xs))[:, None]
+            if not np.all(np.isfinite(dx)):
+                raise DomainError(f"dx must be finite on the sweep grid of {fn.label}")
+            lam, mu = _offsets(iv, xs[:, None])
+            values = {"width": iv.width, "lam": lam, "mu": mu, "s": s, "p": p, "q": q,
+                      "da": ep.da, "db": ep.db, "dx": dx}
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+                bounds = {tag: THEOREMS[tag].bound(values) for tag in SWEEP_THEOREMS}
+            for theorem, value in bounds.items():
+                if np.any(value == np.inf):  # finite inputs reach inf only by overflowing
+                    raise OverflowError(f"bound {theorem} overflowed for {fn.label}")
+                if not np.all(value >= 0.0):  # NaN fails too
+                    raise DomainError(f"bound {theorem} produced invalid values for {fn.label}")
+            # after the bound checks, so that a bound that overflows is reported
+            # even where the oracle cannot reach its tolerance
+            mean = reference_integrate(fn, iv, 1e-12 * iv.width, epsrel=ORACLE_EPSREL) / iv.width
+            grid = list(zip(xs.tolist(), np.abs(fn(xs) - mean).tolist()))
         prepared.append((fn.label, grid, bounds, cfg.tol + oracle_excess(1e-12, mean)))
     records = []
     for theorem in SWEEP_THEOREMS:
@@ -363,14 +365,14 @@ def _parse_functions(text: str) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, reading a token as a value wherever float() reads it, so that
-    --a -1e-3, --a -inf and --a -5. mean what --a=-1e-3, --a=-inf and --a=-5.
-    mean. Python 3.11's argparse reads a token that starts with '-' as a value
-    only if it is -digits or -digits.digits, and took any other for an option."""
+    """argparse, reading a token as a value where float() reads each of its
+    comma-separated items: --a -inf and --s-grid -0.5,1 mean --a=-inf and
+    --s-grid=-0.5,1. Python 3.11's argparse reads a token that starts with '-'
+    as a value only if it is -digits or -digits.digits."""
 
     def _parse_optional(self, arg_string):
         try:
-            float(arg_string)
+            [float(item) for item in arg_string.split(",")]
         except ValueError:
             return super()._parse_optional(arg_string)
         return None  # a value, not an option

@@ -7,6 +7,8 @@ from its average, so every midpoint bound specializes to a mean inequality
 by substituting |f'(t)| = s t^(s-1) at the required points. The three
 variants are exposed through :func:`means_gap_bound`, which checks every
 exponent given, whether its variant reads it or not, as evaluate does.
+The gap is formed without cancellation to a relative error below 2^-47
+(see _mean_powers); :func:`means_gap` cross-checks it only when asked.
 
 The underlying midpoint bounds assume s-convexity of the slope magnitude
 (or a power of it); the gap statements inherit that hypothesis without
@@ -120,10 +122,8 @@ def _gap_args(a: float, b: float, s: float) -> Tuple[float, float, float]:
     return a, b, s
 
 
-#: Below this u = (b-a)/(b+a) the gap is summed from its series: the closed
-#: form cancels to about eps/u^2 relative there, and the series needs at
-#: most eight terms, each under u^2 = 1e-2 times the one before.
-_SERIES_BELOW = 0.1
+#: Below this u = (b-a)/(b+a) the gap is summed from its series, in <= 24 terms.
+_SERIES_BELOW = 0.5
 
 
 def _scale_exponent(b: float) -> int:
@@ -133,50 +133,73 @@ def _scale_exponent(b: float) -> int:
     return 0 if 2.0**-500 < b < 2.0**500 else math.frexp(b)[1] - 1  # bounds folded when compiled
 
 
+def _excess(z: float) -> float:
+    """e^z - 1 - z to a few ulps: its series on (-1, 2), else two terms."""
+    if not -1.0 < z < 2.0:
+        return math.expm1(z) - z if z > 0.0 else math.exp(z) + (-1.0 - z)
+    term, total, k = z * z / 2.0, 0.0, 2.0
+    while abs(term) > 1e-17 * total:
+        total += term
+        k += 1.0
+        term *= z / k
+    return total
+
+
+def _weighted_psi(c: float, s: float) -> float:
+    """e^c psi(c), psi(c) = e^(sc) - 1 - s expm1(c) = E(sc) - s E(c) = e^c (E(-tc) - t E(-c))
+    for E = _excess and t = 1 - s: the first cancels at most (1+s)/(1-s) fold, the second
+    (1+t)/(1-t), so the one taken, for s <= 1/2 or above, at most 3 fold."""
+    r, z, weight = (s, c, math.exp(c)) if s <= 0.5 else (1.0 - s, -c, math.exp(2.0 * c))
+    return weight * (_excess(r * z) - r * _excess(z))
+
+
 def _mean_powers(a: float, b: float, s: float) -> Tuple[float, float, float]:
     """(A^s, L_s^s, |A^s - L_s^s|) for 0 < a < b and s in (0, 1).
 
-    With m = (a+b)/2 and u = (b-a)/(b+a),
-    L_s^s - A^s = m^s * sum_{k>=1} C(s+1, 2k+1)/(s+1) * u^(2k), whose terms
-    all have the sign of s(s-1); for small u that sum replaces the
-    difference of the two closed forms.
+    With m = (a+b)/2 and u = (b-a)/(b+a), the gap is m^s N/(2u(s+1)) with
+    N = 2u(s+1) - (1+u)^(s+1) + (1-u)^(s+1) > 0, and L_s^s = m^s - gap. For
+    u < 1/2, N/(2u(s+1)) = sum_{k>=1} -C(s+1, 2k+1)/(s+1) u^(2k) is summed
+    from terms of one sign; else N = e^B psi(B) - e^A psi(A) with
+    A = ln(1+u), B = ln(1-u) (see _weighted_psi). The gap's relative error
+    is below 2^-47 (64 units of 2^-53), plus 2^-1072 absolute where it
+    underflows: each psi loses at most 3 fold to cancellation, N's difference
+    at most 3/((1+s)u) <= 6 fold more (5.3 at u = 1/2), the series a few ulp.
 
-    Each term is homogeneous of degree s in (a, b). Where b is outside
-    (2^-500, 2^500), so that b^(s+1) or the midpoint could leave the normal
-    range, a and b are scaled by the power of two 2^-k that brings b into
-    [1, 2), which is exact, and the three results by (2^k)^s.
+    The terms are homogeneous of degree s in (a, b). Where b is outside
+    (2^-500, 2^500), a and b are scaled by the power of two 2^-k that brings
+    b into [1, 2), exactly unless a underflows, and the results by (2^k)^s.
     """
     k = _scale_exponent(b)
-    if k:
-        mean_power, avg_ts, gap = _mean_powers(math.ldexp(a, -k), math.ldexp(b, -k), s)
-        scale = math.ldexp(1.0, k) ** s
-        return mean_power * scale, avg_ts * scale, gap * scale
-    m = (a + b) / 2.0
-    mean_power = m**s
-    u = (b - a) / (b + a)
-    if u >= _SERIES_BELOW:
-        avg_ts = (b ** (s + 1.0) - a ** (s + 1.0)) / ((s + 1.0) * (b - a))
-        return mean_power, avg_ts, abs(mean_power - avg_ts)
-    u2 = u * u
-    term, total, j = s * (s - 1.0) / 6.0 * u2, 0.0, 2.0  # the k = 1 term, j = 2k
-    while abs(term) > 1e-17 * abs(total):
-        total += term
-        term *= (s - j) * (s - j - 1.0) / ((j + 2.0) * (j + 3.0)) * u2
-        j += 2.0
-    excess = mean_power * total
-    return mean_power, mean_power + excess, abs(excess)
+    a_k, b_k = math.ldexp(a, -k), math.ldexp(b, -k)
+    mean_power = ((a_k + b_k) / 2.0) ** s
+    u = (b_k - a_k) / (b_k + a_k)
+    if u < _SERIES_BELOW:
+        u2 = u * u
+        term, total, p, q = s * (1.0 - s) / 6.0 * u2, 0.0, 2.0 - s, 4.0  # k = 1, p = 2k - s, q = 2k + 2
+        while term > 1e-17 * total:
+            total += term
+            term *= p * (p + 1.0) / (q * (q + 1.0)) * u2
+            p, q = p + 2.0, q + 2.0
+    else:
+        # B from the unscaled ln(b/a) keeps what 1 - u and a_k lose; capped where e^B is nil
+        alpha = math.log1p(u)
+        beta = max(alpha - _log_ratio(a, b), -700.0)
+        total = (_weighted_psi(beta, s) - _weighted_psi(alpha, s)) / (2.0 * u * (s + 1.0))
+    gap = mean_power * total
+    scale = math.ldexp(1.0, k) ** s
+    return mean_power * scale, (mean_power - gap) * scale, gap * scale
 
 
-def means_gap(a: float, b: float, s: float, oracle_tol: Optional[float] = 1e-10) -> float:
+def means_gap(a: float, b: float, s: float, oracle_tol: Optional[float] = None) -> float:
     """|A(a,b)^s - (b^(s+1) - a^(s+1)) / ((s+1)(b-a))| for 0 < a < b.
 
     The second term is the s-th power of the s-logarithmic mean, i.e. the
     average of t^s over [a, b], so the gap equals the midpoint deviation of
-    t^s. For near-equal endpoints the difference is summed from its series
-    instead, which keeps it accurate to a few ulps where the two terms
-    cancel. When oracle_tol is given the result is cross-checked against
-    the reference integrator, to ten times the oracle's accuracy, and a
-    disagreement raises ConvergenceError.
+    t^s. It is formed to a relative error below 2^-47 (2^-1072 absolute
+    where it underflows) for every s in (0, 1) and any ends. Only when
+    oracle_tol is given is it cross-checked against the reference
+    integrator, to ten times the oracle's accuracy; a disagreement raises
+    ConvergenceError.
     """
     a, b, s_val = _gap_args(a, b, s)
     _, avg_ts, gap = _mean_powers(a, b, s_val)

@@ -211,13 +211,25 @@ class TestBoundCommand:
         assert got == want
         assert "expected one argument" not in got[2]
 
-    @pytest.mark.parametrize("token", ["-1e", "-e5", "-1e5x"])
+    @pytest.mark.parametrize("token", ["-1e", "-e5", "-1e5x", "-x"])
     def test_other_dash_tokens_still_parse_as_before(self, capsys, token):
         # a token float() does not read is taken for an option, as argparse takes it
         code, out, err = run(capsys, "bound", "--theorem", "eq14", "--a", token,
                              "--b", "1", "--da", "1", "--db", "1")
         assert (code, out) == (2, "")
         assert "argument --a: expected one argument" in err
+
+    def test_grid_starting_with_a_dash_is_a_value(self, capsys):
+        # "-0.5,1" is no float, and argparse took it for an option
+        got = run(capsys, "verify", "--s-grid", "-0.5,1", "--functions", "poly:0,1")
+        assert got == run(capsys, "verify", "--s-grid=-0.5,1", "--functions", "poly:0,1")
+        assert got == (2, "", "error: s must lie in (0, 1], got -0.5\n")
+
+    @pytest.mark.parametrize("grid", ["-1e", "-e5", "-1e5x", "-x", "-0.5,x"])
+    def test_grid_with_an_item_float_does_not_read_is_an_option(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--s-grid", grid, "--functions", "poly:0,1")
+        assert (code, out) == (2, "")
+        assert "argument --s-grid: expected one argument" in err
 
     @pytest.mark.parametrize("token", ["-5.", "-inf", "-nan"])
     def test_dash_tokens_that_float_reads_are_values(self, capsys, token):
@@ -671,6 +683,20 @@ class TestSweepConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run(capsys, "verify", "--functions", "poly:0,0,1e308")
+        assert result == (2, "", "error: a value overflowed double precision\n")
+
+    @pytest.mark.parametrize("argv", [
+        # f'(1e308) = 2e154 * 1e308 overflowed in polyval: a RuntimeWarning,
+        # then "db must be a finite magnitude >= 0, got inf"
+        ("--functions", "poly:0,0,1e154", "--a", "0.1", "--b", "1e308"),
+        # f = 1e308 + 1e308 t overflowed in the oracle: a RuntimeWarning, then
+        # exit 3 as a non-finite integrand
+        ("--functions", "poly:1e308,1e308"),
+    ], ids=["derivative", "oracle"])
+    def test_evaluator_overflow_is_an_overflow(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(capsys, "verify", *argv, "--s-grid", "0.5", "--p-grid", "2", "--x-points", "2")
         assert result == (2, "", "error: a value overflowed double precision\n")
 
     def test_overflowing_bound_exits_2(self, capsys):

@@ -32,6 +32,19 @@ S3_GRID = [
 ]
 
 
+def _exact_means(a, b, s, digits=50):
+    """(A^s, L_s^s, A^s - L_s^s) for the floats a < b and s, in decimal at digits.
+
+    Unary + rounds each input to digits as well, a change far below what a
+    test resolves; the exponent s keeps its 750 digits at 1e-300 otherwise."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        da, db, ds = +Decimal(a), +Decimal(b), +Decimal(s)
+        mean_power = ((da + db) / 2) ** ds
+        avg = (db ** (ds + 1) - da ** (ds + 1)) / ((ds + 1) * (db - da))
+        return mean_power, avg, mean_power - avg
+
+
 class TestElementaryMeans:
     def test_arithmetic(self):
         assert arithmetic_mean(1.0, 2.0) == 1.5
@@ -175,24 +188,9 @@ class TestMeansGap:
         # the two powers in double precision loses that many digits
         for a in (0.5, 1.0, 3.0):
             b = a * (1.0 + rel_width)
-            with localcontext() as ctx:
-                ctx.prec = 50
-                da, db, ds = Decimal(a), Decimal(b), Decimal(s)
-                exact = abs(
-                    ((da + db) / 2) ** ds
-                    - (db ** (ds + 1) - da ** (ds + 1)) / ((ds + 1) * (db - da))
-                )
+            exact = _exact_means(a, b, s)[2]
             got = means_gap(a, b, s)
             assert abs(Decimal(got) - exact) <= Decimal(1e-12) * exact, (a, b, s)
-
-    @staticmethod
-    def _gap_50_digits(a, b, s):
-        with localcontext() as ctx:
-            ctx.prec = 50
-            da, db, ds = Decimal(a), Decimal(b), Decimal(s)
-            mean_power = ((da + db) / 2) ** ds
-            avg = (db ** (ds + 1) - da ** (ds + 1)) / ((ds + 1) * (db - da))
-            return mean_power, avg, abs(mean_power - avg)
 
     @pytest.mark.parametrize("a,b", [
         (5e-324, 1e-323),  # b^(s+1) underflowed to 0 and the gap read A^s, 3.1e-162
@@ -202,7 +200,7 @@ class TestMeansGap:
     ])
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
     def test_endpoints_far_from_1_against_50_digits(self, a, b, s):
-        want = self._gap_50_digits(a, b, s)
+        want = _exact_means(a, b, s)
         got = _mean_powers(a, b, s)
         for g, w in zip(got, want):
             assert abs(Decimal(g) - w) <= Decimal(1e-12) * w, (a, b, s)
@@ -218,8 +216,8 @@ class TestMeansGap:
     def test_subnormal_endpoints_pass_the_oracle_cross_check(self):
         # 1e-9 * (b - a) underflows to 0: the relative tolerance lets the
         # oracle run, and the gap is the 50-digit one
-        got = means_gap(5e-324, 1e-323, 0.5)
-        want = self._gap_50_digits(5e-324, 1e-323, 0.5)[2]
+        got = means_gap(5e-324, 1e-323, 0.5, oracle_tol=1e-10)
+        want = _exact_means(5e-324, 1e-323, 0.5)[2]
         assert abs(Decimal(got) - want) <= Decimal(1e-12) * want
 
     @pytest.mark.parametrize("a,b,s", [(1e14, 3e14, 0.9), (1e20, 3e20, 0.75), (1e200, 3e200, 0.5),
@@ -231,8 +229,8 @@ class TestMeansGap:
         # cancels there too, A^s being 450 times the gap: 1e-11 relative.
         # The integral of t^s over the last two, 6.7e461 and 5.3e569, is
         # taken on [a, b] scaled into range; unscaled, it overflowed
-        got = means_gap(a, b, s)
-        want = self._gap_50_digits(a, b, s)[2]
+        got = means_gap(a, b, s, oracle_tol=1e-10)
+        want = _exact_means(a, b, s)[2]
         assert abs(Decimal(got) - want) <= Decimal(1e-11) * want
 
     def test_oracle_evaluates_through_make_breckner(self, monkeypatch):
@@ -247,16 +245,27 @@ class TestMeansGap:
             return dataclasses.replace(fn, f=lambda t: points.append(np.size(t)) or fn.f(t))
 
         monkeypatch.setattr(means, "make_breckner", counting_breckner)
-        got = means_gap(1.0, 2.0, 0.5)
+        got = means_gap(1.0, 2.0, 0.5, oracle_tol=1e-10)
         assert points == [15, 1]
         assert got == means_gap(1.0, 2.0, 0.5, oracle_tol=None)
+
+    def test_default_evaluates_no_point(self, monkeypatch):
+        # the stated error bound replaces the cross-check: by default the
+        # oracle builds and evaluates nothing
+        from ostrowski import means
+
+        def no_breckner(*args):
+            raise AssertionError("the default gap reached the oracle")
+
+        monkeypatch.setattr(means, "make_breckner", no_breckner)
+        assert means_gap(1.0, 2.0, 0.5) == means_gap(1.0, 2.0, 0.5, oracle_tol=None)
 
     def test_closed_form_disagreeing_with_the_oracle_raises(self, monkeypatch):
         from ostrowski import means
 
         monkeypatch.setattr(means, "_mean_powers", lambda a, b, s: (1.0, 1.0, 0.5))
         with pytest.raises(ConvergenceError, match="disagrees with oracle"):
-            means_gap(1.0, 2.0, 0.5)
+            means_gap(1.0, 2.0, 0.5, oracle_tol=1e-10)
 
     def test_s_one_rejected(self):
         with pytest.raises(DomainError):
@@ -265,6 +274,53 @@ class TestMeansGap:
     def test_unordered_rejected(self):
         with pytest.raises(DomainError):
             means_gap(2.0, 1.0, 0.5)
+
+
+class TestGapErrorBound:
+    """The gap against exact decimal references, within the bound
+    _mean_powers states: 2^-47 relative, plus 2^-1072 absolute where the
+    gap underflows."""
+
+    @staticmethod
+    def _check(a, b, s):
+        # A^s and L_s^s agree to about s(1-s)u^2/6 relative: 40 digits more
+        u = (b - a) / (b + a)
+        lost = -(math.log10(s) + math.log10(1.0 - s) + 2.0 * math.log10(u) - math.log10(6.0))
+        exact = _exact_means(a, b, s, 40 + math.ceil(lost))[2]
+        got = _mean_powers(a, b, s)[2]
+        assert abs(Decimal(got) - exact) <= Decimal(2.0**-47) * exact + Decimal(2.0**-1072), (a, b, s)
+
+    @pytest.mark.parametrize("a,b,s", [
+        (1.0, 2.0, 0.9999999999),  # 2.9e-5 relative when A^s - L_s^s was subtracted
+        (1.0, 2.0, 1e-10),  # 8.5e-5
+        (1.0, 2.0, 1.0 - 1e-6),  # 5.5e-9
+        (1.0, 1.3, 1.0 - 1e-8),  # 4.0e-6
+        (1.0, 2.0, 0.5),  # 4.1e-14, about 185 ulp
+        # the worst of 240,000 draws near u = 1/2 and s = 1/2: 43 units of 2^-53
+        (1.1331400095105078, 3.4727615567115233, 0.5004002680612442),
+        # 77 units where psi is expm1(sc) - s expm1(c), whose two terms cancel
+        # up to 8/|c| fold at s = 1/2; 13 units as a difference of excesses
+        (1.9577260105170735, 6.052533888095599, 0.504222482084092),
+    ])
+    def test_cancellation_reproducers(self, a, b, s):
+        self._check(a, b, s)
+
+    def test_seeded_draws(self):
+        # s from 1e-300 to 1 - 2^-53, log-uniform near either end; b/a from
+        # 1 + 2e-8 (u = 1e-8) to 2^1000, across the series threshold; ends
+        # from 2^-1070 up, about half of them on the scaled path
+        rng = np.random.default_rng(28)
+        drawn = 0
+        while drawn < 1000:
+            s = float(rng.choice([10.0 ** rng.uniform(-300.0, math.log10(0.5)),
+                                  1.0 - 10.0 ** rng.uniform(math.log10(2.0**-53), math.log10(0.5)),
+                                  rng.uniform(2.0**-53, 1.0 - 2.0**-53)]))
+            log_ratio = 10.0 ** rng.uniform(math.log10(2e-8), math.log10(1000.0 * math.log(2.0)))
+            a = 2.0 ** rng.uniform(-1070.0, 1020.0 - log_ratio / math.log(2.0))
+            b = a * math.exp(log_ratio)
+            if a < b:
+                self._check(a, b, s)
+                drawn += 1
 
 
 class TestMeansGapBound:
