@@ -2,7 +2,8 @@
 means, certified quadrature, and the kernel identity check.
 
 Exit codes: 0 success, 1 at least one inequality failed, 2 usage, domain
-error, overflow or a --config/--out file error, 3 oracle non-convergence.
+error, overflow, exhausted memory or a --config/--out file error, 3 oracle
+non-convergence.
 JSON is the canonical machine format and is byte-identical across runs with
 identical flags (fixed field order, shortest round-trip float printing);
 CSV is a flat projection; the human format rounds to 6 significant digits
@@ -30,13 +31,14 @@ from .core import (
     Interval,
     VerificationRecord,
     _overflow_raises,
+    _require_positive,
     _require_s,
     make_conjugate,
 )
 from .kernel import _montgomery_records
 from .means import GAP_VARIANTS, _mean_powers, means_gap, means_gap_bound
 from .quadrature import _PANEL_BOUNDS, ERROR_BOUND_VARIANTS, certified_integrate
-from .toolkit import ORACLE_EPSREL, oracle_excess, parse_function_spec, reference_integrate
+from .toolkit import oracle_integral, parse_function_spec
 
 __all__ = ["main", "entrypoint", "SweepConfig", "run_sweep", "DEFAULT_IDENTITY_POLYS"]
 
@@ -77,8 +79,10 @@ BOUND_THEOREMS = SWEEP_THEOREMS + ("eq11", "ee", "eq14", "eq15", "eq16")
 class SweepConfig:
     """Grids and options for the domination sweep.
 
-    Construction checks every s (in (0, 1]) and every p (> 1), so a bad
-    grid is rejected before any oracle work.
+    Construction checks every s (in (0, 1]), every p (> 1), tol (finite
+    and > 0) and x_grid_points (at least 2, and few enough for numpy to
+    index their float64 array), so bad options are rejected before any
+    oracle work.
     """
 
     s_grid: tuple = (0.25, 0.5, 0.75, 1.0)
@@ -93,10 +97,15 @@ class SweepConfig:
             raise DomainError("sweep grids must be non-empty")
         if not self.function_specs:
             raise DomainError("sweep needs at least one function spec")
-        if not self.tol > 0.0:
-            raise DomainError("sweep tol must be positive")
+        object.__setattr__(self, "tol", _require_positive("tol", self.tol))
         if self.x_grid_points < 2:
             raise DomainError("sweep needs at least two x grid points")
+        most = np.iinfo(np.intp).max // 8  # an array's size in bytes is an intp
+        if self.x_grid_points > most:
+            raise DomainError(
+                f"sweep x grid of {self.x_grid_points} points is beyond the "
+                f"{most} float64 values numpy can index"
+            )
         object.__setattr__(self, "s_grid", tuple(_require_s(s) for s in self.s_grid))
         object.__setattr__(self, "p_grid", tuple(make_conjugate(p).p for p in self.p_grid))
 
@@ -118,8 +127,8 @@ def run_sweep(cfg: SweepConfig) -> list:
     Per function, the oracle average is computed once, the deviation and
     |f'| once over the whole x grid, and each theorem's bound with one
     broadcast call of its formula over the whole (s, x, p) grid; each
-    deviation is checked against every bound, with slack cfg.tol plus what
-    the oracle's relative tolerance adds to the accuracy of the average.
+    deviation is checked against every bound, with slack cfg.tol plus the
+    excess oracle_integral adds to the accuracy of the average.
     """
     s = np.array(cfg.s_grid)[:, None, None]
     p = np.array(cfg.p_grid)
@@ -149,9 +158,9 @@ def run_sweep(cfg: SweepConfig) -> list:
                     raise DomainError(f"bound {theorem} produced invalid values for {fn.label}")
             # after the bound checks, so that a bound that overflows is reported
             # even where the oracle cannot reach its tolerance
-            mean = reference_integrate(fn, iv, 1e-12 * iv.width, epsrel=ORACLE_EPSREL) / iv.width
-            grid = list(zip(xs.tolist(), np.abs(fn(xs) - mean).tolist()))
-        prepared.append((fn.label, grid, bounds, cfg.tol + oracle_excess(1e-12, mean)))
+            integral, excess = oracle_integral(fn, iv, 1e-12 * iv.width)
+            grid = list(zip(xs.tolist(), np.abs(fn(xs) - integral / iv.width).tolist()))
+        prepared.append((fn.label, grid, bounds, cfg.tol + excess / iv.width))
     records = []
     for theorem in SWEEP_THEOREMS:
         for label, grid, bounds, slack in prepared:
@@ -494,6 +503,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OverflowError:
         print("error: a value overflowed double precision", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)

@@ -6,9 +6,10 @@ result/record containers returned by every other module. Construction
 validates; a successfully built object is safe to share between threads.
 
 Each kind of scalar hypothesis has one checker here, which every module
-calls: _require_s for the order s in (0, 1] of s-convexity, and
+calls: _require_s for the order s in (0, 1] of s-convexity,
 _require_magnitude for a derivative magnitude |f'(.)| or a sup bound M,
-finite and >= 0.
+finite and >= 0, and _require_positive for a tolerance or an argument of a
+mean, finite and > 0.
 
 All arithmetic is double precision. Inequality checks performed elsewhere
 compare with a small absolute slack (default 1e-12) because the underlying
@@ -153,6 +154,14 @@ def _require_magnitude(name: str, value: float) -> float:
     value = float(value)
     if not (math.isfinite(value) and value >= 0.0):
         raise DomainError(f"{name} must be a finite magnitude >= 0, got {value!r}")
+    return value
+
+
+def _require_positive(name: str, value: float) -> float:
+    """A tolerance or an argument of a mean, checked finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be a positive real, got {value!r}")
     return value
 
 

@@ -20,11 +20,12 @@ from .core import (
     Function1D,
     Interval,
     VerificationRecord,
+    _require_positive,
     _require_s,
     validate_eval_point,
 )
 from .bounds import THEOREMS, _choice, _offsets, evaluate
-from .toolkit import ORACLE_EPSREL, oracle_excess, reference_integrate
+from .toolkit import oracle_integral
 
 __all__ = [
     "montgomery_kernel",
@@ -53,11 +54,11 @@ def verify_montgomery_identity(
 ) -> VerificationRecord:
     """Check f(x) - average(f) == (a-b) * integral of p(t) f'(ta + (1-t)b).
 
-    Both sides are computed with the reference integrator, the right side
-    split at the kernel breakpoint so each piece is smooth. The record's
-    lhs is |LHS - RHS| compared against 0 with slack tol, plus what the
-    relative oracle tolerance of each integral adds to the accuracy of its
-    side; the raw side values are kept in the context string.
+    Both sides are computed with oracle_integral, the right side split at
+    the kernel breakpoint so each piece is smooth. The record's lhs is
+    |LHS - RHS| compared against 0 with slack tol, finite and positive,
+    plus the excess of each integral, scaled to its side; the raw side
+    values are kept in the context string.
     """
     return _montgomery_records(fn, iv, (x,), tol)[0]
 
@@ -67,6 +68,7 @@ def _montgomery_records(fn: Function1D, iv: Interval, xs, tol: float) -> list:
     of f over iv taken once, at the first x, and reused: the same call each
     time, so the same bits, and the same exception at the same point."""
     a, b = iv.a, iv.b
+    tol = _require_positive("tol", tol)
     piece_tol = tol / (10.0 * iv.width)
 
     def dline(t):
@@ -81,24 +83,20 @@ def _montgomery_records(fn: Function1D, iv: Interval, xs, tol: float) -> list:
         lam = _offsets(iv, x)[0]
         # the f' side goes first, so a missing derivative raises at its first panel
         rhs_val = excess = 0.0
-        if lam > 0.0:
-            piece = reference_integrate(low, Interval(0.0, lam), piece_tol, epsrel=ORACLE_EPSREL)
-            rhs_val += piece
-            excess += oracle_excess(piece_tol, piece)
-        if lam < 1.0:
-            piece = reference_integrate(high, Interval(lam, 1.0), piece_tol, epsrel=ORACLE_EPSREL)
-            rhs_val += piece
-            excess += oracle_excess(piece_tol, piece)
+        for piece, lo, hi in ((low, 0.0, lam), (high, lam, 1.0)):
+            if lo < hi:
+                value, piece_excess = oracle_integral(piece, Interval(lo, hi), piece_tol)
+                rhs_val += value
+                excess += piece_excess
         rhs_val *= a - b
 
         if whole is None:
-            whole = reference_integrate(fn, iv, tol * iv.width / 10.0, epsrel=ORACLE_EPSREL)
-            whole_excess = oracle_excess(tol / 10.0, whole / iv.width)
+            whole, whole_excess = oracle_integral(fn, iv, tol * iv.width / 10.0)
         lhs_val = fn(x) - whole / iv.width
         records.append(VerificationRecord.check(
             lhs=abs(lhs_val - rhs_val),
             rhs=0.0,
-            tol=tol + excess * iv.width + whole_excess,
+            tol=tol + excess * iv.width + whole_excess / iv.width,
             context=(
                 f"montgomery identity fn={fn.label or '<anonymous>'} "
                 f"iv=[{a:g},{b:g}] x={x:.17g} lhs={lhs_val:.17g} rhs={rhs_val:.17g}"
@@ -144,13 +142,15 @@ def hadamard_sconvex_bounds(
 ) -> HadamardBounds:
     """Check 2^(s-1) f(mid) <= average(f) <= (f(a) + f(b))/(s+1).
 
-    Each record's slack is tol, plus what the oracle's relative tolerance
-    adds to the accuracy of the average.
+    Each record's slack is tol, finite and positive, plus the excess
+    oracle_integral adds to the accuracy of the average.
     """
     iv.require_nonnegative()
     s_val = _require_s(s)
-    mean = reference_integrate(fn, iv, tol * iv.width / 10.0, epsrel=ORACLE_EPSREL) / iv.width
-    slack = tol + oracle_excess(tol / 10.0, mean)
+    tol = _require_positive("tol", tol)
+    integral, excess = oracle_integral(fn, iv, tol * iv.width / 10.0)
+    mean = integral / iv.width
+    slack = tol + excess / iv.width
     lower = 2.0 ** (s_val - 1.0) * fn(iv.midpoint)
     upper = (fn(iv.a) + fn(iv.b)) / (s_val + 1.0)
     base = f"fn={fn.label or '<anonymous>'} iv=[{iv.a:g},{iv.b:g}] s={s_val:g}"

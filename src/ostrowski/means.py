@@ -29,9 +29,10 @@ from .core import (
     DomainError,
     EndpointData,
     Interval,
+    _require_positive,
     _require_s,
 )
-from .toolkit import ORACLE_EPSREL, make_breckner, true_deviation
+from .toolkit import make_breckner, oracle_integral
 
 __all__ = [
     "arithmetic_mean",
@@ -42,13 +43,6 @@ __all__ = [
     "slope_endpoint_data",
     "GAP_VARIANTS",
 ]
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be a positive real, got {value!r}")
-    return value
 
 
 def arithmetic_mean(a: float, b: float) -> float:
@@ -197,31 +191,28 @@ def means_gap(a: float, b: float, s: float, oracle_tol: Optional[float] = None) 
     average of t^s over [a, b], so the gap equals the midpoint deviation of
     t^s. It is formed to a relative error below 2^-47 (2^-1072 absolute
     where it underflows) for every s in (0, 1) and any ends. Only when
-    oracle_tol is given is it cross-checked against the reference
-    integrator, to ten times the oracle's accuracy; a disagreement raises
-    ConvergenceError.
+    oracle_tol is given, finite and positive, is it cross-checked against
+    the midpoint deviation from oracle_integral, to ten times the oracle's
+    accuracy; a disagreement raises ConvergenceError.
     """
     a, b, s_val = _gap_args(a, b, s)
-    _, avg_ts, gap = _mean_powers(a, b, s_val)
+    gap = _mean_powers(a, b, s_val)[2]
     if oracle_tol is not None:
+        oracle_tol = _require_positive("oracle_tol", oracle_tol)
         # the integral of t^s can overflow where its average does not: far
         # from 1, integrate on [a, b] scaled as _mean_powers scales it, with
         # the tolerance scaled alike, and scale the deviation back
         k = _scale_exponent(b)
         a_k, b_k, scale = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(1.0, k) ** s_val
-        oracle = scale * true_deviation(
-            make_breckner(0.0, 1.0, 0.0, s_val),
-            Interval(a_k, b_k),
-            (a_k + b_k) / 2.0,
-            tol=oracle_tol / scale,
-        )
-        # true_deviation is accurate to max(tol, ORACLE_EPSREL·|average|), and
-        # the average of t^s is avg_ts
-        miss = abs(gap - oracle)
-        if miss > 10.0 * oracle_tol and miss > 10.0 * ORACLE_EPSREL * avg_ts:
+        fn, iv, tol = make_breckner(0.0, 1.0, 0.0, s_val), Interval(a_k, b_k), oracle_tol / scale
+        integral, excess = oracle_integral(fn, iv, tol * iv.width)
+        oracle = scale * abs(fn(iv.midpoint) - integral / iv.width)
+        # the average is accurate to tol plus the excess over the width
+        allowance = 10.0 * scale * (tol + excess / iv.width)
+        if abs(gap - oracle) > allowance:
             raise ConvergenceError(
                 f"closed-form gap {gap!r} disagrees with oracle {oracle!r} beyond "
-                f"{10.0 * max(oracle_tol, ORACLE_EPSREL * avg_ts):g}, ten times the oracle's accuracy"
+                f"{allowance:g}, ten times the oracle's accuracy"
             )
     return gap
 

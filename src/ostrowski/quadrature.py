@@ -105,7 +105,7 @@ from .core import (
     Interval,
     _overflow_raises,
 )
-from .toolkit import ORACLE_EPSREL, oracle_excess, reference_integrate
+from .toolkit import oracle_integral
 
 __all__ = [
     "Partition",
@@ -173,11 +173,10 @@ class Partition:
 class QuadReport:
     """Certified midpoint-rule result.
 
-    ``true_error`` is filled only in verification mode, where the reference
-    integrator supplies the actual error; ``certified_ok`` then states
-    whether |true_error| <= error_bound + slack. ``slack`` is 1e-9, plus
-    what the oracle's relative tolerance adds to the accuracy of the
-    reference it took true_error from.
+    ``true_error`` is filled only in verification mode, where oracle_integral
+    supplies the actual error; ``certified_ok`` then states whether
+    |true_error| <= error_bound + slack. ``slack`` is 1e-9, plus the excess
+    oracle_integral returned with the reference true_error is taken from.
     """
 
     approx: float
@@ -474,8 +473,8 @@ def certified_integrate(
     ConvergenceError rather than silently truncating. A bound that is not
     finite counts as unmet, since finer panels may bring it into range; if
     it is still not finite when the budget runs out, OverflowError is
-    raised instead. With verify=True the reference integrator fills in the
-    actual error; a certificate violation is reported as a warning, not an
+    raised instead. With verify=True oracle_integral fills in the actual
+    error; a certificate violation is reported as a warning, not an
     exception, so it can be logged and examined.
     """
     if not target > 0.0:
@@ -503,10 +502,9 @@ def certified_integrate(
     true_error = None
     slack = 1e-9
     if verify:
-        tol = 1e-12 * iv.width
-        reference = reference_integrate(fn, iv, tol, epsrel=ORACLE_EPSREL)
+        reference, excess = oracle_integral(fn, iv, 1e-12 * iv.width)
         true_error = reference - approx
-        slack += oracle_excess(tol, reference)
+        slack += excess
     report = QuadReport(
         approx=approx,
         error_bound=bound,

@@ -22,8 +22,11 @@ first panel, so that path is kept to its arithmetic: the lone panel returns
 from its 15 nodes, one evaluator call and two dot products, with its floor
 from the max|f| that checks its values, and a first panel that meets the
 tolerance is the result, with no heap. The Breckner evaluator likewise
-takes a float with float arithmetic, and skips the multiply by v = 1 and
-the add of w = 0 on an array where those are exact identities.
+skips the multiply by v = 1 and the add of w = 0 where those are exact
+identities.
+
+The library's checks reach the oracle through oracle_integral alone, which
+returns with each integral the excess its relative tolerance adds to tol.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .core import (
     Interval,
     _overflow_raises,
     _require_finite,
+    _require_positive,
     _require_s,
     validate_eval_point,
 )
@@ -88,22 +92,25 @@ class BrecknerFunction:
         return self.v >= 0.0 and 0.0 <= self.w <= self.u
 
     def value(self, t):
-        if type(t) is float:  # plain float arithmetic
-            return self.u if _nonnegative_min(t) == 0.0 else self.v * t**self.s + self.w
+        ts = np.asarray(t)  # a float too: numpy's power gives it the array path's bits
         at_zero = _nonnegative_min(t) == 0.0
-        out = t**self.s
+        out = ts**self.s
         if self.v != 1.0:  # 1.0 * x is x
             out = self.v * out
         # x + w, w = +-0.0, is x unless x = -0.0 and w = +0.0; v > 0 keeps v * t^s, t > 0, from -0.0
         if not (self.w == 0.0 and self.v > 0.0):
             out = out + self.w
-        return np.where(t == 0.0, self.u, out)[()] if at_zero else out
+        if at_zero:
+            out = np.where(ts == 0.0, self.u, out)[()]
+        return float(out) if type(t) is float else out
 
     def slope(self, t):
+        ts = np.asarray(t)
         # v*s*t^(s-1) diverges at 0 for s < 1; at s = 1, t^0 = 1 extends it
         if _nonnegative_min(t) == 0.0 and self.s != 1.0:
             raise DomainError("Breckner derivative undefined at t=0 for s < 1")
-        return self.v * self.s * t ** (self.s - 1.0)
+        out = self.v * self.s * ts ** (self.s - 1.0)
+        return float(out) if type(t) is float else out
 
     @property
     def label(self) -> str:
@@ -111,7 +118,7 @@ class BrecknerFunction:
 
 
 def _nonnegative_min(t) -> float:
-    # fmin skips NaN, so a NaN cannot hide a bad point
+    # fmin skips NaN, so a NaN cannot hide a bad point; a float is its own minimum
     lo = t if type(t) is float else np.fmin.reduce(t, axis=None)
     if lo < 0.0:
         raise DomainError(f"Breckner function is defined on [0, inf), got t={float(lo)!r}")
@@ -452,15 +459,16 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float, *,
             return integral
 
 
-def oracle_excess(tol: float, integral: float) -> float:
-    """What ORACLE_EPSREL adds to the accuracy of an integral the oracle
-    returned for tol. reference_integrate(fn, iv, tol, epsrel=ORACLE_EPSREL)
-    is within max(tol, ORACLE_EPSREL·|integral|), which is tol plus this, so
-    a check whose slack was sized for tol adds it. It is 0.0 wherever tol is
-    the larger, and it scales with both arguments: for a mean, pass the
-    tolerance and the integral divided by the width.
+def oracle_integral(fn: Function1D, iv: Interval, tol: float) -> Tuple[float, float]:
+    """(integral, excess): the integral of fn over iv from the reference
+    integrator with epsrel=ORACLE_EPSREL, and what that relative tolerance
+    adds to its accuracy. The integral is within max(tol, ORACLE_EPSREL·|integral|),
+    which is tol + excess, so a check whose slack was sized for tol adds the
+    excess; for a mean, the excess divided by the width. It is 0.0 wherever
+    tol is the larger.
     """
-    return max(0.0, ORACLE_EPSREL * abs(integral) - tol)
+    integral = reference_integrate(fn, iv, tol, epsrel=ORACLE_EPSREL)
+    return integral, max(0.0, ORACLE_EPSREL * abs(integral) - tol)
 
 
 def true_deviation(
@@ -468,13 +476,14 @@ def true_deviation(
 ) -> float:
     """|f(x) - average of f over [a, b]|, the left-hand side of every bound.
 
-    The average is computed by the reference integrator with the integral
-    tolerance scaled by the width, and with ORACLE_EPSREL, so a tol below the
-    rounding of the average still converges. The returned deviation is
-    accurate to roughly tol + oracle_excess(tol, average).
+    The average comes from oracle_integral with the tolerance scaled by the
+    width, so a tol below the rounding of the average still converges. The
+    returned deviation is accurate to roughly tol plus the excess divided by
+    the width. tol must be finite and positive.
     """
     x = validate_eval_point(iv, x)
-    integral = reference_integrate(fn, iv, tol * iv.width, epsrel=ORACLE_EPSREL)
+    tol = _require_positive("tol", tol)
+    integral, _ = oracle_integral(fn, iv, tol * iv.width)
     return abs(float(fn(x)) - integral / iv.width)
 
 

@@ -572,6 +572,38 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             SweepConfig(x_grid_points=1)
 
+    def test_grid_numpy_cannot_index_is_refused_when_built(self):
+        # building the config allocates nothing, at the largest count too
+        most = np.iinfo(np.intp).max // 8
+        assert SweepConfig(x_grid_points=most).x_grid_points == most
+        with pytest.raises(DomainError, match=f"^sweep x grid of {most + 1} points is beyond"):
+            SweepConfig(x_grid_points=most + 1)
+
+    def test_grid_numpy_cannot_index_exits_2_before_any_work(self, capsys, monkeypatch):
+        # np.linspace in run_sweep raised "Maximum allowed size exceeded": a
+        # traceback and exit 1, the code of a failed inequality
+        def no_sweep(cfg):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        got = run(capsys, "verify", "--x-points", "100000000000000000000", "--functions", "poly:0,1")
+        assert got == (2, "", f"error: sweep x grid of {10**20} points is beyond the "
+                              f"{np.iinfo(np.intp).max // 8} float64 values numpy can index\n")
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError("Unable to allocate 22.4 GiB for an array with shape (3000000000,) and data type float64"),
+         "error: Unable to allocate 22.4 GiB for an array with shape (3000000000,) and data type float64\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_exhausted_memory_exits_2(self, capsys, monkeypatch, exc, line):
+        # a grid numpy can index but this host cannot hold, as --x-points
+        # 3000000000, ended in a MemoryError traceback and exit 1
+        def exhausted(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_sweep", exhausted)
+        assert run(capsys, "verify", "--x-points", "3000000000", "--functions", "poly:0,1") == (2, "", line)
+
     def test_run_sweep_record_count(self):
         cfg = SweepConfig(
             s_grid=(0.5,), x_grid_points=3, p_grid=(2.0,),
@@ -664,7 +696,7 @@ class TestSweepConfig:
         def no_oracle(*args, **kwargs):
             raise AssertionError("oracle ran")
 
-        monkeypatch.setattr(cli, "reference_integrate", no_oracle)
+        monkeypatch.setattr(cli, "oracle_integral", no_oracle)
         code, out, err = run(capsys, "verify", flag, grid)
         assert code == 2
         assert out == ""
@@ -841,7 +873,7 @@ class TestMeansCommand:
         def no_oracle(*args, **kwargs):
             raise AssertionError("oracle ran")
 
-        monkeypatch.setattr(means, "true_deviation", no_oracle)
+        monkeypatch.setattr(means, "oracle_integral", no_oracle)
         code, out, err = run(capsys, "means", "--a", "1", "--b", "2", "--s", "0.5", flag, value)
         assert code == 2
         assert out == ""
@@ -1173,6 +1205,34 @@ class TestTolFlag:
         monkeypatch.setattr(cli, "means_gap", gap)
         code, _, err = run(capsys, "means", "--a", "1", "--b", "2", "--s", "0.5", "--tol", "1e-8")
         assert (code, err, seen) == (0, "", [1e-8])
+
+    # an infinite slack passed every record, and 0 or a negative tolerance
+    # reached the oracle: each is refused by value, before any oracle work
+    BAD_TOLS = [("0", 0.0), ("inf", math.inf), ("-1", -1.0), ("nan", math.nan)]
+
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(toolkit, "reference_integrate", refuse)
+
+    @pytest.mark.parametrize("token,value", BAD_TOLS)
+    def test_verify_refuses_a_tolerance_not_finite_and_positive(self, capsys, no_oracle, token, value):
+        got = run(capsys, "verify", "--functions", "poly:0,1", "--tol", token)
+        assert got == (2, "", f"error: tol must be a positive real, got {value!r}\n")
+
+    @pytest.mark.parametrize("token,value", BAD_TOLS)
+    def test_identity_refuses_a_tolerance_not_finite_and_positive(self, capsys, no_oracle, token, value):
+        # --tol -1 named the per-piece tolerance -0.1 the kernel derived from
+        # it, and --tol 0 exited 3 with a roundoff-floor error
+        got = run(capsys, "identity", "--tol", token)
+        assert got == (2, "", f"error: tol must be a positive real, got {value!r}\n")
+
+    @pytest.mark.parametrize("token,value", BAD_TOLS)
+    def test_means_refuses_a_tolerance_not_finite_and_positive(self, capsys, no_oracle, token, value):
+        got = run(capsys, "means", "--a", "1", "--b", "2", "--s", "0.5", "--tol", token)
+        assert got == (2, "", f"error: oracle_tol must be a positive real, got {value!r}\n")
 
 
 class TestUsage:

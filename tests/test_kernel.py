@@ -1,6 +1,7 @@
 """Montgomery kernel, the reproduction identity, and the baseline bounds."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ostrowski import toolkit
 from ostrowski.bounds import _offsets
 from ostrowski.core import DomainError, Interval, make_conjugate
 from ostrowski.kernel import (
@@ -19,8 +21,8 @@ from ostrowski.kernel import (
     verify_montgomery_identity,
 )
 from ostrowski.toolkit import (
+    ORACLE_EPSREL,
     make_breckner,
-    oracle_excess,
     parse_function_spec,
     reference_integrate,
 )
@@ -131,6 +133,13 @@ class TestMontgomeryIdentity:
         assert points == [15] + [1] * 9
         assert records == [verify_montgomery_identity(poly, iv, x, tol=1e-9) for x in xs]
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tolerance_not_finite_and_positive_is_refused(self, monkeypatch, tol):
+        # -1 was reported as the per-piece -0.1, and 0 reached the oracle
+        monkeypatch.setattr(toolkit, "reference_integrate", None)  # the oracle must not run
+        with pytest.raises(DomainError, match=re.escape(f"tol must be a positive real, got {tol!r}")):
+            verify_montgomery_identity(parse_function_spec("poly:2,-1"), UNIT, 0.5, tol=tol)
+
     def test_slack_takes_the_pieces_relative_accuracy(self):
         # f = 2e5 (t - 1/2): at x = a the one piece is the integral of 2e5 t
         # over [0, 1], 1e5, met to ORACLE_EPSREL * 1e5 = 1.8e-10 rather than
@@ -139,7 +148,7 @@ class TestMontgomeryIdentity:
         fn = parse_function_spec("poly:-1e5,2e5")
         edge = verify_montgomery_identity(fn, UNIT, 0.0, tol=1e-9)
         assert edge.holds
-        assert edge.context.endswith(f"[tol={1e-9 + oracle_excess(1e-10, 1e5):g}]")
+        assert edge.context.endswith(f"[tol={1e-9 + max(0.0, ORACLE_EPSREL * 1e5 - 1e-10):g}]")
         assert edge.context.endswith("[tol=1.07764e-09]")
         inner = verify_montgomery_identity(fn, UNIT, 0.3, tol=1e-9)
         assert inner.holds and inner.context.endswith("[tol=1e-09]")
@@ -152,7 +161,8 @@ class TestMontgomeryIdentity:
         # 1e6 t (1 - t) over [0, 0.7]); the high piece is too small to add any
         rec = verify_montgomery_identity(parse_function_spec("poly:0,0,5e5"), UNIT, 0.3, tol=1e-9)
         assert rec.holds
-        slack = 1e-9 + oracle_excess(1e-10, 1e6 * (0.7**2 / 2 - 0.7**3 / 3)) + oracle_excess(1e-10, 5e5 / 3)
+        low, whole = 1e6 * (0.7**2 / 2 - 0.7**3 / 3), 5e5 / 3
+        slack = 1e-9 + max(0.0, ORACLE_EPSREL * low - 1e-10) + max(0.0, ORACLE_EPSREL * whole - 1e-10)
         assert rec.context.endswith(f"[tol={slack:g}]")
         assert rec.context.endswith("[tol=1.32817e-09]")
 
@@ -231,9 +241,15 @@ class TestHadamardBounds:
         # ORACLE_EPSREL, and both records' slack grows by the excess
         res = hadamard_sconvex_bounds(parse_function_spec("poly:0,0,5e5"), UNIT, 1.0)
         assert res.holds and res.mean == pytest.approx(5e5 / 3, rel=1e-15)
-        slack = f"[tol={1e-9 + oracle_excess(1e-10, 5e5 / 3):g}]"
+        slack = f"[tol={1e-9 + max(0.0, ORACLE_EPSREL * (5e5 / 3) - 1e-10):g}]"
         assert slack == "[tol=1.19606e-09]"
         assert res.lower_record.context.endswith(slack) and res.upper_record.context.endswith(slack)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
+    def test_tolerance_not_finite_and_positive_is_refused(self, monkeypatch, tol):
+        monkeypatch.setattr(toolkit, "reference_integrate", None)  # the oracle must not run
+        with pytest.raises(DomainError, match=re.escape(f"tol must be a positive real, got {tol!r}")):
+            hadamard_sconvex_bounds(parse_function_spec("poly:0,0,1"), UNIT, 1.0, tol=tol)
 
     def test_negative_interval_rejected(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -259,6 +260,15 @@ class TestMeansGap:
 
         monkeypatch.setattr(means, "make_breckner", no_breckner)
         assert means_gap(1.0, 2.0, 0.5) == means_gap(1.0, 2.0, 0.5, oracle_tol=None)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+    def test_oracle_tolerance_not_finite_and_positive_is_refused(self, monkeypatch, tol):
+        # an infinite one passed any gap, and 0 reached the oracle
+        from ostrowski import toolkit
+
+        monkeypatch.setattr(toolkit, "reference_integrate", None)  # the oracle must not run
+        with pytest.raises(DomainError, match=re.escape(f"oracle_tol must be a positive real, got {tol!r}")):
+            means_gap(1.0, 2.0, 0.5, oracle_tol=tol)
 
     def test_closed_form_disagreeing_with_the_oracle_raises(self, monkeypatch):
         from ostrowski import means

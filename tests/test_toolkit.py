@@ -23,6 +23,9 @@ from ostrowski.toolkit import (
 )
 
 
+UNIT = Interval(0.0, 1.0)
+
+
 def _hex_list(values):
     return [float(v).hex() for v in values]
 
@@ -92,15 +95,22 @@ class TestBrecknerFunction:
     @pytest.mark.parametrize("v", [1.0, 2.0, 0.0, -0.0])
     @pytest.mark.parametrize("w", [0.0, -0.0, 0.5])
     def test_float_path_is_the_array_path_elementwise(self, v, w):
-        # where numpy's power and the C pow agree: s = 1, and s = 1/2 at squares
-        # (elsewhere the two may round a power differently by an ulp)
-        for s, t in ((1.0, [3e-310, 0.1, 0.7, 2.5, 1e300]), (0.5, [2.0**-1074, 0.0625, 0.25, 1.0, 4.0, 2.25])):
+        # a float takes numpy's power as a 0-d array: at s = 0.3 and 0.75 the C
+        # pow rounded 470 of 10,000 such points an ulp away from numpy's
+        rng = np.random.default_rng(29)
+        cases = [(1.0, [3e-310, 0.1, 0.7, 2.5, 1e300]), (0.5, [2.0**-1074, 0.0625, 0.25, 1.0, 4.0, 2.25])]
+        cases += [(s, rng.uniform(0.0, 3.0, 400).tolist() + [0.8093601412916109]) for s in (0.3, 0.75)]
+        for s, t in cases:
             fn = BrecknerFunction(7.0, v, w, s)
             t = [0.0, -0.0] + t
             floats = [fn.value(x) for x in t]
             assert all(type(y) is float for y in floats)
             assert _hex_list(floats) == _hex_list(fn.value(np.array(t))), (v, w, s)
-            assert _hex_list(floats[2:]) == _hex_list([v * x**s + w for x in t[2:]])
+            slopes = [fn.slope(x) for x in t[2:]]
+            assert all(type(y) is float for y in slopes)
+            assert _hex_list(slopes) == _hex_list(fn.slope(np.array(t[2:]))), (v, w, s)
+            if s in (1.0, 0.5):  # where numpy's power and the C pow agree: s = 1, and s = 1/2 at squares
+                assert _hex_list(floats[2:]) == _hex_list([v * x**s + w for x in t[2:]])
 
     def test_membership_predicate(self):
         assert BrecknerFunction(1.0, 2.0, 0.5, 0.5).is_known_member
@@ -766,6 +776,62 @@ class TestRule:
         assert got == pytest.approx(0.5, abs=1e-12)
 
 
+class TestOracleIntegral:
+    """oracle_integral is the one way the library's checks reach the oracle."""
+
+    @pytest.mark.parametrize("spec,a,b,tol", [
+        ("poly:0,0,1", 0.0, 1.0, 1e-12), ("breckner:0,1,0,0.5", 0.5, 2.0, 1.5e-12),
+        ("powabs:0.5", 0.0, 1.0, 1e-10), ("poly:0,0,5e5", 0.0, 1.0, 1e-12),
+    ])
+    def test_integral_has_the_bits_of_the_relative_oracle(self, spec, a, b, tol):
+        fn, iv = parse_function_spec(spec), Interval(a, b)
+        integral, _ = toolkit.oracle_integral(fn, iv, tol)
+        assert integral.hex() == reference_integrate(fn, iv, tol, epsrel=toolkit.ORACLE_EPSREL).hex()
+
+    def test_excess_is_zero_at_the_default_sweep_scale(self):
+        from ostrowski.cli import DEFAULT_SWEEP_FUNCTIONS, SweepConfig, _sweep_interval
+
+        for spec in DEFAULT_SWEEP_FUNCTIONS:
+            iv = _sweep_interval(spec, SweepConfig())
+            assert toolkit.oracle_integral(parse_function_spec(spec), iv, 1e-12 * iv.width)[1] == 0.0, spec
+
+    def test_excess_is_what_the_relative_tolerance_adds(self):
+        # the integral of 5e5 t^2 over [0, 1] is met to ORACLE_EPSREL·5e5/3,
+        # about 3e-10, far above the tol 1e-12
+        integral, excess = toolkit.oracle_integral(parse_function_spec("poly:0,0,5e5"), UNIT, 1e-12)
+        assert integral == pytest.approx(5e5 / 3, rel=1e-15)
+        assert excess == toolkit.ORACLE_EPSREL * abs(integral) - 1e-12
+        assert excess > 2.9e-10
+
+    @pytest.mark.parametrize("check", ["run_sweep", "identity", "hadamard", "certified", "means_gap",
+                                       "true_deviation"])
+    def test_every_check_reaches_the_oracle_with_its_relative_tolerance(self, monkeypatch, check):
+        from ostrowski.cli import SweepConfig, run_sweep
+        from ostrowski.kernel import hadamard_sconvex_bounds, verify_montgomery_identity
+        from ostrowski.means import means_gap
+        from ostrowski.quadrature import certified_integrate
+
+        integrate, seen = toolkit.reference_integrate, []
+
+        def recorder(fn, iv, tol, *, epsrel=0.0):
+            seen.append(epsrel)
+            return integrate(fn, iv, tol, epsrel=epsrel)
+
+        monkeypatch.setattr(toolkit, "reference_integrate", recorder)
+        fn = parse_function_spec("poly:0,0,1")
+        calls = {
+            "run_sweep": lambda: run_sweep(SweepConfig(s_grid=(0.5,), x_grid_points=2, p_grid=(2.0,),
+                                                       function_specs=("poly:0,0,1",))),
+            "identity": lambda: verify_montgomery_identity(fn, UNIT, 0.3),
+            "hadamard": lambda: hadamard_sconvex_bounds(fn, UNIT, 1.0),
+            "certified": lambda: certified_integrate(fn, UNIT, 1e-2, "p5", verify=True),
+            "means_gap": lambda: means_gap(1.0, 2.0, 0.5, oracle_tol=1e-10),
+            "true_deviation": lambda: true_deviation(fn, UNIT, 0.5),
+        }
+        calls[check]()
+        assert seen and seen == [toolkit.ORACLE_EPSREL] * len(seen)
+
+
 class TestTrueDeviation:
     def test_quadratic_midpoint(self):
         fn = parse_function_spec("poly:0,0,1")
@@ -788,6 +854,12 @@ class TestTrueDeviation:
     def test_outside_point_rejected(self):
         with pytest.raises(DomainError):
             true_deviation(parse_function_spec("poly:0,1"), Interval(0, 1), 2.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+    def test_tolerance_not_finite_and_positive_is_refused(self, monkeypatch, tol):
+        monkeypatch.setattr(toolkit, "reference_integrate", None)  # the oracle must not run
+        with pytest.raises(DomainError, match=re.escape(f"tol must be a positive real, got {tol!r}")):
+            true_deviation(parse_function_spec("poly:0,1"), UNIT, 0.5, tol=tol)
 
 
 class TestFunctionRegistry:
