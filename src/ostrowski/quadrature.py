@@ -104,6 +104,7 @@ from .core import (
     Function1D,
     Interval,
     _overflow_raises,
+    _require_positive,
 )
 from .toolkit import oracle_integral
 
@@ -466,7 +467,8 @@ def certified_integrate(
     *,
     verify: bool = False,
 ) -> QuadReport:
-    """Refine a uniform partition until the selected bound meets target.
+    """Refine a uniform partition until the selected bound meets target,
+    which must be finite and positive.
 
     Starts at one panel and doubles. The bound decays like 1/n, so a very
     small target is expensive; exhausting DEFAULT_PANEL_BUDGET raises
@@ -477,8 +479,7 @@ def certified_integrate(
     error; a certificate violation is reported as a warning, not an
     exception, so it can be logged and examined.
     """
-    if not target > 0.0:
-        raise DomainError(f"target must be positive, got {target!r}")
+    target = _require_positive("target", target)
     theorem, values = _variant(_PANEL_BOUNDS, variant, "error-bound variant", p, q)
 
     n = 1

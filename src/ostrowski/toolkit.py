@@ -5,25 +5,21 @@ The integrator is a globally adaptive scheme with a fixed high-order rule
 per panel (QUADPACK's 15-point Kronrod extension of 7-point Gauss, to full
 double precision) and the nested-rule difference as the per-panel error
 estimate, floored at the rounding the panel's K15 sum can carry. It meets
-max(tol, epsrel·|integral|), and when that target is below the roundoff
-floor bisection cannot lower, it says so at once instead of spending its
-panel budget. Refinement always bisects the worst panel at its exact
-midpoint, so results are deterministic for fixed inputs and reproducible
-across runs. One rule function, ``_rule``, serves the first panel and both
-halves of every bisection: one evaluator call on a flat array of all their
-nodes, and for a split one product for all their K15 and G7 sums and one
-reduction for their max|f|. Per split, the cost is Python and numpy call
-overhead, not arithmetic, so two halves at once cost little more than one.
-Each panel keeps the bits, and a failing one the exception, of evaluating
-it alone.
+max(tol, epsrel·Σ|panel integrals|), and when that target is below the
+roundoff floor bisection cannot lower, it says so at once instead of
+spending its panel budget. Refinement always bisects the worst panel at its
+exact midpoint, so results are deterministic for fixed inputs and
+reproducible across runs. One rule function, ``_rule``, serves the first
+panel and both halves of every bisection, with one body for every panel:
+one evaluator call on a flat array of all their nodes, one reduction for
+their max|f|, and for a split one product for all their K15 and G7 sums.
+Per split, the cost is Python and numpy call overhead, not arithmetic, so
+two halves at once cost little more than one. Each panel keeps the bits,
+and a failing one the exception, of evaluating it alone.
 
-Most oracle calls, such as the special-means cross-checks, end at their
-first panel, so that path is kept to its arithmetic: the lone panel returns
-from its 15 nodes, one evaluator call and two dot products, with its floor
-from the max|f| that checks its values, and a first panel that meets the
-tolerance is the result, with no heap. The Breckner evaluator likewise
-skips the multiply by v = 1 and the add of w = 0 where those are exact
-identities.
+Most oracle calls, such as the identity check's, end at their first panel:
+a first panel that meets the tolerance is the result, with no heap. The
+Breckner evaluator skips the add of w = 0 where that is an exact identity.
 
 The library's checks reach the oracle through oracle_integral alone, which
 returns with each integral the excess its relative tolerance adds to tol.
@@ -94,9 +90,7 @@ class BrecknerFunction:
     def value(self, t):
         ts = np.asarray(t)  # a float too: numpy's power gives it the array path's bits
         at_zero = _nonnegative_min(t) == 0.0
-        out = ts**self.s
-        if self.v != 1.0:  # 1.0 * x is x
-            out = self.v * out
+        out = self.v * ts**self.s
         # x + w, w = +-0.0, is x unless x = -0.0 and w = +0.0; v > 0 keeps v * t^s, t > 0, from -0.0
         if not (self.w == 0.0 and self.v > 0.0):
             out = out + self.w
@@ -248,10 +242,7 @@ _W_GAUSS[1::2] = np.concatenate((_HALF_W_GAUSS, _HALF_W_GAUSS[-2::-1]))
 
 _W = np.column_stack((_W_KRONROD, _W_GAUSS))  # (15, 2): one product gives K15 and G7
 _HUGE = 2.0**1023  # each weight sum is below 2, so |f| below this keeps both sums finite
-_max = np.maximum.reduce  # ndarray.max adds a Python-level call
-#: where each panel starts in the flat values, by panel count (a slice of one
-#: array would cost a view per split)
-_ROW_STARTS = {1: np.array([0]), 2: np.array([0, 15])}
+_ROW_STARTS = np.array([0, 15])  # where each panel starts in the flat values
 
 
 #: C·u, the roundoff floor's factor: C = 8 and u = 2**-53 (see reference_integrate)
@@ -273,56 +264,40 @@ def _rule(fn: Function1D, edges) -> list:
     Each panel is exactly what it would be alone: its nodes are formed from
     its own Python-float mid and half, its K15 and G7 sums are the dot
     products of its 15 values with the weights, and its max|f| is exact in
-    any order. For two panels or more, one (k, 15) @ (15, 2) product gives
-    each row those bits; a lone panel takes the dot products themselves,
-    because numpy sends a one-row product through a matrix-vector kernel
-    that sums in another order. A lone panel whose values and sums are
-    finite returns straight from them, its floor from the max|f| that
-    checks them; any other goes on to the general body below, with the
-    values already evaluated. A failure names the leftmost panel that fails,
-    as evaluating the panels in turn would.
+    any order. A split whose max|f| add up below 2**1023 takes one
+    (2, 15) @ (15, 2) product, which gives each row those bits. A lone panel
+    takes the dot products themselves, because numpy sends a one-row product
+    through a matrix-vector kernel that sums in another order, and so does
+    each half of any other split. A failure names the leftmost panel that
+    fails, as evaluating the panels in turn would.
     """
-    if len(edges) == 2:  # a lone panel: its nodes, its dot products, no lists
-        lo, hi = edges
+    halves, nodes = [], []
+    for lo, hi in zip(edges, edges[1:]):
         half = 0.5 * (hi - lo)
-        halves = [half]
-        fs = fn(0.5 * (lo + hi) + half * _NODES)
-        top = float(_max(abs(fs), None))  # a float: its compares and products are cheaper
-        if top < _HUGE:  # NaN fails too
-            k15 = half * float(_W_KRONROD @ fs)
-            g7 = half * float(_W_GAUSS @ fs)
-            err = abs(k15 - g7)
-            floor = half * (top * _PANEL_FLOOR)
-            if err < floor:
-                err = floor
-            if err < math.inf:
-                return [(k15, err)]
-    else:
-        halves, parts = [], []
-        for lo, hi in zip(edges, edges[1:]):
-            half = 0.5 * (hi - lo)
-            halves.append(half)
-            parts.append(0.5 * (lo + hi) + half * _NODES)
-        fs = fn(np.concatenate(parts))  # flat: evaluators may assume 1-D
+        halves.append(half)
+        nodes.append(0.5 * (lo + hi) + half * _NODES)
     k = len(halves)
-    tops = np.maximum.reduceat(abs(fs), _ROW_STARTS[k])
-    tops = tops.tolist()  # each panel's max|f|, exact in any order
-    scales = [1.0] * k
-    bad = k  # the first panel with a non-finite value
-    # a NaN or a top >= 2**1023 fails the sum; finite tops that only add up
-    # to 2**1023 take the branch and come out of it unchanged
-    if not sum(tops) < _HUGE:
-        bad = next((j for j, top in enumerate(tops) if not math.isfinite(top)), bad)
-        # sum a quarter of each panel with |f| >= 2**1023, exactly, and scale back;
-        # only that panel, as quartering a subnormal neighbour would round it
-        scales = [4.0 if top >= _HUGE else 1.0 for top in tops[:bad]]
-        fs = (fs.reshape(k, 15)[:bad] / np.array(scales)[:, None]).ravel()
-    if len(fs) == 15:  # a lone panel: the dot products themselves, as above
-        sums = [(float(_W_KRONROD @ fs), float(_W_GAUSS @ fs))]
-    else:
-        sums = (fs.reshape(-1, 15) @ _W).tolist()
+    fs = fn(nodes[0] if k == 1 else np.concatenate(nodes))  # flat: evaluators may assume 1-D
+    rows = fs.reshape(k, 15)
+    tops = np.maximum.reduceat(abs(fs), _ROW_STARTS[:k]).tolist()  # each max|f|, exact in any order
+    # no product where a NaN or a top >= 2**1023 would spoil it; finite tops that
+    # only add up to 2**1023 miss it too, and their dot products give the same bits
+    sums = rows.dot(_W).tolist() if k > 1 and sum(tops) < _HUGE else None
     out = []
-    for (kd, gd), half, scale, top in zip(sums, halves, scales, tops):
+    for j, half in enumerate(halves):
+        top, scale = tops[j], 1.0
+        if sums:
+            kd, gd = sums[j]
+        else:
+            row = rows[j]
+            if not top < _HUGE:  # NaN too
+                if not top < math.inf:
+                    raise ConvergenceError(f"integrand {fn.label or '<anonymous>'} returned a "
+                                           f"non-finite value on [{edges[j]:g}, {edges[j + 1]:g}]")
+                # sum a quarter, exactly, and scale back; only this panel, as
+                # quartering a subnormal neighbour would round it
+                row, scale = row / 4.0, 4.0
+            kd, gd = float(_W_KRONROD.dot(row)), float(_W_GAUSS.dot(row))
         k15 = half * kd * scale
         g7 = half * gd * scale
         err = abs(k15 - g7)
@@ -331,17 +306,9 @@ def _rule(fn: Function1D, edges) -> list:
             if err < floor:
                 err = floor
             if not err < math.inf:  # an overflowed k15 or g7 leaves err inf or nan
-                lo, hi = edges[len(out)], edges[len(out) + 1]
-                raise OverflowError(
-                    f"the panel sums of {fn.label or '<anonymous>'} on [{lo:g}, {hi:g}] "
-                    f"overflowed double precision"
-                )
+                raise OverflowError(f"the panel sums of {fn.label or '<anonymous>'} on "
+                                    f"[{edges[j]:g}, {edges[j + 1]:g}] overflowed double precision")
         out.append((k15, err))
-    if bad < k:
-        raise ConvergenceError(
-            f"integrand {fn.label or '<anonymous>'} returned a non-finite value "
-            f"on [{edges[bad]:g}, {edges[bad + 1]:g}]"
-        )
     return out
 
 
@@ -363,16 +330,40 @@ def _panel_sum(heap) -> float:
         return math.fsum([entry[3] for entry in sorted(heap, key=_LEFT_THEN_VALUE)])
 
 
+def _scaled_mass(heap) -> float:
+    """C·u·Σ|value| over the panels: scaled, so that it stays finite where
+    the values add up past the double range."""
+    return sum(_ROUNDOFF * abs(entry[3]) for entry in heap)
+
+
+class _Integral(float):
+    """A float from reference_integrate that also carries ``met``, the
+    tolerance it met: max(tol, epsrel·Σ|panel integrals|)."""
+
+    __slots__ = ("met",)
+
+
+def _integral(value: float, met: float) -> _Integral:
+    out = _Integral(value)
+    out.met = met
+    return out
+
+
 def reference_integrate(fn: Function1D, iv: Interval, tol: float, *,
                         epsrel: float = 0.0) -> float:
-    """Integrate fn over iv to within max(tol, epsrel·|integral|).
+    """Integrate fn over iv to within max(tol, epsrel·Σ|panel integrals|).
 
     Globally adaptive: the panel with the largest error estimate is bisected
     at its exact midpoint until the summed estimates meet that target, as
     in QUADPACK's QAG with key 1: the 15-point rule, and no epsilon-algorithm
-    extrapolation, which QAGS adds. |integral| is the panels' sum, taken again at each
-    check below and before returning. tol and epsrel must be >= 0, one of
-    them positive.
+    extrapolation, which QAGS adds. tol and epsrel must be >= 0, one of
+    them positive. Σ|panel integrals| is at least |integral|; where f
+    changes sign it is about ∫|f|, which the roundoff floor below scales
+    with, so that a relative tolerance of twice C·u, ORACLE_EPSREL, stays
+    within reach of any integrand. It is summed in scaled terms, so that it
+    stays finite, and taken again at each check below and, where epsrel is
+    positive, before returning. The result is a float that also carries
+    ``met``, the target it met, from which oracle_integral takes its excess.
 
     Each panel's estimate is max(|K15 - G7|, C·u·R), with u = 2**-53 and
     R = 2·half·max|f| over its nodes. R is at least the panel's resabs,
@@ -398,12 +389,12 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float, *,
     less the summed estimates, estimates ∫|f| from below, so once the target
     is below C·u times it, ConvergenceError is raised at once and names that
     floor, as QUADPACK's ier = 2 reports roundoff. That is checked at the
-    first panel, then at 64 and 4096 panels, with Σ|value| summed in
-    scaled terms, so that panels near the top of the double range give a
-    finite floor. Otherwise it is raised once DEFAULT_ORACLE_PANELS panels
-    exist without convergence, which signals a pathological integrand
-    rather than a tolerance slightly out of reach, or when the worst panel
-    is narrower than 1e-15 of the interval.
+    first panel, then at 64 and 4096 panels, from the same scaled Σ|value|
+    as the relative target, so that panels near the top of the double range
+    give a finite floor. Otherwise it is raised once DEFAULT_ORACLE_PANELS
+    panels exist without convergence, which signals a pathological
+    integrand rather than a tolerance slightly out of reach, or when the
+    worst panel is narrower than 1e-15 of the interval.
     OverflowError is raised when a panel's sum or error estimate is beyond
     double precision, or when the panels' sum overflows in their left to
     right order (see _panel_sum).
@@ -413,11 +404,12 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float, *,
     ((value, err),) = _rule(fn, (iv.a, iv.b))
     if not (err > tol and err > epsrel * abs(value)):
         # the first panel converged: math.fsum([value]), which is value + 0.0
-        return value + 0.0
+        return _integral(value + 0.0, max(tol, epsrel * abs(value)))
     # heap orders by largest estimate; ties fall back to the left endpoint
     heap = [(-err, iv.a, iv.b, value)]
     total_err = err
-    target = tol  # max(tol, epsrel·|integral|), taken again at each check and at the end
+    target = tol  # max(tol, epsrel·Σ|value|), taken again at each check and at the end
+    relative = epsrel / _ROUNDOFF  # epsrel·Σ|value| is relative·_scaled_mass(heap)
     budget = DEFAULT_ORACLE_PANELS
     check = 1  # the panel count at the next roundoff and budget check: 1, 64, 4096, budget
     min_width = (iv.b - iv.a) * 1e-15
@@ -425,8 +417,9 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float, *,
     while True:
         while total_err > target:
             if len(heap) >= check:
-                target = max(tol, epsrel * abs(_panel_sum(heap)))
-                floor = sum(_ROUNDOFF * abs(entry[3]) for entry in heap) - _ROUNDOFF * total_err
+                scaled = _scaled_mass(heap)
+                target = max(tol, relative * scaled)
+                floor = scaled - _ROUNDOFF * total_err
                 if floor > target:
                     raise ConvergenceError(
                         f"integral of {fn.label or '<anonymous>'} did not reach "
@@ -453,22 +446,22 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float, *,
             # and a push; the heap holds the same entries, so later pops are the same
             heapreplace(heap, (-e1, lo, mid, v1))
             heappush(heap, (-e2, mid, hi, v2))
-        integral = _panel_sum(heap)
-        target = max(tol, epsrel * abs(integral))
+        if epsrel:
+            target = max(tol, relative * _scaled_mass(heap))
         if not total_err > target:
-            return integral
+            return _integral(_panel_sum(heap), target)
 
 
 def oracle_integral(fn: Function1D, iv: Interval, tol: float) -> Tuple[float, float]:
     """(integral, excess): the integral of fn over iv from the reference
     integrator with epsrel=ORACLE_EPSREL, and what that relative tolerance
-    adds to its accuracy. The integral is within max(tol, ORACLE_EPSREL·|integral|),
-    which is tol + excess, so a check whose slack was sized for tol adds the
-    excess; for a mean, the excess divided by the width. It is 0.0 wherever
-    tol is the larger.
+    adds to its accuracy. The integral is within
+    max(tol, ORACLE_EPSREL·Σ|panel integrals|), which is tol + excess, so a
+    check whose slack was sized for tol adds the excess; for a mean, the
+    excess divided by the width. It is 0.0 wherever tol is the larger.
     """
     integral = reference_integrate(fn, iv, tol, epsrel=ORACLE_EPSREL)
-    return integral, max(0.0, ORACLE_EPSREL * abs(integral) - tol)
+    return integral, integral.met - tol
 
 
 def true_deviation(

@@ -1092,6 +1092,12 @@ class TestQuadCommand:
         assert code == 2
         assert "mystery" in err
 
+    def test_infinite_target_exits_2(self, capsys):
+        # it exited 0 with a one-panel "certificate"
+        got = run(capsys, "quad", "--fn", "poly:0,0,1", "--a", "0", "--b", "1", "--target", "inf",
+                  "--variant", "p5")
+        assert got == (2, "", "error: target must be a positive real, got inf\n")
+
     def test_budget_exhaustion_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 16)
         code, _, err = run(
@@ -1120,20 +1126,22 @@ class TestIdentityCommand:
         # 7 polynomials x 3 intervals x 9 evaluation points
         assert payload["total"] == 7 * 3 * 9
 
-    def test_tolerance_below_the_roundoff_floor_exits_3_at_once(self, capsys, monkeypatch):
-        # without a floor it bisected poly:1 to 10,000 panels. Every integral
-        # meets ORACLE_EPSREL where 1e-300 is out of reach, but that of 2 - t
-        # over [1, 3] is 0: it stops at its first check past one panel, at 64
+    def test_tolerance_below_the_roundoff_floor_exits_0_on_the_relative_target(self, capsys, monkeypatch):
+        # without a floor it bisected poly:1 to 10,000 panels, and with one the
+        # integral of 2 - t over [1, 3], which is 0, exited 3 at its first check
+        # past one panel. Measured against the panels' Σ|value|, ORACLE_EPSREL is
+        # above every floor: that integral ends at the same check, at 64 panels
         rule, calls = toolkit._rule, []
-        monkeypatch.setattr(toolkit, "_rule", lambda fn, edges: calls.append(edges) or rule(fn, edges))
+        monkeypatch.setattr(toolkit, "_rule",
+                            lambda fn, edges: calls.append((fn.label, edges)) or rule(fn, edges))
         code, out, err = run(capsys, "identity", "--tol", "1e-300")
-        assert (code, out) == (3, "")
-        assert err == (
-            "oracle error: integral of poly:2,-1 did not reach tol=2.61926e-32: it is below the "
-            "roundoff floor 8.88178e-16 of the panel sums (estimate 9.29886e-16)\n"
-        )
-        last = len(calls) - calls[::-1].index((1.0, 3.0))
-        assert len(calls) - last == 63  # the splits to 64 panels
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert (payload["total"], payload["failures"]) == (7 * 3 * 9, 0)
+        first = calls.index(("poly:2,-1", (1.0, 3.0)))
+        splits = [edges for label, edges in calls[first + 1:first + 65] if label == "poly:2,-1"]
+        assert len(splits) == 63 and all(len(edges) == 3 for edges in splits)  # the splits to 64 panels
+        assert calls[first + 64][0] != "poly:2,-1"
 
 
 class TestConfigFile:

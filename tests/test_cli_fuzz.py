@@ -28,7 +28,6 @@ import math
 import re
 import warnings
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,8 +269,6 @@ SIGN_CHANGING = ["verify", "--functions", "poly:-1e4,1e4,1e4", "--s-grid", "0.5"
                  "--p-grid", "2", "--x-points", "2"]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="run_sweep asks the oracle for less than its roundoff floor")
 def test_sign_changing_large_polys_keep_the_contract():
     # the draws may or may not change sign where it matters, since
     # Hypothesis also draws the constants it finds in loaded modules; the

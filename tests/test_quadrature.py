@@ -819,6 +819,11 @@ class TestCertifiedIntegrate:
         with pytest.raises(DomainError):
             certified_integrate(TSQ, UNIT, 0.0, "p5")
 
+    def test_infinite_target_is_refused(self):
+        # inf passed `not target > 0.0` and certified one panel of t^2 with a bound of 0.41
+        with pytest.raises(DomainError, match=r"^target must be a positive real, got inf$"):
+            certified_integrate(TSQ, UNIT, math.inf, "p5")
+
     @pytest.mark.parametrize("variant,kw", [
         ("p4", {"p": math.nan}),
         ("p4", {"p": math.inf}),

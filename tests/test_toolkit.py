@@ -741,6 +741,23 @@ class TestRule:
         top = float(np.abs(fn(-0.5 + 0.5 * toolkit._NODES)).max())
         assert split[0][1] >= 0.5 * (top * toolkit._PANEL_FLOOR) > 0.0
 
+    @pytest.mark.parametrize("fn", [
+        parse_function_spec("poly:5e307"),
+        parse_function_spec("poly:5e307,1e306"),
+        Function1D(f=lambda t: 5e307 * (1.0 + 0.5 * np.sin(7.0 * t)), label="huge-wave"),
+    ], ids=lambda fn: fn.label)
+    def test_halves_whose_tops_add_up_past_2_1023_are_two_lone_panels(self, fn):
+        # each half's max|f| is below 2**1023 and their sum is not: the split
+        # takes each panel's dot products instead of the one product
+        for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (0.25, 3.0), (-3e-9, 5e-9)):
+            mid = 0.5 * (lo + hi)
+            tops = [float(np.abs(fn(m + h * toolkit._NODES)).max())
+                    for m, h in ((0.5 * (lo + mid), 0.5 * (mid - lo)), (0.5 * (mid + hi), 0.5 * (hi - mid)))]
+            assert max(tops) < 2.0**1023 <= sum(tops)
+            split = toolkit._rule(fn, (lo, mid, hi))
+            assert _hex(split) == _hex(toolkit._rule(fn, (lo, mid)) + toolkit._rule(fn, (mid, hi)))
+            assert _hex(split) == _hex([_lone_panel(fn, lo, mid), _lone_panel(fn, mid, hi)])
+
     def test_non_finite_right_half_names_that_panel(self):
         fn = Function1D(f=lambda t: np.where(t > 0.5, math.nan, t * t), label="half-nan")
         with pytest.raises(ConvergenceError, match=r"on \[0\.5, 1\]$"):
