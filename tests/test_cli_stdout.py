@@ -42,6 +42,17 @@ _QUAD_FUNCTIONS = {
     "powabs:2.5": "--a=-1 --b 1.5",
 }
 
+#: one command of each kind, the sweep with a failing check so that the
+#: human report names its first failure
+_ONE_PER_COMMAND = (
+    "verify --functions poly:0,-3,0,1 --x-points 5 --s-grid 0.5",
+    "identity",
+    "means --a 1 --b 2 --s 0.5",
+    f"quad --fn poly:0.3,-1,0.5,1.2 {_QUAD_FUNCTIONS['poly:0.3,-1,0.5,1.2']} "
+    "--target 1e-3 --variant p5",
+    f"bound --theorem teo1 --a 0.5 --b 2.5 {_BOUND_FLAGS['teo1']}",
+)
+
 CASES = (
     ["verify"],
     ["identity"],
@@ -53,17 +64,23 @@ CASES = (
       for variant in ("--variant p4 --p 2.5", "--variant p5", "--variant p6 --q 1.5")),
     *(f"bound --theorem {tag} --a 0.5 --b 2.5 {flags}".split()
       for tag, flags in _BOUND_FLAGS.items()),
-    # the flat formats: one command of each kind per format, the sweep with
-    # a failing check so the human report names its first failure
+    # the flat formats: one command of each kind per format
     *(f"{command} --format {fmt}".split()
       for fmt in ("csv", "human")
-      for command in (
-          "verify --functions poly:0,-3,0,1 --x-points 5 --s-grid 0.5",
-          "identity",
-          "means --a 1 --b 2 --s 0.5",
-          f"quad --fn poly:0.3,-1,0.5,1.2 {_QUAD_FUNCTIONS['poly:0.3,-1,0.5,1.2']} "
-          "--target 1e-3 --variant p5",
-          f"bound --theorem teo1 --a 0.5 --b 2.5 {_BOUND_FLAGS['teo1']}",
+      for command in _ONE_PER_COMMAND),
+    # the flat formats of every other command above, each in both formats
+    *(argv + ["--format", fmt]
+      for fmt in ("csv", "human")
+      for argv in (
+          ["verify"],
+          *("means --a 0.5 --b 3 --s 0.25 --p 3 --q 1.5".split(),
+            "means --a 1 --b 1.000001 --s 0.75".split()),
+          *(f"quad --fn {spec} {iv} --target 1e-3 {variant}".split()
+            for spec, iv in _QUAD_FUNCTIONS.items()
+            for variant in ("--variant p4 --p 2.5", "--variant p5", "--variant p6 --q 1.5")
+            if (spec, variant) != ("poly:0.3,-1,0.5,1.2", "--variant p5")),
+          *(f"bound --theorem {tag} --a 0.5 --b 2.5 {flags}".split()
+            for tag, flags in _BOUND_FLAGS.items() if tag != "teo1"),
       )),
 )
 
@@ -89,6 +106,21 @@ def test_guard_covers_every_case():
 def test_stdout_is_unchanged(argv):
     row = _guard()[" ".join(argv)]
     assert replay(argv) == (row["exit"], row["sha256"])
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv", "human"))
+@pytest.mark.parametrize("command", _ONE_PER_COMMAND)
+def test_out_writes_the_bytes_the_command_prints(command, fmt, tmp_path):
+    argv = f"{command} --format {fmt}".split()
+    printed = io.StringIO()
+    with redirect_stdout(printed):
+        code = main(argv)
+    path = tmp_path / "report"
+    written = io.StringIO()
+    with redirect_stdout(written):
+        assert main(argv + ["--out", str(path)]) == code
+    assert written.getvalue() == ""
+    assert path.read_bytes() == printed.getvalue().encode("utf-8")
 
 
 if __name__ == "__main__":
