@@ -18,8 +18,8 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Sequence
+from itertools import chain, product
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -186,76 +186,63 @@ def _identity_records(tol: float) -> list:
 # output formatting
 # ----------------------------------------------------------------------
 
-def _record_dict(rec: VerificationRecord) -> dict:
-    return {
-        "lhs": rec.lhs,
-        "rhs": rec.rhs,
-        "holds": rec.holds,
-        "margin": rec.margin,
-        "context": rec.context,
-    }
+def _human_float(v: float) -> str:
+    return f"{v:.6g}"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(payload: dict, args: argparse.Namespace, human: Optional[Iterable[str]] = None) -> None:
+    """Write one report to --out, or else to stdout, in --format: JSON is the
+    payload itself; CSV is its records under their field names, or else the
+    payload as one row; human is the lines given, or else one key = value
+    line per field."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        rows = payload.get("records", [payload])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
+        text = buf.getvalue()
+    else:
+        if human is None:
+            human = (f"{k} = {_human_float(v) if isinstance(v, float) else v}"
+                     for k, v in payload.items())
+        text = "\n".join(human) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _csv_text(rows: list, header: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _human_float(v: float) -> str:
-    return f"{v:.6g}"
-
-
-def _emit_records(records: list, fmt: str, out: Optional[str], title: str) -> None:
-    failures = [r for r in records if not r.holds]
-    if fmt == "json":
-        payload = {
-            "report": title,
-            "total": len(records),
-            "failures": len(failures),
-            "records": [_record_dict(r) for r in records],
+def _report_checks(records: list, args: argparse.Namespace, title: str) -> int:
+    """Write a report of checks; the exit code is 1 if any check fails."""
+    rows = [
+        {
+            "lhs": r.lhs,
+            "rhs": r.rhs,
+            "holds": r.holds,
+            "margin": r.margin,
+            "context": r.context,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    elif fmt == "csv":
-        rows = [
-            [r.lhs, r.rhs, r.holds, r.margin, r.context] for r in records
-        ]
-        _emit(_csv_text(rows, ["lhs", "rhs", "holds", "margin", "context"]), out)
-    else:
-        lines = [f"{title}: {len(records)} checks, {len(failures)} failures"]
-        for r in records:
-            mark = "ok  " if r.holds else "FAIL"
-            lines.append(
-                f"{mark} lhs={_human_float(r.lhs)} rhs={_human_float(r.rhs)} "
-                f"margin={_human_float(r.margin)} {r.context}"
-            )
-        if failures:
-            lines.append("first failure: " + failures[0].context)
-        _emit("\n".join(lines) + "\n", out)
-
-
-def _emit_flat(payload: dict, fmt: str, out: Optional[str]) -> None:
-    if fmt == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    elif fmt == "csv":
-        keys = list(payload.keys())
-        _emit(_csv_text([[payload[k] for k in keys]], keys), out)
-    else:
-        lines = []
-        for k, v in payload.items():
-            lines.append(f"{k} = {_human_float(v) if isinstance(v, float) else v}")
-        _emit("\n".join(lines) + "\n", out)
+        for r in records
+    ]
+    failed = [row for row in rows if not row["holds"]]
+    payload = {
+        "report": title,
+        "total": len(rows),
+        "failures": len(failed),
+        "records": rows,
+    }
+    _write(payload, args, chain(
+        [f"{title}: {len(rows)} checks, {len(failed)} failures"],
+        (f"{'ok  ' if row['holds'] else 'FAIL'} lhs={_human_float(row['lhs'])} "
+         f"rhs={_human_float(row['rhs'])} margin={_human_float(row['margin'])} {row['context']}"
+         for row in rows),
+        [f"first failure: {row['context']}" for row in failed[:1]],
+    ))
+    return 1 if failed else 0
 
 
 # ----------------------------------------------------------------------
@@ -273,14 +260,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
     )
     payload = {"theorem": result.theorem_id, "value": result.value}
     payload.update(result.inputs)
-    if args.format == "human":
-        lines = [f"{result.theorem_id} bound = {_human_float(result.value)}"]
-        lines.append(
-            "inputs: " + " ".join(f"{k}={v:g}" for k, v in result.inputs.items())
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit_flat(payload, args.format, args.out)
+    _write(payload, args, (
+        f"{result.theorem_id} bound = {_human_float(result.value)}",
+        "inputs: " + " ".join(f"{k}={_human_float(v)}" for k, v in result.inputs.items()),
+    ))
     return 0
 
 
@@ -298,9 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tol=args.tol,
         interval_override=override,
     )
-    records = run_sweep(cfg)
-    _emit_records(records, args.format, args.out, "domination sweep")
-    return 0 if all(r.holds for r in records) else 1
+    return _report_checks(run_sweep(cfg), args, "domination sweep")
 
 
 def cmd_means(args: argparse.Namespace) -> int:
@@ -320,7 +301,7 @@ def cmd_means(args: argparse.Namespace) -> int:
         "gap": gap,
         **bounds,
     }
-    _emit_flat(payload, args.format, args.out)
+    _write(payload, args)
     return 0
 
 
@@ -342,14 +323,12 @@ def cmd_quad(args: argparse.Namespace) -> int:
         "variant": report.variant,
         "panels": report.panels,
     }
-    _emit_flat(payload, args.format, args.out)
+    _write(payload, args)
     return 0
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
-    records = _identity_records(args.tol)
-    _emit_records(records, args.format, args.out, "montgomery identity sweep")
-    return 0 if all(r.holds for r in records) else 1
+    return _report_checks(_identity_records(args.tol), args, "montgomery identity sweep")
 
 
 # ----------------------------------------------------------------------
