@@ -108,7 +108,7 @@ class BrecknerFunction:
 
     @property
     def label(self) -> str:
-        return f"breckner:{self.u:g},{self.v:g},{self.w:g},{self.s:g}"
+        return "breckner:" + ",".join(map(_spec_number, (self.u, self.v, self.w, self.s)))
 
 
 def _nonnegative_min(t) -> float:
@@ -491,6 +491,13 @@ def _parse_floats(text: str, spec: str) -> list[float]:
         raise DomainError(f"could not parse numbers in function spec {spec!r}") from exc
 
 
+def _spec_number(v: float) -> str:
+    """v as a label writes it: its shortest repr without a trailing .0, so
+    that the label parses back to the same function."""
+    text = repr(float(v))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _make_poly(coeffs: list[float]) -> Function1D:
     # an inf coefficient (say 1.8e308 read as inf) would make numpy's
     # derivative and Horner steps multiply it by 0 and warn on stderr
@@ -501,7 +508,7 @@ def _make_poly(coeffs: list[float]) -> Function1D:
     with _overflow_raises():
         ds = npoly.polyder(cs)
     return Function1D(f=lambda t: npoly.polyval(t, cs), df=lambda t: npoly.polyval(t, ds),
-                      label="poly:" + ",".join(f"{c:g}" for c in coeffs))
+                      label="poly:" + ",".join(map(_spec_number, coeffs)))
 
 
 def _make_powabs(k: float) -> Function1D:
@@ -512,10 +519,10 @@ def _make_powabs(k: float) -> Function1D:
     def df(t):
         # for k > 1 the formula gives the derivative 0 at t = 0 as well
         if k <= 1.0 and np.fmin.reduce(abs(t), axis=None) == 0.0:
-            raise DomainError(f"|t|^{k:g} has no derivative at t=0")
+            raise DomainError(f"|t|^{_spec_number(k)} has no derivative at t=0")
         return k * abs(t) ** (k - 1.0) * np.sign(t)
 
-    return Function1D(f=lambda t: abs(t) ** k, df=df, label=f"powabs:{k:g}")
+    return Function1D(f=lambda t: abs(t) ** k, df=df, label=f"powabs:{_spec_number(k)}")
 
 
 def parse_function_spec(spec: str) -> Function1D:

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ostrowski import toolkit
+from ostrowski.cli import DEFAULT_IDENTITY_POLYS, DEFAULT_SWEEP_FUNCTIONS
 from ostrowski.core import ConvergenceError, DomainError, Function1D, Interval
 from ostrowski.toolkit import (
     BrecknerFunction,
@@ -928,6 +929,57 @@ class TestFunctionRegistry:
     def test_bad_specs(self, spec):
         with pytest.raises(DomainError):
             parse_function_spec(spec)
+
+
+#: parameters a label must carry to the last digit: a signed zero, powers
+#: of ten that :g would write in 6 digits or less, 1/3, and the rounded
+#: -2/3 of the quartic that item 15 of the roadmap reproduces with
+_LABEL_NUMBERS = (-0.0, 1e16, 1e-5, 1 / 3, -0.6666666666666666)
+
+
+def _label_specs(per_family=8):
+    """Seeded specs of each family, half their parameters from _LABEL_NUMBERS
+    and half with 16 or 17 significant digits, each written by repr."""
+    rng = np.random.default_rng(31)
+
+    def number():
+        if rng.random() < 0.5:
+            return _LABEL_NUMBERS[rng.integers(len(_LABEL_NUMBERS))]
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-8, 9))
+
+    specs = ["poly:0,0,0.5,-0.6666666666666666,0.25"]
+    for _ in range(per_family):
+        specs.append("poly:" + ",".join(repr(number()) for _ in range(rng.integers(1, 6))))
+        specs.append(f"powabs:{abs(number()) or 0.5!r}")
+        s = (1 / 3, 1e-5, 1.0, float(rng.uniform(1e-3, 1.0)))[rng.integers(4)]
+        specs.append("breckner:" + ",".join(repr(v) for v in (number(), number(), number(), s)))
+    return specs
+
+
+class TestLabels:
+    @pytest.mark.parametrize("spec", _label_specs())
+    def test_label_parses_back_to_the_same_function(self, spec):
+        fn = parse_function_spec(spec)
+        again = parse_function_spec(fn.label)
+        assert again.label == fn.label
+        ts = np.random.default_rng(7).uniform(1e-3, 1.0, 64)
+        assert _hex_list(again(ts)) == _hex_list(fn(ts))
+        assert _hex_list(again.deriv(ts)) == _hex_list(fn.deriv(ts))
+
+    def test_a_label_keeps_every_digit(self):
+        spec = "poly:0,0,0.5,-0.6666666666666666,0.25"
+        assert parse_function_spec(spec).label == spec
+        assert parse_function_spec("poly:-0.0,1e16,1e-5").label == "poly:-0,1e+16,1e-05"
+        assert parse_function_spec(f"breckner:{1 / 3!r},1,0,1").label == \
+            "breckner:0.3333333333333333,1,0,1"
+
+    def test_default_labels_are_their_specs(self):
+        for spec in DEFAULT_SWEEP_FUNCTIONS + DEFAULT_IDENTITY_POLYS:
+            assert parse_function_spec(spec).label == spec
+
+    def test_powabs_kink_message_names_the_exponent_in_full(self):
+        with pytest.raises(DomainError, match=re.escape("|t|^0.3333333333333333 has no derivative")):
+            parse_function_spec(f"powabs:{1 / 3!r}").deriv(0.0)
 
 
 def _horner(cs, t):
