@@ -100,6 +100,13 @@ class TestCompositeMidpoint:
         with pytest.raises(OverflowError, match="overflowed double precision"):
             composite_midpoint(fn, Partition.uniform(Interval(0.0, 4.0), 1))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_from_the_evaluator_raises_overflow_error(self, bad):
+        # the evaluator returns inf or NaN itself, so no numpy overflow fires first
+        fn = Function1D(f=lambda t: np.where(t < 0.5, bad, t))
+        with pytest.raises(OverflowError, match="^a composite midpoint term is not finite$"):
+            composite_midpoint(fn, Partition.uniform(UNIT, 4))
+
 
 def exact_sum(values) -> Fraction:
     """The exact sum: every double is an integer multiple of 2**-1074."""
@@ -873,6 +880,29 @@ class TestCertifiedIntegrate:
         assert 1e-9 < abs(report.true_error) <= report.slack
         assert report.slack == 1e-9 + max(0.0, ORACLE_EPSREL * (report.approx + report.true_error) - 1e-12)
         assert report.certified_ok
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_value_at_the_certified_level_raises_overflow_error(self, bad):
+        # |f'| = 1 meets the target at 4 panels, whose midpoints lie below 0.75
+        levels = []
+        fn = Function1D(f=lambda t: np.where(t < 0.75, bad, t),
+                        df=lambda t: levels.append(np.size(t)) or np.ones_like(t))
+        with pytest.raises(OverflowError, match="^a composite midpoint term is not finite$"):
+            certified_integrate(fn, UNIT, 0.1, "p5")
+        assert levels[-1] == 5
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 15: p4-p6 bound each panel from |f'| at its two ends, which "
+        "holds only where |f'|^q is convex on the panel; f' is 0 at both ends here"))
+    @pytest.mark.parametrize("variant,kw", [("p4", {"p": 2.0}), ("p5", {}), ("p6", {"q": 2.0})])
+    def test_bound_covers_the_error_where_f_prime_vanishes_at_both_ends(self, variant, kw):
+        # f' = t(1 - t)^2: one panel certifies an error bound of 0.0, and the
+        # midpoint rule is off by 0.0072917
+        coeffs = (0.0, 0.0, 0.5, -0.6666666666666666, 0.25)
+        fn = parse_function_spec("poly:" + ",".join(map(repr, coeffs)))
+        report = certified_integrate(fn, UNIT, 1e-12, variant, **kw)
+        exact = sum(Fraction(c) / (i + 1) for i, c in enumerate(coeffs))
+        assert report.error_bound >= abs(exact - Fraction(report.approx))
 
     def test_lying_derivative_triggers_warning(self):
         # a derivative evaluator that claims f' == 0 produces a zero bound;
