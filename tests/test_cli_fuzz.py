@@ -5,23 +5,28 @@ for identity and for verify on one function with 2-point grids, from
 extreme floats and plausible ones, each written as its own token, a
 negative one often in scientific notation; a function spec's parameters are
 drawn from the extremes too, nan and inf included, and verify's poly
-coefficients up to 1e308. It asserts the contract the CLI states:
+coefficients up to 1e308. bound, means and quad also draw --format. It
+asserts the contract the CLI states:
 
 - the exit code is 0, 1, 2 or 3, and no exception leaves main;
 - nothing reaches stderr but the CLI's own error line (argparse's usage
   and error lines for a usage error), and no warning is issued;
-- stdout is empty on an error, and on success it is strict JSON (no NaN or
-  Infinity) in which every number is finite;
+- stdout is empty on an error; on success, JSON is strict (no NaN or
+  Infinity) and every number in it is finite, CSV parses into a header and
+  rows of its length, and human output is non-empty lines;
 - no value is taken for an option: every option drawn has its value.
 
 derandomize=True makes the examples the same on every run that loads the
 same modules: Hypothesis also draws the constants it finds in loaded
-modules, so the file run alone and the whole suite draw differently. No
-health check is suppressed. A longer run for a change that touches these
-paths only needs a larger max_examples.
+modules, so the file run alone and the whole suite draw differently. So
+every exit code a test asserts it reaches is also reached by a fixed
+command, and no asserted code rests on a draw. No health check is
+suppressed. A longer run for a change that touches these paths only needs
+a larger max_examples.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -110,28 +115,36 @@ def flags(values):
     return [token for name, value in values.items() for token in (f"--{name}", value)]
 
 
+#: no --format, which prints JSON, or one of the three formats
+FORMAT = st.sampled_from(([], ["--format", "json"], ["--format", "csv"], ["--format", "human"]))
+
+
+def formatted(commands):
+    return st.builds(lambda argv, fmt: argv + fmt, commands, FORMAT)
+
+
 def bound_commands():
-    return st.one_of(*(
+    return formatted(st.one_of(*(
         st.builds(lambda tag, inputs: ["bound", "--theorem", tag] + flags(inputs),
                   st.just(tag), st.fixed_dictionaries({"a": LEFT, "b": RIGHT, **inputs}))
-        for tag, inputs in BOUND_INPUTS.items()))
+        for tag, inputs in BOUND_INPUTS.items())))
 
 
 def means_commands():
-    return st.builds(lambda inputs: ["means"] + flags(inputs), st.fixed_dictionaries(
-        {"a": LEFT, "b": RIGHT, "s": UNIT, "q": EXPONENT}))
+    return formatted(st.builds(lambda inputs: ["means"] + flags(inputs), st.fixed_dictionaries(
+        {"a": LEFT, "b": RIGHT, "s": UNIT, "q": EXPONENT})))
 
 
 def quad_commands():
     common = {"fn": SPECS, "a": LEFT, "b": RIGHT, "target": TARGET}
-    return st.one_of(
+    return formatted(st.one_of(
         st.builds(lambda inputs: ["quad", "--variant", "p4"] + flags(inputs),
                   st.fixed_dictionaries({**common, "p": CONJUGATE})),
         st.builds(lambda inputs: ["quad", "--variant", "p5"] + flags(inputs),
                   st.fixed_dictionaries(common)),
         st.builds(lambda inputs: ["quad", "--variant", "p6"] + flags(inputs),
                   st.fixed_dictionaries({**common, "q": EXPONENT})),
-    )
+    ))
 
 
 def grid(plausible):
@@ -213,7 +226,14 @@ def check_contract(argv) -> int:
     assert "Traceback" not in err, (argv, err)
     if code in (0, 1):
         assert err == "", (argv, err)
-        json.loads(out, parse_constant=_reject_constant, parse_float=_finite)
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        if fmt == "json":
+            json.loads(out, parse_constant=_reject_constant, parse_float=_finite)
+        elif fmt == "csv":
+            header, *rows = csv.reader(io.StringIO(out))
+            assert rows and all(len(row) == len(header) for row in rows), (argv, out)
+        else:
+            assert out.endswith("\n") and all(out[:-1].split("\n")), (argv, out)
     else:
         assert out == "", (argv, out)
         assert ERROR_LINE.fullmatch(err) or USAGE_ERROR.fullmatch(err), (argv, err)
@@ -222,9 +242,13 @@ def check_contract(argv) -> int:
     return code
 
 
-def fuzz(commands, examples=150) -> set:
-    """check_contract on a fixed, seeded run of commands; the exit codes seen."""
-    codes = set()
+def fuzz(commands, pinned, examples=150) -> set:
+    """check_contract on a fixed, seeded run of commands, and on one pinned
+    command per exit code, which must exit with that code; the exit codes
+    seen."""
+    for code, argv in pinned.items():
+        assert check_contract(argv.split()) == code, argv
+    codes = set(pinned)
 
     @settings(max_examples=examples, derandomize=True, deadline=None, suppress_health_check=())
     @given(commands)
@@ -236,47 +260,65 @@ def fuzz(commands, examples=150) -> set:
 
 
 # each run also asserts what it reaches: a fuzzer whose draws were all
-# refused, or all accepted, would check only half of the contract
+# refused, or all accepted, would check only half of the contract. A
+# pinned command reaches each code a test asserts it reaches, whatever
+# the draws; where the set is exact, the draws may add no other
 
 
 def test_bound_keeps_the_contract():
-    assert fuzz(bound_commands()) == {0, 2}
+    assert fuzz(bound_commands(), {
+        0: "bound --theorem t20 --a 0.5 --b 2.5 --x 0.8 --s 0.37 --da 0.3 --db 2 --format csv",
+        2: "bound --theorem t20 --a 0.5 --b 2.5 --x 0.8 --s 2 --da 0.3 --db 2",
+    }) == {0, 2}
 
 
 def test_means_keeps_the_contract():
-    assert fuzz(means_commands()) == {0, 2}
+    assert fuzz(means_commands(), {
+        0: "means --a 1 --b 2 --s 0.5 --q 2 --format human",
+        2: "means --a 1 --b 2 --s 0 --q 2",
+    }) == {0, 2}
 
 
 def test_quad_keeps_the_contract():
-    assert fuzz(quad_commands()) == {0, 2, 3}
+    assert fuzz(quad_commands(), {
+        0: "quad --variant p5 --fn poly:0,1 --a 0 --b 1 --target 1e-3",
+        2: "quad --variant p5 --fn poly:0,1 --a 0 --b 1 --target -1",
+        # the bound at the panel budget, 2^20 panels, is 2.8e-7
+        3: "quad --variant p5 --fn poly:0,1 --a 0 --b 1 --target 1e-9",
+    }) == {0, 2, 3}
 
 
 def test_verify_keeps_the_contract():
-    assert fuzz(verify_commands()) == {0, 2}
+    assert fuzz(verify_commands(), {
+        0: "verify --functions poly:0,1 --s-grid 0.5,1 --x-points 2 --p-grid 2,3",
+        2: "verify --functions poly:0,1 --s-grid 0,1 --x-points 2 --p-grid 2,3",
+    }) == {0, 2}
 
 
 def test_large_polys_keep_the_contract():
     # f of one sign: the oracle's roundoff floor is a fraction of the
     # tolerance that run_sweep asks of it
-    assert fuzz(large_poly_commands(mixed=False)) == {0, 2}
-
-
-#: exits 3 where it should exit 0: the mean's tolerance in run_sweep,
-#: max(1e-12 * width, ORACLE_EPSREL * |integral of f|), falls below the
-#: oracle's roundoff floor, which scales with the integral of |f|, once f
-#: changes sign and is large enough (poly:-1e3,1e3,1e3 exits 0)
-SIGN_CHANGING = ["verify", "--functions", "poly:-1e4,1e4,1e4", "--s-grid", "0.5",
-                 "--p-grid", "2", "--x-points", "2"]
+    assert fuzz(large_poly_commands(mixed=False), {
+        0: "verify --functions poly:1e300,1e300 --s-grid 0.5 --x-points 2 --p-grid 2",
+        # 2 * 1.8e308, a coefficient of f', overflows
+        2: "verify --functions poly:0,1e308,1.7976931348623157e308 --s-grid 0.5 --x-points 2 "
+           "--p-grid 2",
+    }) == {0, 2}
 
 
 def test_sign_changing_large_polys_keep_the_contract():
-    # the draws may or may not change sign where it matters, since
-    # Hypothesis also draws the constants it finds in loaded modules; the
-    # fixed command always does
-    codes = fuzz(large_poly_commands(mixed=True)) | {check_contract(SIGN_CHANGING)}
+    # the oracle meets its relative target against the sum of |panel
+    # integrals|, so the roundoff floor of a sign-changing f, which scales
+    # with the integral of |f|, is below it; poly:-1e4,1e4,1e4 exited 3
+    # while the target was taken against |integral of f|
+    codes = fuzz(large_poly_commands(mixed=True), {
+        0: "verify --functions poly:-1e4,1e4,1e4 --s-grid 0.5 --x-points 2 --p-grid 2",
+        2: "verify --functions poly:1e308,-1e308,1e308 --s-grid 0.5 --x-points 2 --p-grid 2",
+    })
     assert {0, 2} <= codes <= {0, 1, 2}
 
 
 def test_identity_keeps_the_contract():
     # each command runs the whole identity sweep, about 50 ms
-    assert {0, 2} <= fuzz(identity_commands(), examples=30)
+    assert {0, 2} <= fuzz(identity_commands(), {0: "identity --tol 1e-9", 2: "identity --tol 0"},
+                          examples=30)
