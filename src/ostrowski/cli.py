@@ -4,10 +4,13 @@ means, certified quadrature, and the kernel identity check.
 Exit codes: 0 success, 1 at least one inequality failed, 2 usage, domain
 error, overflow, exhausted memory or a --config/--out file error, 3 oracle
 non-convergence.
-JSON is the canonical machine format and is byte-identical across runs with
+Each command builds one payload per report, and _write writes it in one of
+three views: JSON is the payload itself, byte-identical across runs with
 identical flags (fixed field order, shortest round-trip float printing);
-CSV is a flat projection; the human format rounds to 6 significant digits
-and never feeds back into computation.
+CSV is its records under their field names, or else the payload as one
+row; human is the lines the command passes, or else one key = value line
+per field, rounded to 6 significant digits, and never feeds back into
+computation.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def _write(payload: dict, args: argparse.Namespace, human: Optional[Iterable[str
         rows = payload.get("records", [payload])
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0])
+        writer.writerow(rows[0].keys())
         writer.writerows(row.values() for row in rows)
         text = buf.getvalue()
     else:
