@@ -932,8 +932,7 @@ class TestFunctionRegistry:
 
 
 #: parameters a label must carry to the last digit: a signed zero, powers
-#: of ten that :g would write in 6 digits or less, 1/3, and the rounded
-#: -2/3 of the quartic that item 15 of the roadmap reproduces with
+#: of ten, 1/3, and the rounded -2/3 of ROADMAP item 15's quartic
 _LABEL_NUMBERS = (-0.0, 1e16, 1e-5, 1 / 3, -0.6666666666666666)
 
 
