@@ -489,6 +489,17 @@ class TestVerifyCommand:
         assert payload["failures"] == 0
         assert payload["total"] == len(payload["records"]) > 0
 
+    def test_no_flags_build_the_default_config(self, capsys, monkeypatch):
+        built = []
+
+        def capture(cfg):
+            built.append(cfg)
+            return []
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+        assert run(capsys, "verify")[0] == 0
+        assert built == [SweepConfig()]
+
     def test_byte_identical_output(self, capsys):
         _, out1, _ = run(capsys, "verify")
         _, out2, _ = run(capsys, "verify")

@@ -917,18 +917,21 @@ class TestFunctionRegistry:
         assert fn(3.0) == 3.0
         assert fn.label == "poly:0,1"
 
-    @pytest.mark.parametrize("spec", [
-        "unknown:1",
-        "poly",
-        "poly:",
-        "breckner:1,2",
-        "powabs:0",
-        "powabs:1,2",
-        "poly:a,b",
+    @pytest.mark.parametrize("spec,message", [
+        ("unknown:1", "unknown function kind 'unknown'; expected breckner, poly, or powabs"),
+        ("poly", "function spec 'poly' is missing ':' (kind:params)"),
+        ("poly:", "poly spec needs at least one coefficient: 'poly:'"),
+        ("breckner:1,2", "breckner spec needs u,v,w,s; got 'breckner:1,2'"),
+        ("powabs:0", "powabs exponent must be positive, got 0.0"),
+        ("powabs:1,2", "powabs spec needs exactly one exponent: 'powabs:1,2'"),
+        ("poly:a,b", "could not parse numbers in function spec 'poly:a,b'"),
+        ("breckner:1,2,3", "breckner spec needs u,v,w,s; got 'breckner:1,2,3'"),
+        ("FOO:1", "unknown function kind 'foo'; expected breckner, poly, or powabs"),
     ])
-    def test_bad_specs(self, spec):
-        with pytest.raises(DomainError):
+    def test_bad_specs(self, spec, message):
+        with pytest.raises(DomainError) as info:
             parse_function_spec(spec)
+        assert str(info.value) == message
 
 
 #: parameters a label must carry to the last digit: a signed zero, powers
