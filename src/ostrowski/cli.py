@@ -155,10 +155,9 @@ def run_sweep(cfg: SweepConfig) -> list:
             with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
                 bounds = {tag: THEOREMS[tag].bound(values) for tag in SWEEP_THEOREMS}
             for theorem, value in bounds.items():
-                if np.any(value == np.inf):  # finite inputs reach inf only by overflowing
+                # finite inputs give inf, NaN or a negative value only by overflowing
+                if not np.all(value < np.inf):  # NaN fails too
                     raise OverflowError(f"bound {theorem} overflowed for {fn.label}")
-                if not np.all(value >= 0.0):  # NaN fails too
-                    raise DomainError(f"bound {theorem} produced invalid values for {fn.label}")
             # after the bound checks, so that a bound that overflows is reported
             # even where the oracle cannot reach its tolerance
             integral, excess = oracle_integral(fn, iv, 1e-12 * iv.width)
@@ -402,15 +401,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[_common_parser()],
                               help="run the domination sweep")
-    p_verify.add_argument("--s-grid", default="0.25,0.5,0.75,1", dest="s_grid")
-    p_verify.add_argument("--x-points", type=int, default=11, dest="x_points")
-    p_verify.add_argument("--p-grid", default="2", dest="p_grid")
-    p_verify.add_argument("--functions", default=";".join(DEFAULT_SWEEP_FUNCTIONS),
+    sweep = SweepConfig()  # verify's defaults are the sweep's
+    p_verify.add_argument("--s-grid", default=",".join(map(repr, sweep.s_grid)), dest="s_grid")
+    p_verify.add_argument("--x-points", type=int, default=sweep.x_grid_points, dest="x_points")
+    p_verify.add_argument("--p-grid", default=",".join(map(repr, sweep.p_grid)), dest="p_grid")
+    p_verify.add_argument("--functions", default=";".join(sweep.function_specs),
                           help="semicolon-separated function specs")
     p_verify.add_argument("--a", type=float, default=None)
     p_verify.add_argument("--b", type=float, default=None)
-    p_verify.add_argument("--tol", type=float, default=1e-9,
-                          help="absolute slack of each domination check (default 1e-9)")
+    p_verify.add_argument("--tol", type=float, default=sweep.tol,
+                          help="absolute slack of each domination check (default %(default)s)")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_means = sub.add_parser("means", parents=[_common_parser()],

@@ -12,8 +12,9 @@ finite and >= 0, and _require_positive for a tolerance or an argument of a
 mean, finite and > 0.
 
 All arithmetic is double precision. Inequality checks performed elsewhere
-compare with a small absolute slack (default 1e-12) because the underlying
-inequalities are exact in real arithmetic but evaluated in floating point.
+compare with an absolute slack, which each caller gives, because the
+underlying inequalities are exact in real arithmetic but evaluated in
+floating point.
 """
 
 from __future__ import annotations
@@ -35,11 +36,7 @@ __all__ = [
     "VerificationRecord",
     "make_conjugate",
     "validate_eval_point",
-    "DEFAULT_TOL",
 ]
-
-#: Default absolute slack for floating-point inequality verification.
-DEFAULT_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -197,13 +194,18 @@ class Function1D:
     df: Optional[Callable] = None
     label: str = ""
 
+    @property
+    def name(self) -> str:
+        """The label, or <anonymous> for a function without one, as messages print it."""
+        return self.label or "<anonymous>"
+
     def __call__(self, t):
         return _shaped(self.f(t), t)
 
     def deriv(self, t):
         if self.df is None:
             raise DomainError(
-                f"function {self.label or '<anonymous>'} has no derivative evaluator"
+                f"function {self.name} has no derivative evaluator"
             )
         return _shaped(self.df(t), t)
 
@@ -257,7 +259,7 @@ class VerificationRecord:
 
     @classmethod
     def check(
-        cls, lhs: float, rhs: float, tol: float = DEFAULT_TOL, context: str = ""
+        cls, lhs: float, rhs: float, tol: float, context: str
     ) -> "VerificationRecord":
         lhs = float(lhs)
         rhs = float(rhs)

@@ -98,7 +98,7 @@ def _montgomery_records(fn: Function1D, iv: Interval, xs, tol: float) -> list:
             rhs=0.0,
             tol=tol + excess * iv.width + whole_excess / iv.width,
             context=(
-                f"montgomery identity fn={fn.label or '<anonymous>'} "
+                f"montgomery identity fn={fn.name} "
                 f"iv=[{a:g},{b:g}] x={x:.17g} lhs={lhs_val:.17g} rhs={rhs_val:.17g}"
             ),
         ))
@@ -153,7 +153,7 @@ def hadamard_sconvex_bounds(
     slack = tol + excess / iv.width
     lower = 2.0 ** (s_val - 1.0) * fn(iv.midpoint)
     upper = (fn(iv.a) + fn(iv.b)) / (s_val + 1.0)
-    base = f"fn={fn.label or '<anonymous>'} iv=[{iv.a:g},{iv.b:g}] s={s_val:g}"
+    base = f"fn={fn.name} iv=[{iv.a:g},{iv.b:g}] s={s_val:g}"
     return HadamardBounds(
         lower=lower,
         mean=mean,

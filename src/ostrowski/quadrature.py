@@ -197,10 +197,6 @@ class QuadReport:
 #: The unit roundoff of double precision, and the smallest normal double.
 _U, _TINY = 2.0**-53, float(np.finfo(float).tiny)
 
-#: Arrays this short go straight to math.fsum, which is the faster of the
-#: two up to about 800 values: an extraction costs a few dozen numpy calls.
-_FSUM_DIRECT = 512
-
 #: Values per block in _fsum: a block and its buffer stay in cache through
 #: the passes of every extraction step. _FSUM_M is the smallest M with
 #: 2**M >= _FSUM_BLOCK + 2.
@@ -312,14 +308,15 @@ def _fsum(x: np.ndarray) -> float:
     rounds it as math.fsum(x) does (Rump, Ogita and Oishi stop at the step
     that decides the rounding in the same way).
 
-    Two escapes send x whole to math.fsum, so the result or the exception
-    is exactly math.fsum's: x holds inf or nan, or n * max|x| >= 2**1023,
-    where some partial sum of math.fsum might overflow and must raise; and
-    2**M * max|x| >= 2**1023, where sigma or sigma + x would not be finite.
+    Only an empty x and two escapes, not a short x, go whole to math.fsum,
+    so the result or the exception is exactly math.fsum's: x holds inf or
+    nan, or n * max|x| >= 2**1023, where some partial sum of math.fsum might
+    overflow and must raise; and 2**M * max|x| >= 2**1023, where sigma or
+    sigma + x would not be finite.
     """
     n = x.size
     limit = 2.0**1023 / max(n, 2**_FSUM_M)
-    if n <= _FSUM_DIRECT or not (m := max(-float(x.min()), float(x.max()))) < limit:
+    if not n or not (m := max(-float(x.min()), float(x.max()))) < limit:
         return math.fsum(x.tolist())
     e = math.frexp(m)[1] + _FSUM_M
     buf = np.empty(min(n, _FSUM_BLOCK))
@@ -501,7 +498,7 @@ def certified_integrate(
 
     approx = _midpoint_sum(fn, n, _uniform_blocks(iv, n))
     true_error = None
-    slack = 1e-9
+    slack = QuadReport.slack
     if verify:
         reference, excess = oracle_integral(fn, iv, 1e-12 * iv.width)
         true_error = reference - approx
@@ -517,7 +514,7 @@ def certified_integrate(
     if report.certified_ok is False:
         warnings.warn(
             f"certificate violated: |true error| {abs(true_error):g} > "
-            f"bound {bound:g} for {fn.label or '<anonymous>'} ({variant})",
+            f"bound {bound:g} for {fn.name} ({variant})",
             RuntimeWarning,
             stacklevel=2,
         )

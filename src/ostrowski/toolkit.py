@@ -292,7 +292,7 @@ def _rule(fn: Function1D, edges) -> list:
             row = rows[j]
             if not top < _HUGE:  # NaN too
                 if not top < math.inf:
-                    raise ConvergenceError(f"integrand {fn.label or '<anonymous>'} returned a "
+                    raise ConvergenceError(f"integrand {fn.name} returned a "
                                            f"non-finite value on [{edges[j]:g}, {edges[j + 1]:g}]")
                 # sum a quarter, exactly, and scale back; only this panel, as
                 # quartering a subnormal neighbour would round it
@@ -306,7 +306,7 @@ def _rule(fn: Function1D, edges) -> list:
             if err < floor:
                 err = floor
             if not err < math.inf:  # an overflowed k15 or g7 leaves err inf or nan
-                raise OverflowError(f"the panel sums of {fn.label or '<anonymous>'} on "
+                raise OverflowError(f"the panel sums of {fn.name} on "
                                     f"[{edges[j]:g}, {edges[j + 1]:g}] overflowed double precision")
         out.append((k15, err))
     return out
@@ -422,13 +422,13 @@ def reference_integrate(fn: Function1D, iv: Interval, tol: float, *,
                 floor = scaled - _ROUNDOFF * total_err
                 if floor > target:
                     raise ConvergenceError(
-                        f"integral of {fn.label or '<anonymous>'} did not reach "
+                        f"integral of {fn.name} did not reach "
                         f"tol={target:g}: it is below the roundoff floor {floor:g} of the "
                         f"panel sums (estimate {total_err:g})"
                     )
                 if len(heap) >= budget:
                     raise ConvergenceError(
-                        f"integral of {fn.label or '<anonymous>'} did not reach "
+                        f"integral of {fn.name} did not reach "
                         f"tol={target:g} within {budget} panels (estimate {total_err:g})"
                     )
                 check = min(64 * check, budget)
@@ -498,7 +498,7 @@ def _spec_number(v: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _make_poly(coeffs: list[float]) -> Function1D:
+def _make_poly(*coeffs: float) -> Function1D:
     # an inf coefficient (say 1.8e308 read as inf) would make numpy's
     # derivative and Horner steps multiply it by 0 and warn on stderr
     for c in coeffs:
@@ -525,6 +525,15 @@ def _make_powabs(k: float) -> Function1D:
     return Function1D(f=lambda t: abs(t) ** k, df=df, label=f"powabs:{_spec_number(k)}")
 
 
+#: kind -> (builder, its parameter count or 0 for one or more, what a bad
+#: count's message says the kind needs)
+_SPEC_FAMILIES = {
+    "breckner": (make_breckner, 4, "u,v,w,s; got "),
+    "poly": (_make_poly, 0, "at least one coefficient: "),
+    "powabs": (_make_powabs, 1, "exactly one exponent: "),
+}
+
+
 def parse_function_spec(spec: str) -> Function1D:
     """Parse a registry string into a Function1D.
 
@@ -538,21 +547,13 @@ def parse_function_spec(spec: str) -> Function1D:
     kind = kind.lower()
     if not sep:
         raise DomainError(f"function spec {spec!r} is missing ':' (kind:params)")
-    if kind == "breckner":
-        vals = _parse_floats(rest, spec)
-        if len(vals) != 4:
-            raise DomainError(f"breckner spec needs u,v,w,s; got {spec!r}")
-        return make_breckner(*vals)
-    if kind == "poly":
-        vals = _parse_floats(rest, spec)
-        if not vals:
-            raise DomainError(f"poly spec needs at least one coefficient: {spec!r}")
-        return _make_poly(vals)
-    if kind == "powabs":
-        vals = _parse_floats(rest, spec)
-        if len(vals) != 1:
-            raise DomainError(f"powabs spec needs exactly one exponent: {spec!r}")
-        return _make_powabs(vals[0])
-    raise DomainError(
-        f"unknown function kind {kind!r}; expected breckner, poly, or powabs"
-    )
+    if kind not in _SPEC_FAMILIES:
+        *head, last = _SPEC_FAMILIES
+        raise DomainError(
+            f"unknown function kind {kind!r}; expected {', '.join(head)}, or {last}"
+        )
+    build, count, needs = _SPEC_FAMILIES[kind]
+    vals = _parse_floats(rest, spec)
+    if len(vals) != count if count else not vals:
+        raise DomainError(f"{kind} spec needs {needs}{spec!r}")
+    return build(*vals)
