@@ -160,7 +160,12 @@ def check_sconvex(
     positive difference within a few ulps of the operand scale is treated
     as equality, not as a violation. That allowance is relative to the
     operands alone, with no absolute floor: it scales with f, so a small
-    function is falsified as readily as a large one.
+    function is falsified as readily as a large one; an infinite difference
+    is never such an equality.
+
+    f must be finite at the grid points, whose values weight every
+    combination: a DomainError names the function otherwise. An overflow in
+    an evaluator or in the arithmetic raises OverflowError.
     """
     s_val = _require_s(s)
     if grid_n < 2:
@@ -170,31 +175,30 @@ def check_sconvex(
     wx = alphas**s_val
     wy = (1.0 - alphas) ** s_val
     eps = np.finfo(float).eps
-    try:
-        fvals = fn(pts)
-    except Exception as exc:
-        raise DomainError(f"evaluator failed on the domain grid: {exc}") from exc
+    with _overflow_raises():
+        fvals = _sconvex_values(fn, pts, "on the domain grid")
+        if not np.all(np.isfinite(fvals)):  # 0 * inf would make a weighted value NaN
+            t = float(pts[np.argmin(np.isfinite(fvals))])
+            raise DomainError(f"function {fn.name} is not finite at the grid point t={t!r}")
 
-    # one x at a time, broadcast over rows y and columns alpha: the
-    # temporaries stay grid_n^2 in size instead of grid_n^3
-    zy, wfy = (1.0 - alphas) * pts[:, None], wy * fvals[:, None]
-    worst = -math.inf
-    witness = (float(pts[0]), float(pts[0]), 0.0)
-    for x, fx in zip(pts, fvals):
-        try:
-            fz = fn(alphas * x + zy)
-        except Exception as exc:
-            raise DomainError(f"evaluator failed at a combination point: {exc}") from exc
-        wfx = wx * fx
-        raw = fz - (wfx + wfy)
-        noise = 8.0 * eps * np.maximum(np.abs(fz), np.abs(wfx) + np.abs(wfy))
-        # sub-rounding positives are equalities; a NaN point is skipped, as the
-        # scalar `>` below skips it, so argmax cannot return it and hide the plane
-        viol = np.where((raw > 0.0) & (raw <= noise), 0.0, np.where(np.isnan(raw), -math.inf, raw))
-        j, k = np.unravel_index(np.argmax(viol), viol.shape)
-        if viol[j, k] > worst:
-            worst = float(viol[j, k])
-            witness = (float(x), float(pts[j]), float(alphas[k]))
+        # one x at a time, broadcast over rows y and columns alpha: the
+        # temporaries stay grid_n^2 in size instead of grid_n^3
+        zy, wfy = (1.0 - alphas) * pts[:, None], wy * fvals[:, None]
+        worst = -math.inf
+        witness = (float(pts[0]), float(pts[0]), 0.0)
+        for x, fx in zip(pts, fvals):
+            fz = _sconvex_values(fn, alphas * x + zy, "at a combination point")
+            wfx = wx * fx
+            raw = fz - (wfx + wfy)
+            noise = 8.0 * eps * np.maximum(np.abs(fz), np.abs(wfx) + np.abs(wfy))
+            # finite sub-rounding positives are equalities; a NaN point is skipped, as
+            # the scalar `>` below skips it, so argmax cannot return it and hide the plane
+            tie = (raw > 0.0) & (raw <= noise) & (raw < math.inf)
+            viol = np.where(tie, 0.0, np.where(np.isnan(raw), -math.inf, raw))
+            j, k = np.unravel_index(np.argmax(viol), viol.shape)
+            if viol[j, k] > worst:
+                worst = float(viol[j, k])
+                witness = (float(x), float(pts[j]), float(alphas[k]))
 
     return SConvexityReport(
         is_consistent=worst <= 0.0,
@@ -206,6 +210,16 @@ def check_sconvex(
             "sub-rounding positives count as equality"
         ),
     )
+
+
+def _sconvex_values(fn: Function1D, t, where: str):
+    """fn(t); an evaluator's failure other than an overflow is a DomainError."""
+    try:
+        return fn(t)
+    except OverflowError:
+        raise
+    except Exception as exc:
+        raise DomainError(f"evaluator failed {where}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

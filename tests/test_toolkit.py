@@ -266,6 +266,33 @@ class TestCheckSconvex:
         assert report.witness == witness
         assert not report.is_consistent
 
+    def test_infinite_difference_is_a_violation(self):
+        # f(0.25) = +inf misses f(0)/2 + f(0.5)/2 by +inf; the rounding allowance,
+        # 8 eps |f(0.25)|, was inf as well and counted it an equality
+        fn = Function1D(f=lambda t: np.where(t == 0.25, np.inf, t))
+        report = check_sconvex(fn, 1.0, Interval(0.0, 1.0), 3)
+        assert not report.is_consistent
+        assert report.worst_violation == math.inf
+        assert report.witness == (0.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("f", [
+        lambda t: np.exp(700.0 + 20.0 * np.sin(9.0 * t)),  # overflows in the evaluator
+        # -1.7e308 at the grid points, 1.7e308 between: the difference overflows
+        lambda t: np.where(np.isin(t, (0.0, 0.5, 1.0)), -1.7e308, 1.7e308),
+    ], ids=["evaluator", "difference"])
+    def test_overflow_raises_overflow_error(self, f):
+        # the evaluator printed 13 RuntimeWarnings and the report a finite
+        # violation built from overflowed values
+        with pytest.raises(OverflowError, match="overflowed double precision"):
+            check_sconvex(Function1D(f=f), 1.0, Interval(0.0, 1.0), 5)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_grid_value_is_refused(self, value):
+        # a grid value weights every combination, and 0 * inf is NaN
+        fn = Function1D(f=lambda t: np.where(t == 0.5, value, t), label="spiked")
+        with pytest.raises(DomainError, match=r"^function spiked is not finite at the grid point t=0\.5$"):
+            check_sconvex(fn, 1.0, Interval(0.0, 1.0), 5)
+
     def test_evaluates_grid_and_every_combination_point(self):
         fn = make_breckner(1.0, 1.0, 0.5, 0.5)
         points = []
