@@ -41,7 +41,7 @@ from .core import (
 from .kernel import _montgomery_records
 from .means import GAP_VARIANTS, _mean_powers, means_gap, means_gap_bound
 from .quadrature import _PANEL_BOUNDS, ERROR_BOUND_VARIANTS, certified_integrate
-from .toolkit import oracle_integral, parse_function_spec
+from .toolkit import _spec_number, oracle_integral, parse_function_spec
 
 __all__ = ["main", "entrypoint", "SweepConfig", "run_sweep", "DEFAULT_IDENTITY_POLYS"]
 
@@ -167,9 +167,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     for theorem in SWEEP_THEOREMS:
         for label, grid, bounds, slack in prepared:
             rhs = np.broadcast_to(bounds[theorem], shape).ravel().tolist()
-            cells = product(cfg.s_grid, grid, cfg.p_grid)
-            for (s_val, (x_val, dev), p_val), bound in zip(cells, rhs):
-                context = f"domination {theorem} fn={label} s={s_val:g} x={x_val:.17g} p={p_val:g}"
+            cells = product(map(_spec_number, cfg.s_grid), grid, map(_spec_number, cfg.p_grid))
+            for (s_text, (x_val, dev), p_text), bound in zip(cells, rhs):
+                context = f"domination {theorem} fn={label} s={s_text} x={x_val:.17g} p={p_text}"
                 records.append(VerificationRecord.check(dev, bound, slack, context=context))
     return records
 

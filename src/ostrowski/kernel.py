@@ -25,7 +25,7 @@ from .core import (
     validate_eval_point,
 )
 from .bounds import THEOREMS, _choice, _offsets, evaluate
-from .toolkit import oracle_integral
+from .toolkit import _spec_number, oracle_integral
 
 __all__ = [
     "montgomery_kernel",
@@ -99,7 +99,8 @@ def _montgomery_records(fn: Function1D, iv: Interval, xs, tol: float) -> list:
             tol=tol + excess * iv.width + whole_excess / iv.width,
             context=(
                 f"montgomery identity fn={fn.name} "
-                f"iv=[{a:g},{b:g}] x={x:.17g} lhs={lhs_val:.17g} rhs={rhs_val:.17g}"
+                f"iv=[{_spec_number(a)},{_spec_number(b)}] x={x:.17g} "
+                f"lhs={lhs_val:.17g} rhs={rhs_val:.17g}"
             ),
         ))
     return records
@@ -153,7 +154,7 @@ def hadamard_sconvex_bounds(
     slack = tol + excess / iv.width
     lower = 2.0 ** (s_val - 1.0) * fn(iv.midpoint)
     upper = (fn(iv.a) + fn(iv.b)) / (s_val + 1.0)
-    base = f"fn={fn.name} iv=[{iv.a:g},{iv.b:g}] s={s_val:g}"
+    base = f"fn={fn.name} iv=[{_spec_number(iv.a)},{_spec_number(iv.b)}] s={_spec_number(s_val)}"
     return HadamardBounds(
         lower=lower,
         mean=mean,

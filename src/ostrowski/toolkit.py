@@ -206,7 +206,8 @@ def check_sconvex(
         witness=witness,
         context=(
             f"grid falsifier (not a certifier): {grid_n} points per axis on "
-            f"[{domain.a:g}, {domain.b:g}]^2 x [0,1], s={s_val:g}; "
+            f"[{_spec_number(domain.a)}, {_spec_number(domain.b)}]^2 x [0,1], "
+            f"s={_spec_number(s_val)}; "
             "sub-rounding positives count as equality"
         ),
     )

@@ -500,6 +500,19 @@ class TestVerifyCommand:
         assert run(capsys, "verify")[0] == 0
         assert built == [SweepConfig()]
 
+    def test_contexts_carry_every_digit_of_s_and_p(self, capsys):
+        # both s printed as s=0.333333, and p=2.0000001 as p=2
+        code, out, _ = run(
+            capsys, "verify", "--functions", "poly:0,1", "--x-points", "2",
+            "--s-grid", "0.3333333333333333,0.333333333", "--p-grid", "2.0000001",
+        )
+        assert code == 0
+        contexts = [r["context"] for r in strict_json(out)["records"]]
+        assert len(contexts) == 5 * 2 * 2
+        for s in ("0.3333333333333333", "0.333333333"):
+            assert sum(f" s={s} " in c for c in contexts) == 5 * 2
+        assert all(" p=2.0000001 [tol=" in c for c in contexts)
+
     def test_byte_identical_output(self, capsys):
         _, out1, _ = run(capsys, "verify")
         _, out2, _ = run(capsys, "verify")

@@ -88,6 +88,13 @@ class TestMontgomeryIdentity:
         mean = reference_integrate(fn, UNIT, 1e-12)
         assert fn(0.25) - mean == pytest.approx(-0.25, abs=1e-12)
 
+    def test_context_carries_every_digit_of_the_interval(self):
+        # :g printed iv=[0.1234567,1.00000001] as iv=[0.123457,1]
+        rec = verify_montgomery_identity(parse_function_spec("poly:0,1"),
+                                         Interval(0.1234567, 1.00000001), 0.5)
+        assert rec.holds
+        assert rec.context.startswith("montgomery identity fn=poly:0,1 iv=[0.1234567,1.00000001] x=0.5 ")
+
     def test_missing_derivative(self):
         from ostrowski.core import Function1D
 
@@ -244,6 +251,14 @@ class TestHadamardBounds:
         slack = f"[tol={1e-9 + max(0.0, ORACLE_EPSREL * (5e5 / 3) - 1e-10):g}]"
         assert slack == "[tol=1.19606e-09]"
         assert res.lower_record.context.endswith(slack) and res.upper_record.context.endswith(slack)
+
+    def test_contexts_carry_every_digit_of_the_interval_and_s(self):
+        # :g printed iv=[0.1234567,2.00000001] s=1/3 as iv=[0.123457,2] s=0.333333
+        res = hadamard_sconvex_bounds(parse_function_spec("poly:0,1"),
+                                      Interval(0.1234567, 2.00000001), 1 / 3)
+        base = "fn=poly:0,1 iv=[0.1234567,2.00000001] s=0.3333333333333333 [tol="
+        assert res.lower_record.context.startswith(f"hadamard lower {base}")
+        assert res.upper_record.context.startswith(f"hadamard upper {base}")
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
     def test_tolerance_not_finite_and_positive_is_refused(self, monkeypatch, tol):

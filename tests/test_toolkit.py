@@ -164,6 +164,12 @@ class TestCheckSconvex:
         assert "falsifier" in report.context
         assert "certifier" in report.context
 
+    def test_context_carries_every_digit_of_the_interval_and_s(self):
+        # :g printed [0.1234567, 2.00000001] and s=1/3 as [0.123457, 2] and s=0.333333
+        report = check_sconvex(parse_function_spec("poly:0,1"), 1 / 3,
+                               Interval(0.1234567, 2.00000001), 3)
+        assert "on [0.1234567, 2.00000001]^2 x [0,1], s=0.3333333333333333; " in report.context
+
     def test_small_grid_rejected(self):
         with pytest.raises(DomainError):
             check_sconvex(parse_function_spec("poly:0,1"), 1.0, Interval(0.0, 1.0), 1)
